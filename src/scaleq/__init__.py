@@ -1,18 +1,8 @@
 """scaleq: measuring and correcting scale disequilibrium in multi-level
-feature fusion, at toy scale, in pure numpy."""
+feature fusion, at toy scale, in pure numpy.
 
-from .errors import (ScaleqError, ShapeError, InvalidRatioError, ContractError,
-                     ConfigError, DegenerateFeatureError, UnsupportedOpError)
-from .tensor import Rng, Moments, randn, moments, channel_moments, \
-    concat_channels, save_tensor, load_tensor
-from .ops import (UpsampleMode, ConvParams, BatchNormParams, upsample,
-                  upsample_to, upsample_moments, conv2d, conv2d_reference,
-                  batchnorm, relu, avgpool_to, add, BN_EPS)
-from .equalizer import (GlobalStats, StatsAccumulator, scale_equalize,
-                        accumulate_stats, calibrate_weights, save_stats,
-                        load_stats)
-from .decoders import (FusionSpec, ConvUnit, SepConvUnit, ToyEncoder,
-                       UPerHead, PSPHead, ASPPHead, SepASPPHead, FCNHead,
-                       SegModel, build_head, fuse, HEAD_KINDS)
+The package imports no submodule, and so not numpy, so that
+`scaleq --threads N` can cap the BLAS threads before numpy loads.
+"""
 
 __version__ = "0.1.0"

@@ -33,9 +33,6 @@ class Var:
     def shape(self):
         return self.data.shape
 
-    def detach(self) -> "Var":
-        return Var(self.data, requires_grad=False)
-
     def __repr__(self):
         return f"Var(op={self.op!r}, shape={self.data.shape}, grad={self.requires_grad})"
 
@@ -141,13 +138,11 @@ def upsample_to(x: Var, out_hw, mode: ops.UpsampleMode = ops.UpsampleMode()) -> 
     out = ops.upsample_to(x.data, out_hw, mode)
     if out is x.data:
         return x
-    ph = ops._axis_plan(h, int(out_hw[0]), mode.kernel, mode.align_corners)
-    pw = ops._axis_plan(w, int(out_hw[1]), mode.kernel, mode.align_corners)
+    ah = ops._axis_matrix(h, int(out_hw[0]), mode.kernel, mode.align_corners)
+    aw = ops._axis_matrix(w, int(out_hw[1]), mode.kernel, mode.align_corners)
 
     def bwd(g):
-        g = ops._interp_axis_adjoint(g, pw, axis=3, n_in=w)
-        g = ops._interp_axis_adjoint(g, ph, axis=2, n_in=h)
-        _accum(x, g)
+        _accum(x, ah.T @ g @ aw)
     return _node(out, (x,), bwd, "upsample")
 
 
@@ -190,42 +185,30 @@ def conv2d(x: Var, weight: Var, bias: Var | None = None, *, stride: int = 1,
                        stride, dilation, padding, groups, pad_value)
     out = ops.conv2d(x.data, p)
     n, c, h, w = x.data.shape
-    cout, cin_g, kh, kw = weight.data.shape
-    pad, eh, ew, ho, wo = ops._conv_geometry(x.data.shape, weight.data.shape,
-                                             stride, dilation, padding)
-    og = cout // groups
+    cout, _, kh, kw = weight.data.shape
+    pad, ho, wo = ops._conv_geometry(x.data.shape, weight.data.shape,
+                                     stride, dilation, padding)
+    padded_hw = (h + 2 * pad, w + 2 * pad)
     parents = (x, weight) if bias is None else (x, weight, bias)
+
+    def weight_grad(gr):
+        # the column matrix lives only here, so it is freed before dX's
+        # equally large column gradient is allocated
+        cols = ops._im2col(ops._pad_input(x.data, pad, pad_value), groups,
+                           kh, kw, ho, wo, stride, dilation)
+        return (gr @ cols.swapaxes(2, 3)).sum(axis=0).reshape(weight.data.shape)
 
     def bwd(g):
         if bias is not None:
             _accum(bias, g.sum(axis=(0, 2, 3)))
-        xp = ops._pad_input(x.data, pad, pad_value)
+        gr = g.reshape(n, groups, cout // groups, ho * wo)
         if weight.requires_grad:
-            win = ops._windows(xp, eh, ew, stride, dilation)
-            gw = np.empty_like(weight.data, dtype=np.float64)
-            for gi in range(groups):
-                # (N, og, Ho, Wo) x (N, Cin/g, Ho, Wo, kh, kw)
-                gw[gi * og:(gi + 1) * og] = np.tensordot(
-                    g[:, gi * og:(gi + 1) * og],
-                    win[:, gi * cin_g:(gi + 1) * cin_g],
-                    axes=([0, 2, 3], [0, 2, 3]))
-            _accum(weight, gw)
+            _accum(weight, weight_grad(gr))
         if x.requires_grad:
-            gxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=np.float64)
-            for gi in range(groups):
-                # t[n, i, j, c, u, v] = sum_o g[n,o,i,j] w[o,c,u,v]
-                t = np.tensordot(g[:, gi * og:(gi + 1) * og],
-                                 weight.data[gi * og:(gi + 1) * og], axes=([1], [0]))
-                dst = gxp[:, gi * cin_g:(gi + 1) * cin_g]
-                for u in range(kh):
-                    for v in range(kw):
-                        dst[:, :,
-                            u * dilation:u * dilation + ho * stride:stride,
-                            v * dilation:v * dilation + wo * stride:stride] += \
-                            np.moveaxis(t[:, :, :, :, u, v], 3, 1)
-            if pad:
-                gxp = gxp[:, :, pad:pad + h, pad:pad + w]
-            _accum(x, gxp)
+            wt = weight.data.reshape(1, groups, cout // groups, -1).swapaxes(2, 3)
+            dcols = (wt @ gr).reshape(n, c * kh * kw, ho * wo)
+            gxp = ops._col2im(dcols, padded_hw, kh, kw, ho, wo, stride, dilation)
+            _accum(x, gxp[:, :, pad:pad + h, pad:pad + w])
     return _node(out, parents, bwd, "conv2d")
 
 

@@ -102,14 +102,21 @@ def load_config(args) -> "ExperimentConfig":
         if not os.path.exists(args.config):
             raise ConfigError(f"config file not found: {args.config}")
         ini = configparser.ConfigParser()
-        ini.read(args.config)
+        try:
+            ini.read(args.config)
+        except configparser.Error as exc:
+            raise ConfigError(f"cannot parse {args.config}: {exc}") from None
         for section in ini.sections():
             for key, raw in ini.items(section):
                 spec = CONFIG_SCHEMA.get((section, key))
                 if spec is None:
                     raise ConfigError(f"unknown config entry [{section}] {key}")
                 fieldname, cast = spec
-                setattr(cfg, fieldname, cast(raw))
+                try:
+                    setattr(cfg, fieldname, cast(raw))
+                except ValueError:
+                    raise ConfigError(
+                        f"bad value {raw!r} for [{section}] {key}") from None
     for dest, fieldname in FLAG_FIELDS.items():
         value = getattr(args, dest, None)
         if value is not None:
@@ -182,9 +189,10 @@ def _dispatch(command: str, cfg) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.threads:
+        # numpy reads these when it is first imported, which is below
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                     "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, str(args.threads))
+            os.environ[var] = str(args.threads)
     from .errors import ScaleqError
     try:
         cfg = load_config(args)

@@ -51,11 +51,6 @@ class ConvUnit:
         y = ad.batchnorm(y, self.gamma, self.beta, eps=self.eps)
         return ad.relu(y)
 
-    def pre_bn(self, x: ad.Var) -> ad.Var:
-        """Convolution output before normalization (equivalence checks)."""
-        return ad.conv2d(x, self.weight, stride=self.stride, dilation=self.dilation,
-                         groups=self.groups, pad_value=self.pad_value)
-
     def params(self):
         return [self.weight, self.gamma, self.beta]
 
@@ -126,28 +121,6 @@ class FusionSpec:
         """(start, stop) channel spans of each branch in the concatenation."""
         edges = np.cumsum((0,) + self.channels)
         return [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:])]
-
-
-def fuse(branches, spec: FusionSpec, block, *, mode: UpsampleMode = UpsampleMode(),
-         stats: GlobalStats | None = None):
-    """General fusion: upsample each branch by its ratio, optionally equalize,
-    concatenate along channels, apply the fusion unit block h.
-
-    Returns (fused, subjects_raw, subjects) with subjects taken post-upsample,
-    pre-concatenation.
-    """
-    if len(branches) != spec.n_branches:
-        raise ContractError(f"expected {spec.n_branches} branches, got {len(branches)}")
-    subjects_raw = [ad.upsample(ad.as_var(b), r, mode)
-                    for b, r in zip(branches, spec.ratios)]
-    if stats is not None:
-        if stats.n_branches != spec.n_branches:
-            raise ContractError("stats branch count does not match fusion spec")
-        subjects = [ad.scale_equalize(s, mu, sigma)
-                    for s, mu, sigma in zip(subjects_raw, stats.mu, stats.sigma)]
-    else:
-        subjects = subjects_raw
-    return block(ad.concat_channels(subjects)), subjects_raw, subjects
 
 
 class HeadOutput:

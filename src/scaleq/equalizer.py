@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DegenerateFeatureError
+from .errors import ContractError, DegenerateFeatureError, FileFormatError
+from .tensor import Moments, moments
 
 STATS_HEADER = "# scaleq global-stats v1"
 
@@ -39,42 +40,37 @@ class GlobalStats:
 
 
 class StatsAccumulator:
-    """Streaming accumulation of per-branch E[x] and E[x^2], one term per
-    dataset sample (or mini-batch); merge is associative."""
+    """Streaming per-branch moments over the dataset, one `add` per sample
+    or mini-batch.  Batches combine with Chan's parallel update weighted by
+    element count, so a short last batch counts only for what it holds;
+    merge is associative."""
 
     def __init__(self, n_branches: int):
         if n_branches < 1:
             raise ContractError("need at least one branch")
-        self.m1 = np.zeros(n_branches)
-        self.m2 = np.zeros(n_branches)
-        self.count = 0
+        self.moments = [Moments(0.0, 0.0, 0)] * n_branches
+        self.count = 0                       # add() calls, as in GlobalStats
 
     def add(self, taps) -> None:
-        if len(taps) != self.m1.size:
+        if len(taps) != len(self.moments):
             raise ContractError(
-                f"expected {self.m1.size} branch taps, got {len(taps)}")
-        for i, tap in enumerate(taps):
-            tap = np.asarray(tap, dtype=np.float64)
-            self.m1[i] += tap.mean()
-            self.m2[i] += np.mean(tap * tap)
+                f"expected {len(self.moments)} branch taps, got {len(taps)}")
+        self.moments = [m.merge(moments(tap)) for m, tap in zip(self.moments, taps)]
         self.count += 1
 
     def merge(self, other: "StatsAccumulator") -> "StatsAccumulator":
-        if other.m1.size != self.m1.size:
+        if len(other.moments) != len(self.moments):
             raise ContractError("accumulators have different branch counts")
-        out = StatsAccumulator(self.m1.size)
-        out.m1 = self.m1 + other.m1
-        out.m2 = self.m2 + other.m2
+        out = StatsAccumulator(len(self.moments))
+        out.moments = [a.merge(b) for a, b in zip(self.moments, other.moments)]
         out.count = self.count + other.count
         return out
 
     def finalize(self, sigma_floor: float | None = None) -> GlobalStats:
         if self.count == 0:
             raise ContractError("no samples accumulated")
-        mu = self.m1 / self.count
-        var = self.m2 / self.count - mu * mu
-        var = np.maximum(var, 0.0)          # guard round-off only
-        sigma = np.sqrt(var)
+        mu = [m.mean for m in self.moments]
+        sigma = [float(np.sqrt(m.variance)) for m in self.moments]
         for i, s in enumerate(sigma):
             if s <= 0.0:
                 if sigma_floor is None:
@@ -83,14 +79,14 @@ class StatsAccumulator:
                         f"(sigma == 0); use a sigma floor only if this is "
                         f"intentional")
                 sigma[i] = sigma_floor
-        return GlobalStats(tuple(mu.tolist()), tuple(sigma.tolist()), self.count)
+        return GlobalStats(tuple(mu), tuple(sigma), self.count)
 
 
 def accumulate_stats(dataset, tap_fn, n_branches: int, batch_size: int = 8,
                      sigma_floor: float | None = None) -> GlobalStats:
     """One full pass over `dataset` (a sequence of input tensors), calling
-    `tap_fn(batch) -> list of branch tensors` per mini-batch and averaging
-    the per-batch moments.  Model weights are untouched."""
+    `tap_fn(batch) -> list of branch tensors` per mini-batch and merging the
+    per-batch moments by element count.  Model weights are untouched."""
     items = list(dataset)
     if not items:
         raise ContractError("stats dataset is empty")
@@ -160,11 +156,14 @@ def load_stats(path) -> GlobalStats:
     with open(path) as f:
         lines = [ln.strip() for ln in f if ln.strip()]
     if not lines or lines[0] != STATS_HEADER:
-        raise ValueError(f"{path} is not a scaleq stats file")
+        raise FileFormatError(f"{path} is not a scaleq stats file")
     mu, sigma, count = [], [], 0
     for ln in lines[2:]:
-        _, m, s, c = ln.split(",")
-        mu.append(float(m))
-        sigma.append(float(s))
-        count = int(c)
+        try:
+            _, m, s, c = ln.split(",")
+            mu.append(float(m))
+            sigma.append(float(s))
+            count = int(c)
+        except ValueError:
+            raise FileFormatError(f"{path}: malformed stats row {ln!r}") from None
     return GlobalStats(tuple(mu), tuple(sigma), count)

@@ -29,3 +29,7 @@ class DegenerateFeatureError(ScaleqError):
 
 class UnsupportedOpError(ScaleqError):
     """The autodiff tape encountered an operator it cannot differentiate."""
+
+
+class FileFormatError(ScaleqError):
+    """A tensor or statistics file is truncated or malformed."""

@@ -17,10 +17,10 @@ import numpy as np
 from . import autodiff as ad
 from . import ops
 from .decoders import SegModel, ToyEncoder, build_head
-from .equalizer import accumulate_stats, scale_equalize
+from .equalizer import StatsAccumulator, accumulate_stats, scale_equalize
 from .errors import ContractError
 from .ops import UpsampleMode
-from .tensor import Moments, Rng, moments, randn
+from .tensor import Rng, moments, randn
 
 RELU_BN_MEAN = 1.0 / math.sqrt(2.0 * math.pi)          # E[ReLU(BN(Wx))]
 RELU_BN_VAR = (math.pi - 1.0) / (2.0 * math.pi)        # Var[ReLU(BN(Wx))]
@@ -380,12 +380,11 @@ def run_head_audit(config: ExperimentConfig, head_kind: str | None = None) -> di
 
         eq_model = build_model(config, seed, head_kind, "injected", stats)
         # dataset-level moments of the equalized subjects
-        acc_mom = [Moments(0.0, 0.0, 0)] * head.n_branches
+        acc = StatsAccumulator(head.n_branches)
         for lo in range(0, len(images), config.stats_batch):
             batch = np.concatenate(images[lo:lo + config.stats_batch], axis=0)
-            eq_out = eq_model.forward(batch)
-            acc_mom = [m.merge(moments(s.data))
-                       for m, s in zip(acc_mom, eq_out.subjects)]
+            acc.add([s.data for s in eq_model.forward(batch).subjects])
+        acc_mom = acc.moments
         eq_batch_m = [moments(s.data)
                       for s in eq_model.forward(audit_batch).subjects]
         eq_jac_vars = [m.variance for m in eq_batch_m]

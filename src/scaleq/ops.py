@@ -2,13 +2,16 @@
 
 Bilinear/nearest upsampling, 2-D convolution (dense, atrous, grouped),
 batch normalization, ReLU, adaptive average pooling, elementwise add.
-Everything is float64-friendly pure numpy; the autodiff layer wraps these
-and reuses the same interpolation/convolution plans for exact adjoints.
+Everything is float64-friendly pure numpy built on batched matmuls:
+upsampling is A_h X A_w^T with cached per-axis matrices, and convolution
+multiplies the weight with an im2col column matrix (Chellapilla et al.,
+2006).  The autodiff layer takes exact adjoints from the same pieces:
+A_h^T G A_w, and col2im of W^T G.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -30,58 +33,35 @@ class UpsampleMode:
     align_corners: bool = False
 
 
-@lru_cache(maxsize=None)
-def _axis_plan(n_in: int, n_out: int, kernel: str, align_corners: bool):
-    """Per-axis interpolation plan: output i reads src[i0]*(1-t) + src[i1]*t.
+@lru_cache(maxsize=64)
+def _axis_matrix(n_in: int, n_out: int, kernel: str, align_corners: bool) -> np.ndarray:
+    """Dense, read-only (n_out, n_in) matrix of the per-axis interpolation
+    map: output i reads src[i0]*(1-t) + src[i1]*t.
 
     align_corners=False uses half-pixel centers with edge-clamped reads,
-    align_corners=True maps i -> i*(n_in-1)/(n_out-1).
+    align_corners=True maps i -> i*(n_in-1)/(n_out-1).  Nearest is a 0/1
+    matrix.  Upsampling is y = A_h X A_w^T and its adjoint A_h^T G A_w.
     """
     i = np.arange(n_out, dtype=np.float64)
-    if kernel == "nearest":
-        idx = np.minimum((np.floor((i + 0.5) * n_in / n_out)).astype(np.intp), n_in - 1)
-        return idx, idx, np.zeros(n_out)
-    if kernel != "bilinear":
-        raise ValueError(f"unknown upsampling kernel {kernel!r}")
-    if align_corners:
-        src = i * (n_in - 1) / (n_out - 1) if n_out > 1 else np.zeros(n_out)
-    else:
-        src = (i + 0.5) * n_in / n_out - 0.5
-    src = np.clip(src, 0.0, n_in - 1)
-    i0 = np.floor(src).astype(np.intp)
-    i1 = np.minimum(i0 + 1, n_in - 1)
-    t = src - i0
-    return i0, i1, t
-
-
-def _interp_axis(x: np.ndarray, plan, axis: int) -> np.ndarray:
-    i0, i1, t = plan
-    shape = [1] * x.ndim
-    shape[axis] = t.size
-    t = t.reshape(shape)
-    return np.take(x, i0, axis=axis) * (1.0 - t) + np.take(x, i1, axis=axis) * t
-
-
-def _interp_axis_adjoint(g: np.ndarray, plan, axis: int, n_in: int) -> np.ndarray:
-    """Exact transpose of _interp_axis: scatter each output gradient onto
-    its <=2 source pixels with the same interpolation weights."""
-    i0, i1, t = plan
-    g = np.moveaxis(g, axis, 0)
-    shape = [1] * g.ndim
-    shape[0] = t.size
-    t = t.reshape(shape)
-    out = np.zeros((n_in,) + g.shape[1:], dtype=g.dtype)
-    np.add.at(out, i0, g * (1.0 - t))
-    np.add.at(out, i1, g * t)
-    return np.moveaxis(out, 0, axis)
-
-
-def _axis_matrix(n_in: int, n_out: int, kernel: str, align_corners: bool) -> np.ndarray:
-    """Dense (n_out, n_in) matrix of the per-axis interpolation map."""
-    i0, i1, t = _axis_plan(n_in, n_out, kernel, align_corners)
+    rows = np.arange(n_out)
     m = np.zeros((n_out, n_in))
-    np.add.at(m, (np.arange(n_out), i0), 1.0 - t)
-    np.add.at(m, (np.arange(n_out), i1), t)
+    if kernel == "nearest":
+        m[rows, np.minimum(np.floor((i + 0.5) * n_in / n_out).astype(np.intp),
+                           n_in - 1)] = 1.0
+    elif kernel == "bilinear":
+        if align_corners:
+            src = i * (n_in - 1) / (n_out - 1) if n_out > 1 else np.zeros(n_out)
+        else:
+            src = (i + 0.5) * n_in / n_out - 0.5
+        src = np.clip(src, 0.0, n_in - 1)
+        i0 = np.floor(src).astype(np.intp)
+        i1 = np.minimum(i0 + 1, n_in - 1)
+        t = src - i0
+        np.add.at(m, (rows, i0), 1.0 - t)       # i0 == i1 at the clamped edge
+        np.add.at(m, (rows, i1), t)
+    else:
+        raise ValueError(f"unknown upsampling kernel {kernel!r}")
+    m.flags.writeable = False
     return m
 
 
@@ -109,8 +89,9 @@ def upsample_to(x: np.ndarray, out_hw, mode: UpsampleMode = UpsampleMode()) -> n
         raise InvalidRatioError(f"output size {(oh, ow)} below input {(h, w)}")
     if (oh, ow) == (h, w):
         return x
-    y = _interp_axis(x, _axis_plan(h, oh, mode.kernel, mode.align_corners), axis=2)
-    return _interp_axis(y, _axis_plan(w, ow, mode.kernel, mode.align_corners), axis=3)
+    ah = _axis_matrix(h, oh, mode.kernel, mode.align_corners)
+    aw = _axis_matrix(w, ow, mode.kernel, mode.align_corners)
+    return ah @ x @ aw.T
 
 
 def upsample_moments(x: np.ndarray, out_hw, mode: UpsampleMode = UpsampleMode()) -> Moments:
@@ -185,16 +166,42 @@ def _conv_geometry(x_shape, w_shape, stride, dilation, padding):
     wo = (w + 2 * pad - ew) // stride + 1
     if ho <= 0 or wo <= 0:
         raise ShapeError(f"kernel {w_shape[2:]} too large for input {x_shape[2:]}")
-    return pad, eh, ew, ho, wo
+    return pad, ho, wo
 
 
-def _windows(xp: np.ndarray, eh, ew, stride, dilation):
+def _im2col(xp: np.ndarray, groups: int, kh: int, kw: int, ho: int, wo: int,
+            stride: int, dilation: int) -> np.ndarray:
+    """(N, G, Cin/G*kh*kw, Ho*Wo) column matrix of the padded input: column
+    (i, j) holds the receptive field of output pixel (i, j), ordered as the
+    weight's (Cin/G, kh, kw) axes.  A 1x1 kernel at stride 1 is a reshape."""
+    n, c = xp.shape[:2]
+    if kh == kw == 1 and stride == 1:
+        return xp.reshape(n, groups, c // groups, ho * wo)
+    eh, ew = (kh - 1) * dilation + 1, (kw - 1) * dilation + 1
     win = sliding_window_view(xp, (eh, ew), axis=(2, 3))
-    return win[:, :, ::stride, ::stride, ::dilation, ::dilation]
+    win = win[:, :, ::stride, ::stride, ::dilation, ::dilation]
+    return win.transpose(0, 1, 4, 5, 2, 3).reshape(n, groups, -1, ho * wo)
+
+
+def _col2im(dcols: np.ndarray, padded_hw, kh: int, kw: int, ho: int, wo: int,
+            stride: int, dilation: int) -> np.ndarray:
+    """Adjoint of _im2col: sum each column entry back onto the padded input
+    pixel it was read from.  dcols is (N, C*kh*kw, Ho*Wo)."""
+    n = dcols.shape[0]
+    if kh == kw == 1 and stride == 1:
+        return dcols.reshape(n, -1, *padded_hw)
+    dcols = dcols.reshape(n, -1, kh, kw, ho, wo)
+    out = np.zeros((n, dcols.shape[1]) + tuple(padded_hw), dtype=dcols.dtype)
+    for u in range(kh):
+        for v in range(kw):
+            out[:, :, u * dilation:u * dilation + ho * stride:stride,
+                v * dilation:v * dilation + wo * stride:stride] += dcols[:, :, u, v]
+    return out
 
 
 def conv2d(x: np.ndarray, p: ConvParams) -> np.ndarray:
-    """Cross-correlation with dilation and groups."""
+    """Cross-correlation with dilation and groups, as one batched matmul of
+    the (1, G, Cout/G, K) weight view with the im2col column matrix."""
     _check_nchw(x)
     n, c, h, w = x.shape
     cout, cin_g, kh, kw = p.weight.shape
@@ -204,24 +211,12 @@ def conv2d(x: np.ndarray, p: ConvParams) -> np.ndarray:
             f"and groups {p.groups}")
     if cout % p.groups != 0:
         raise ShapeError("out channels must be divisible by groups")
-    pad, eh, ew, ho, wo = _conv_geometry(x.shape, p.weight.shape,
-                                         p.stride, p.dilation, p.padding)
-    xp = _pad_input(x, pad, p.pad_value)
-    y = np.empty((n, cout, ho, wo), dtype=x.dtype)
-    if kh == 1 and kw == 1 and p.stride == 1 and p.groups == 1:
-        # 1x1 fast path: a single channel-mixing matmul
-        np.einsum("oc,nchw->nohw", p.weight.reshape(cout, c), xp,
-                  out=y, optimize=True)
-    else:
-        win = _windows(xp, eh, ew, p.stride, p.dilation)
-        og = cout // p.groups
-        for g in range(p.groups):
-            wg = p.weight[g * og:(g + 1) * og]
-            for i in range(n):
-                # (Cin/g, Ho, Wo, kh, kw) x (og, Cin/g, kh, kw) -> (Ho, Wo, og)
-                yg = np.tensordot(win[i, g * cin_g:(g + 1) * cin_g], wg,
-                                  axes=([0, 3, 4], [1, 2, 3]))
-                y[i, g * og:(g + 1) * og] = np.moveaxis(yg, 2, 0)
+    pad, ho, wo = _conv_geometry(x.shape, p.weight.shape,
+                                 p.stride, p.dilation, p.padding)
+    cols = _im2col(_pad_input(x, pad, p.pad_value), p.groups, kh, kw, ho, wo,
+                   p.stride, p.dilation)
+    y = p.weight.reshape(1, p.groups, cout // p.groups, -1) @ cols
+    y = y.reshape(n, cout, ho, wo).astype(x.dtype, copy=False)
     if p.bias is not None:
         y += np.asarray(p.bias, dtype=y.dtype).reshape(1, cout, 1, 1)
     return y
@@ -232,8 +227,8 @@ def conv2d_reference(x: np.ndarray, p: ConvParams) -> np.ndarray:
     _check_nchw(x)
     n, c, h, w = x.shape
     cout, cin_g, kh, kw = p.weight.shape
-    pad, _, _, ho, wo = _conv_geometry(x.shape, p.weight.shape,
-                                       p.stride, p.dilation, p.padding)
+    pad, ho, wo = _conv_geometry(x.shape, p.weight.shape,
+                                 p.stride, p.dilation, p.padding)
     xp = _pad_input(x, pad, p.pad_value)
     og = cout // p.groups
     y = np.zeros((n, cout, ho, wo), dtype=np.float64)

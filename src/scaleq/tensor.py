@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import FileFormatError, ShapeError
 
 DEFAULT_DTYPE = np.float64
 
@@ -126,17 +126,22 @@ def save_tensor(path, x: np.ndarray) -> None:
 
 
 def load_tensor(path) -> np.ndarray:
+    header_size = struct.calcsize("<4sII4Q")
     with open(path, "rb") as f:
-        header = f.read(struct.calcsize("<4sII4Q"))
+        header = f.read(header_size)
+        if len(header) != header_size:
+            raise FileFormatError(f"{path}: truncated header "
+                                  f"({len(header)} of {header_size} bytes)")
         magic, version, tag, n, c, h, w = struct.unpack("<4sII4Q", header)
         if magic != _MAGIC:
-            raise ValueError(f"bad magic {magic!r}")
+            raise FileFormatError(f"bad magic {magic!r}")
         if version != _VERSION:
-            raise ValueError(f"unsupported version {version}")
+            raise FileFormatError(f"unsupported version {version}")
         dtype = _TAG_DTYPES.get(tag)
         if dtype is None:
-            raise ValueError(f"unknown dtype tag {tag}")
-        data = np.frombuffer(f.read(), dtype=dtype.newbyteorder("<"))
-    if data.size != n * c * h * w:
-        raise ValueError("payload length does not match header dims")
+            raise FileFormatError(f"unknown dtype tag {tag}")
+        payload = f.read()
+    if len(payload) != n * c * h * w * dtype.itemsize:
+        raise FileFormatError("payload length does not match header dims")
+    data = np.frombuffer(payload, dtype=dtype.newbyteorder("<"))
     return data.astype(dtype).reshape(n, c, h, w)

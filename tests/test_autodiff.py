@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -91,32 +92,53 @@ def test_grad_avgpool():
                randn((2, 2, 5, 7), 0.0, 1.0, Rng(105)))
 
 
-@pytest.mark.parametrize("stride,dilation,groups", [
-    (1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2), (2, 3, 2), (1, 1, 4),
-])
-def test_grad_conv_all_inputs(stride, dilation, groups):
-    rng = Rng(106).split(f"{stride}{dilation}{groups}")
+def check_conv_grads(stride, dilation, groups, k=3, x_grad=True):
+    """Gradients of x, weight and bias against finite differences; with
+    x_grad=False x is a constant input, like the encoder's first conv."""
+    rng = Rng(106).split(f"{stride}{dilation}{groups}" + (f"k{k}" if k != 3 else ""))
     x0 = randn((2, 4, 7, 7), 0.0, 1.0, rng.split("x"))
-    w0 = randn((4, 4 // groups, 3, 3), 0.0, 0.5, rng.split("w"))
+    w0 = randn((4, 4 // groups, k, k), 0.0, 0.5, rng.split("w"))
     b0 = randn((1, 4, 1, 1), 0.0, 0.5, rng.split("b"))[0, :, 0, 0]
 
     def run(xv, wv, bv):
         return ad.sum_sq(ad.conv2d(xv, wv, bv, stride=stride,
                                    dilation=dilation, groups=groups))
 
-    xv = ad.Var(x0, requires_grad=True)
+    xv = ad.Var(x0, requires_grad=x_grad)
     wv = ad.Var(w0, requires_grad=True)
     bv = ad.Var(b0, requires_grad=True)
     ad.backward(run(xv, wv, bv))
-    fd_x = ad.finite_diff_grad(
-        lambda x: float(run(ad.Var(x), ad.Var(w0), ad.Var(b0)).data), x0)
     fd_w = ad.finite_diff_grad(
         lambda w: float(run(ad.Var(x0), ad.Var(w), ad.Var(b0)).data), w0)
     fd_b = ad.finite_diff_grad(
         lambda b: float(run(ad.Var(x0), ad.Var(w0), ad.Var(b)).data), b0)
-    assert rel_err(xv.grad, fd_x) < 1e-5
+    if x_grad:
+        fd_x = ad.finite_diff_grad(
+            lambda x: float(run(ad.Var(x), ad.Var(w0), ad.Var(b0)).data), x0)
+        assert rel_err(xv.grad, fd_x) < 1e-5
+    else:
+        assert xv.grad is None
     assert rel_err(wv.grad, fd_w) < 1e-5
     assert rel_err(bv.grad, fd_b) < 1e-5
+
+
+@pytest.mark.parametrize("stride,dilation,groups", [
+    (1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2), (2, 3, 2), (1, 1, 4),
+])
+def test_grad_conv_all_inputs(stride, dilation, groups):
+    check_conv_grads(stride, dilation, groups)
+
+
+@pytest.mark.parametrize("stride,dilation,groups,k,x_grad", [
+    (2, 2, 4, 3, True),         # depthwise (groups == cin), strided, dilated
+    (1, 1, 1, 1, True),         # 1x1 at stride 1: im2col is a reshape
+    (2, 1, 1, 1, True),         # 1x1 at stride 2
+    (2, 1, 2, 1, True),
+    (1, 1, 1, 5, True),
+    (2, 1, 1, 3, False),        # dW only
+])
+def test_grad_conv_kernel_shapes(stride, dilation, groups, k, x_grad):
+    check_conv_grads(stride, dilation, groups, k, x_grad)
 
 
 def test_grad_batchnorm_all_inputs():
@@ -197,19 +219,21 @@ def test_grad_composite_network():
 
 
 def test_upsample_transpose_identity():
-    """<UP(x), y> == <x, UP^T(y)> to 1e-10 for both kernels and modes."""
+    """<UP(x), y> == <x, UP^T(y)> to 1e-10 for both kernels and modes, also
+    at ratios where nearest repeats source pixels unevenly."""
     rng = Rng(112)
-    for kernel in ("bilinear", "nearest"):
-        for align in (False, True):
-            mode = UpsampleMode(kernel, align)
-            x0 = randn((1, 2, 5, 6), 0.0, 1.0, rng.split(f"x{kernel}{align}"))
-            y = randn((1, 2, 12, 13), 0.0, 1.0, rng.split(f"y{kernel}{align}"))
-            xv = ad.Var(x0, requires_grad=True)
-            up = ad.upsample_to(xv, (12, 13), mode)
-            ad.backward(ad.dot_const(up, y))        # x.grad = UP^T(y)
-            lhs = float(np.sum(up.data * y))
-            rhs = float(np.sum(x0 * xv.grad))
-            assert abs(lhs - rhs) < 1e-10
+    for kernel, align, out_hw in itertools.product(
+            ("bilinear", "nearest"), (False, True), ((12, 13), (7, 10), (11, 17))):
+        mode = UpsampleMode(kernel, align)
+        tag = f"{kernel}{align}{out_hw}"
+        x0 = randn((1, 2, 5, 6), 0.0, 1.0, rng.split(f"x{tag}"))
+        y = randn((1, 2) + out_hw, 0.0, 1.0, rng.split(f"y{tag}"))
+        xv = ad.Var(x0, requires_grad=True)
+        up = ad.upsample_to(xv, out_hw, mode)
+        ad.backward(ad.dot_const(up, y))        # x.grad = UP^T(y)
+        lhs = float(np.sum(up.data * y))
+        rhs = float(np.sum(x0 * xv.grad))
+        assert abs(lhs - rhs) < 1e-10
 
 
 def test_fusion_weight_gradient_is_subject():

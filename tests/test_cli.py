@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from scaleq.cli import build_parser, load_config, main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 QUICK_INI = """\
@@ -64,6 +70,27 @@ def test_unknown_config_key_exits_1(tmp_path, capsys):
     path.write_text("[run]\nseeed = 1\n")
     assert main(["check", "--config", str(path)]) == 1
     assert "unknown config entry" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("end", ["[deco", "image_size ="])
+def test_truncated_config_file_exits_1(tmp_path, capsys, end):
+    """A config cut inside a section header or before a value is a
+    ConfigError with exit code 1, not a traceback."""
+    path = tmp_path / "cut.ini"
+    path.write_text(QUICK_INI[:QUICK_INI.index(end) + len(end)])
+    assert main(["check", "--config", str(path)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_import_leaves_numpy_unloaded():
+    """--threads must be able to set the BLAS thread variables before the
+    first numpy import, so importing the package and its CLI loads none."""
+    code = ("import sys, scaleq, scaleq.cli; scaleq.cli.build_parser(); "
+            "print('numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": SRC})
+    assert out.stdout.strip() == "False"
 
 
 def test_load_config_flags_override_file(quick_ini):

@@ -3,8 +3,8 @@ import pytest
 
 from scaleq.equalizer import (GlobalStats, StatsAccumulator, accumulate_stats,
                               branch_pad_values, calibrate_weights, load_stats,
-                              save_stats, scale_equalize)
-from scaleq.errors import ContractError, DegenerateFeatureError
+                              save_stats, scale_equalize, STATS_HEADER)
+from scaleq.errors import ContractError, DegenerateFeatureError, FileFormatError
 from scaleq.experiments import equivalence_trial
 from scaleq.tensor import Rng, moments, randn
 
@@ -84,13 +84,40 @@ def test_accumulate_stats_matches_manual():
         return [batch, 2.0 * batch]
 
     st = accumulate_stats(items, tap_fn, 2, batch_size=3)
-    # uneven batches of 3/3/1 weight the last image more; reproduce exactly
+    # uneven batches of 3/3/1, added one by one; reproduce exactly
     acc = StatsAccumulator(2)
     for lo in (0, 3, 6):
         b = np.concatenate(items[lo:lo + 3], axis=0)
         acc.add([b, 2.0 * b])
     ref = acc.finalize()
     assert st == ref
+
+
+@pytest.mark.parametrize("batch_size", [1, 3, 8])
+def test_accumulate_stats_independent_of_batch_size(batch_size):
+    """A short last batch counts by its element count: 10 items whose last
+    two are shifted by +5 give the whole-dataset moments at any batch size."""
+    rng = Rng(6)
+    items = [randn((1, 2, 4, 4), 0.0, 1.0, rng.split(i)) + (5.0 if i >= 8 else 0.0)
+             for i in range(10)]
+    st = accumulate_stats(items, lambda b: [b, 3.0 * b - 1.0], 2, batch_size)
+    ref = moments(np.concatenate(items))
+    np.testing.assert_allclose(st.mu, [ref.mean, 3.0 * ref.mean - 1.0], rtol=1e-12)
+    sd = np.sqrt(ref.variance)
+    np.testing.assert_allclose(st.sigma, [sd, 3.0 * sd], rtol=1e-12)
+    assert st.count == -(-10 // batch_size)
+
+
+def test_accumulate_stats_large_offset():
+    """Offset 1e4 with sigma 1e-3: E[x^2] - mu^2 would lose the variance to
+    cancellation; per-batch two-pass moments merged by Chan's update keep it."""
+    rng = Rng(7)
+    items = [randn((1, 2, 4, 4), 1e4, 1e-3, rng.split(i)) for i in range(10)]
+    ref = moments(np.concatenate(items))
+    for batch_size in (1, 3, 8):
+        st = accumulate_stats(items, lambda b: [b], 1, batch_size)
+        assert st.mu[0] == pytest.approx(ref.mean, rel=1e-15)
+        assert st.sigma[0] == pytest.approx(np.sqrt(ref.variance), rel=1e-8)
 
 
 def test_accumulate_stats_empty_dataset():
@@ -174,5 +201,13 @@ def test_stats_roundtrip(tmp_path):
 def test_stats_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("not a stats file\n0,1,1,1\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(FileFormatError):
+        load_stats(path)
+
+
+@pytest.mark.parametrize("row", ["0,1.0,2.", "0,1.0,abc,8", "0,1.0,2.0,8,9"])
+def test_stats_malformed_row(tmp_path, row):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"{STATS_HEADER}\nbranch,mu,sigma,count\n0,0.5,1.5,8\n{row}\n")
+    with pytest.raises(FileFormatError):
         load_stats(path)

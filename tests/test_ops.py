@@ -68,6 +68,19 @@ def test_upsample_moments_matches_materialized():
             assert fast.count == ref.count
 
 
+def test_axis_matrix_rows():
+    """Each output pixel is a convex combination of at most two source
+    pixels (exactly one for nearest); the cached matrix is read-only."""
+    for kernel, align in itertools.product(("bilinear", "nearest"), (False, True)):
+        for n_in, n_out in ((1, 4), (5, 7), (5, 13), (16, 64)):
+            m = ops._axis_matrix(n_in, n_out, kernel, align)
+            assert m.shape == (n_out, n_in)
+            np.testing.assert_allclose(m.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+            assert ((m != 0).sum(axis=1) <= (1 if kernel == "nearest" else 2)).all()
+            with pytest.raises(ValueError):
+                m[0, 0] = 0.5
+
+
 def test_bilinear_decreases_variance_sweep():
     rng = Rng(33)
     for t in range(50):
@@ -126,18 +139,25 @@ def test_conv_channel_mismatch():
 def test_conv_matches_reference_oracle():
     """Vectorized conv against the naive quintuple-loop direct sum."""
     rng = Rng(50)
-    cases = []
-    for stride in (1, 2):
-        for dilation in (1, 2, 3):
-            for groups in (1, 2, 4):
-                cases.append((stride, dilation, groups))
-    for i, (stride, dilation, groups) in enumerate(cases):
-        cin, cout, k = 4, 6 if groups != 4 else 4, 3
-        x = randn((2, cin, 8, 9), 0.0, 1.0, rng.split(f"x{i}"))
+    # (cin, cout, k, stride, dilation, groups, (h, w), per-channel pad)
+    cases = [(4, 6 if groups != 4 else 4, 3, stride, dilation, groups, (8, 9), False)
+             for stride in (1, 2) for dilation in (1, 2, 3) for groups in (1, 2, 4)]
+    cases += [(4, 6, 1, stride, 1, groups, (8, 9), False)      # 1x1
+              for stride in (1, 2) for groups in (1, 2)]
+    cases += [(6, 6, 3, 1, 2, 6, (8, 9), False),                # depthwise
+              (6, 12, 3, 2, 1, 6, (9, 7), False),               # depthwise, x2
+              (4, 6, 5, 1, 1, 1, (8, 9), False),                # 5x5
+              (4, 6, 5, 2, 1, 2, (9, 11), False),               # odd, stride 2
+              (4, 6, 3, 2, 1, 1, (7, 7), False),
+              (4, 6, 3, 1, 1, 2, (8, 9), True),                 # grouped + pad
+              (6, 6, 3, 2, 2, 6, (9, 8), True)]
+    for i, (cin, cout, k, stride, dilation, groups, hw, pad) in enumerate(cases):
+        x = randn((2, cin) + hw, 0.0, 1.0, rng.split(f"x{i}"))
         w = randn((cout, cin // groups, k, k), 0.0, 0.5, rng.split(f"w{i}"))
         b = randn((1, cout, 1, 1), 0.0, 0.5, rng.split(f"b{i}"))[0, :, 0, 0]
+        pv = randn((1, 1, 1, cin), 0.0, 1.0, rng.split(f"p{i}")).ravel() if pad else 0.0
         for bias in (None, b):
-            p = ConvParams(w, bias, stride, dilation, None, groups)
+            p = ConvParams(w, bias, stride, dilation, None, groups, pv)
             np.testing.assert_allclose(ops.conv2d(x, p),
                                        ops.conv2d_reference(x, p), atol=1e-10)
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from scaleq.errors import ShapeError
+from scaleq.errors import FileFormatError, ShapeError
 from scaleq.tensor import (Moments, Rng, channel_moments, concat_channels,
                            load_tensor, moments, randn, save_tensor)
 
@@ -137,5 +137,15 @@ def test_tensor_roundtrip(tmp_path):
 def test_tensor_bad_magic(tmp_path):
     path = tmp_path / "bad.seqt"
     path.write_bytes(b"NOPE" + b"\0" * 48)
-    with pytest.raises(ValueError):
+    with pytest.raises(FileFormatError):
+        load_tensor(path)
+
+
+@pytest.mark.parametrize("keep", [0, 10, 43, 44 + 8 * 30 - 3])
+def test_tensor_truncated(tmp_path, keep):
+    """Cut inside the header, at its last byte, and inside the payload."""
+    path = tmp_path / "t.seqt"
+    save_tensor(path, randn((1, 2, 3, 5), 0.0, 1.0, Rng(7)))
+    path.write_bytes(path.read_bytes()[:keep])
+    with pytest.raises(FileFormatError):
         load_tensor(path)
