@@ -13,6 +13,7 @@ import configparser
 import os
 import sys
 
+# decoders.HEAD_KINDS, copied: importing decoders would load numpy before --threads
 HEADS = ("uperhead", "psphead", "aspphead", "sepaspphead", "fcnhead")
 
 

@@ -229,8 +229,19 @@ class _HeadBase:
         fusion.weight.data = new_w
         fusion.pad_value = branch_pad_values(stats, self.groups())
 
-    def _finish(self, subjects_raw, target_hw, ratios):
-        """Equalize (if injected), concat, fuse, classify, restore size."""
+    def branches(self, feats: dict):
+        """Branch unit blocks and their upsampling, up to the concatenation.
+        Returns (subjects_raw, target_hw, ratios): the post-upsample,
+        pre-equalizer subjects, the image size the logits are restored to,
+        and the realized upsampling ratio of each branch."""
+        raise NotImplementedError
+
+    def forward(self, feats: dict) -> HeadOutput:
+        return self._finish(*self.branches(feats))
+
+    def _finish(self, subjects_raw, target_hw, ratios) -> HeadOutput:
+        """The head tail: equalize (if injected), concat, fuse, classify,
+        restore size."""
         if self.equalize == "injected":
             subjects = [ad.scale_equalize(s, mu, sigma)
                         for s, mu, sigma in zip(subjects_raw, self.stats.mu,
@@ -272,7 +283,7 @@ class UPerHead(_HeadBase):
     def fusion_spec(self) -> FusionSpec:
         return FusionSpec((1, 2, 4, 8), (self.channels,) * 4)
 
-    def forward(self, feats: dict) -> HeadOutput:
+    def branches(self, feats: dict):
         if set(feats) != {4, 8, 16, 32}:
             raise ShapeError(f"uperhead needs features at ratios 4/8/16/32, "
                              f"got {sorted(feats)}")
@@ -294,8 +305,8 @@ class UPerHead(_HeadBase):
         target = p[4].data.shape[2:]
         subjects_raw = [p[4]] + [ad.upsample_to(p[r], target, self.upmode)
                                  for r in (8, 16, 32)]
-        n, _, h4, w4 = p[4].data.shape
-        return self._finish(subjects_raw, (h4 * 4, w4 * 4), (1, 2, 4, 8))
+        h4, w4 = target
+        return subjects_raw, (h4 * 4, w4 * 4), (1, 2, 4, 8)
 
 
 class PSPHead(_HeadBase):
@@ -328,10 +339,7 @@ class PSPHead(_HeadBase):
         chans = (self.in_channels,) + (self.channels,) * len(self.bins)
         return FusionSpec((1,) + tuple(max(6 // b, 1) for b in self.bins), chans)
 
-    def branch_ratios(self, h5: int):
-        return (1,) + tuple(h5 / b for b in self.bins)
-
-    def forward(self, feats: dict) -> HeadOutput:
+    def branches(self, feats: dict):
         c5 = ad.as_var(feats[self.stride])
         h5, w5 = c5.data.shape[2:]
         if h5 < max(self.bins) or w5 < max(self.bins):
@@ -340,8 +348,8 @@ class PSPHead(_HeadBase):
         for b, unit in zip(self.bins, self.units):
             branch = unit(ad.avgpool_to(c5, (b, b)))
             subjects_raw.append(ad.upsample_to(branch, (h5, w5), self.upmode))
-        return self._finish(subjects_raw, (h5 * self.stride, w5 * self.stride),
-                            (1,) + tuple(h5 / b for b in self.bins))
+        return (subjects_raw, (h5 * self.stride, w5 * self.stride),
+                (1,) + tuple(h5 / b for b in self.bins))
 
 
 class ASPPHead(_HeadBase):
@@ -381,14 +389,13 @@ class ASPPHead(_HeadBase):
     def fusion_spec(self) -> FusionSpec:
         return FusionSpec((6, 1, 1, 1, 1), (self.channels,) * 5)
 
-    def forward(self, feats: dict) -> HeadOutput:
+    def branches(self, feats: dict):
         c5 = ad.as_var(feats[self.stride])
         h5, w5 = c5.data.shape[2:]
         gap = self.gap_unit(ad.avgpool_to(c5, (1, 1)))
         subjects_raw = [ad.upsample_to(gap, (h5, w5), self.upmode)]
         subjects_raw += [unit(c5) for unit in self.rate_units]
-        return self._finish(subjects_raw, (h5 * self.stride, w5 * self.stride),
-                            (h5, 1, 1, 1, 1))
+        return subjects_raw, (h5 * self.stride, w5 * self.stride), (h5, 1, 1, 1, 1)
 
 
 class SepASPPHead(ASPPHead):
@@ -427,12 +434,12 @@ class FCNHead(_HeadBase):
     def fusion_spec(self) -> FusionSpec:
         return FusionSpec((1,), (self.subject_channels,))
 
-    def forward(self, feats: dict) -> HeadOutput:
+    def branches(self, feats: dict):
         y = ad.as_var(feats[self.stride])
         h5, w5 = y.data.shape[2:]
         for blk in self.blocks[:-1]:
             y = blk(y)
-        return self._finish([y], (h5 * self.stride, w5 * self.stride), (1,))
+        return [y], (h5 * self.stride, w5 * self.stride), (1,)
 
 
 def head_params(head) -> list:
@@ -463,9 +470,14 @@ class SegModel:
     def forward(self, images) -> HeadOutput:
         return self.head.forward(self.encoder.forward(images))
 
+    def branches(self, images):
+        """Encoder plus the head's branches: (subjects_raw, target_hw,
+        ratios), without the fusion block, classifier or logits upsample."""
+        return self.head.branches(self.encoder.forward(images))
+
     def tap_fn(self, batch) -> list:
-        """Post-upsample, pre-concat branch features of one forward pass."""
-        return [s.data for s in self.forward(batch).subjects_raw]
+        """Post-upsample, pre-concat branch features of one batch."""
+        return [s.data for s in self.branches(batch)[0]]
 
     def params(self) -> list:
         return self.encoder.params() + head_params(self.head)

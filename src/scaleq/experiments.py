@@ -332,23 +332,27 @@ def _subject_is_broadcast(subject: np.ndarray) -> bool:
     return bool(np.max(spatial_var) < 1e-18)
 
 
-def _fusion_grad_spread(model: SegModel, batch: np.ndarray, rng: Rng):
-    """Per-group variance spread of the fusion-weight gradient under a
-    random scalarization of the logits."""
-    head = model.head
-    ad.zero_grad(model.params())
-    out = model.forward(batch)
+def _tail_grad_vars(head, subjects, target_hw, ratios, rng: Rng):
+    """Run the head tail on constant subjects and return its output with the
+    per-group variance of the fusion-weight gradient under a random
+    scalarization of the logits.  The subjects carry no tape, so backward
+    stops at the concatenation."""
+    weight = head.fusion_block.weight
+    weight.grad = None
+    out = head._finish(subjects, target_hw, ratios)
     upstream = randn(out.logits.data.shape, 0.0, 1.0, rng)
     ad.backward(ad.dot_const(out.logits, upstream))
-    gm = ad.grad_group_moments(head.fusion_block.weight.grad, head.groups())
-    variances = [m.variance for m in gm]
-    return variances, max(variances) / min(variances)
+    return out, [m.variance for m in ad.grad_group_moments(weight.grad, head.groups())]
 
 
 def run_head_audit(config: ExperimentConfig, head_kind: str | None = None) -> dict:
     """Audit every concatenation subject of a head at initialization:
     moments per branch, gradient-variance spread of the fusion weight,
-    with and without equalizers."""
+    with and without equalizers.
+
+    The equalizers sit between the upsampling and the concatenation, so
+    both arms share the encoder and branches: each seed computes them once
+    and runs only the head tail (concat, fusion, classifier) per arm."""
     head_kind = (head_kind or config.head).lower()
     chash = config.hash()
     size = head_input_size(config, head_kind)
@@ -362,10 +366,18 @@ def run_head_audit(config: ExperimentConfig, head_kind: str | None = None) -> di
         seed = config.seed + 1000 * trial
         model = build_model(config, seed, head_kind)
         head = model.head
-        stats = model_stats(model, images, config.stats_batch, config.sigma_floor)
-        out = model.forward(audit_batch)
-        subj_m = [moments(s.data) for s in out.subjects_raw]
-        broadcast = [_subject_is_broadcast(s.data) for s in out.subjects_raw]
+        taps = []
+
+        def keep_taps(batch):
+            taps.append(model.tap_fn(batch))
+            return taps[-1]
+
+        stats = accumulate_stats(images, keep_taps, head.n_branches,
+                                 config.stats_batch, config.sigma_floor)
+        subjects_raw, target_hw, ratios = model.branches(audit_batch)
+        subjects = [ad.Var(s.data) for s in subjects_raw]
+        subj_m = [moments(s.data) for s in subjects]
+        broadcast = [_subject_is_broadcast(s.data) for s in subjects]
         single = head.n_branches == 1
         # the Jacobian of the fused output w.r.t. the group-i fusion weight
         # is subject i itself, so the per-group gradient scale is the
@@ -373,36 +385,38 @@ def run_head_audit(config: ExperimentConfig, head_kind: str | None = None) -> di
         jac_vars = [m.variance for m in subj_m]
         spread = max(jac_vars) / min(jac_vars)
         if not single:
-            loss_grad_vars, _ = _fusion_grad_spread(
-                model, audit_batch, Rng(seed).split("audit-up"))
+            _, loss_grad_vars = _tail_grad_vars(
+                head, subjects, target_hw, ratios, Rng(seed).split("audit-up"))
         else:
             loss_grad_vars = jac_vars
 
-        eq_model = build_model(config, seed, head_kind, "injected", stats)
+        # "injected" leaves the weights alone, so the same model serves
+        # as the equalized arm
+        head.set_equalize("injected", stats)
         # dataset-level moments of the equalized subjects
         acc = StatsAccumulator(head.n_branches)
-        for lo in range(0, len(images), config.stats_batch):
-            batch = np.concatenate(images[lo:lo + config.stats_batch], axis=0)
-            acc.add([s.data for s in eq_model.forward(batch).subjects])
+        for batch_taps in taps:
+            acc.add([scale_equalize(t, mu, sigma) for t, mu, sigma
+                     in zip(batch_taps, stats.mu, stats.sigma)])
         acc_mom = acc.moments
-        eq_batch_m = [moments(s.data)
-                      for s in eq_model.forward(audit_batch).subjects]
-        eq_jac_vars = [m.variance for m in eq_batch_m]
-        eq_spread = max(eq_jac_vars) / min(eq_jac_vars)
         if not single:
-            eq_loss_grad_vars, _ = _fusion_grad_spread(
-                eq_model, audit_batch, Rng(seed).split("audit-up"))
+            eq_out, eq_loss_grad_vars = _tail_grad_vars(
+                head, subjects, target_hw, ratios, Rng(seed).split("audit-up"))
         else:
+            eq_out = head._finish(subjects, target_hw, ratios)
+        eq_jac_vars = [moments(s.data).variance for s in eq_out.subjects]
+        eq_spread = max(eq_jac_vars) / min(eq_jac_vars)
+        if single:
             eq_loss_grad_vars = eq_jac_vars
 
         r1_vars = [subj_m[i].variance
-                   for i, r in enumerate(out.ratios) if r == 1]
+                   for i, r in enumerate(ratios) if r == 1]
         smoothed_below = all(
             subj_m[i].variance < min(r1_vars)
-            for i, r in enumerate(out.ratios) if r > 1 and not broadcast[i])
+            for i, r in enumerate(ratios) if r > 1 and not broadcast[i])
         none_above = all(
             subj_m[i].variance <= max(r1_vars) * 1.15
-            for i in range(len(out.ratios)))
+            for i in range(len(ratios)))
         eq_unit = all(abs(m.mean) <= 1e-6 and abs(m.variance - 1.0) <= 1e-6
                       for m in acc_mom)
         seed_summaries.append({
@@ -413,7 +427,7 @@ def run_head_audit(config: ExperimentConfig, head_kind: str | None = None) -> di
         for i in range(head.n_branches):
             rows.append({
                 "head": head_kind, "seed": seed, "branch": i,
-                "ratio": float(out.ratios[i]), "broadcast": int(broadcast[i]),
+                "ratio": float(ratios[i]), "broadcast": int(broadcast[i]),
                 "var": subj_m[i].variance, "mean": subj_m[i].mean,
                 "loss_grad_var": float(loss_grad_vars[i]),
                 "eq_var": acc_mom[i].variance, "eq_mean": acc_mom[i].mean,
@@ -626,10 +640,11 @@ def run_calibrate(config: ExperimentConfig) -> dict:
     images = [s.image for s in
               gen_synthetic_dataset(config.seed, config.dataset_size,
                                     config.n_classes, size)]
-    probe = build_model(config, config.seed, head_kind)
-    stats = model_stats(probe, images, config.stats_batch, config.sigma_floor)
-
-    inj = build_model(config, config.seed, head_kind, "injected", stats)
+    inj = build_model(config, config.seed, head_kind)
+    stats = model_stats(inj, images, config.stats_batch, config.sigma_floor)
+    # "injected" leaves the weights alone; calibration rescales them in
+    # place, so the calibrated arm is its own build
+    inj.head.set_equalize("injected", stats)
     cal = build_model(config, config.seed, head_kind, "calibrated", stats)
     batch = np.concatenate(images[:config.stats_batch], axis=0)
     diff = float(np.max(np.abs(inj.forward(batch).logits.data

@@ -93,6 +93,11 @@ def test_import_leaves_numpy_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_cli_heads_match_decoders():
+    from scaleq import cli, decoders
+    assert cli.HEADS == decoders.HEAD_KINDS
+
+
 def test_load_config_flags_override_file(quick_ini):
     args = build_parser().parse_args(
         ["fig2", "--config", quick_ini, "--seed", "99", "--align-corners", "both"])

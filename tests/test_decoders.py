@@ -103,6 +103,16 @@ def test_single_stage_head_needs_stride_encoder():
         build_head("sharpnet", rng.split("head"), enc, 8, 4)
 
 
+@pytest.mark.parametrize("kind", decoders.HEAD_KINDS)
+def test_forward_is_finish_of_branches(kind):
+    model = make_model(kind, stride=8)
+    shape = (2, 3, 64, 64) if kind == "uperhead" else (2, 3, 48, 48)
+    x = randn(shape, 0.0, 1.0, Rng(19))
+    full = model.forward(x).logits.data
+    tail = model.head._finish(*model.branches(x)).logits.data
+    assert np.array_equal(full, tail)
+
+
 def test_uperhead_needs_all_stages():
     model = make_model("uperhead")
     feats = {8: ad.Var(np.zeros((1, 16, 8, 8)))}
@@ -233,6 +243,33 @@ def test_fcn_calibrated_matches_injected():
     diff = np.max(np.abs(inj.forward(x).logits.data -
                          cal.forward(x).logits.data))
     assert diff < 1e-10
+
+
+@pytest.mark.parametrize("mode", ["off", "injected"])
+@pytest.mark.parametrize("kind", ["uperhead", "psphead", "aspphead",
+                                  "sepaspphead"])
+def test_tail_fusion_grad_matches_full_backward(kind, mode):
+    """Backward from the head tail on constant subjects gives the fusion
+    weight the same gradient as a backward through the whole model."""
+    model = make_model(kind, seed=6, stride=8)
+    shape = (2, 3, 64, 64) if kind == "uperhead" else (2, 3, 48, 48)
+    rng = Rng(20)
+    x = randn(shape, 0.0, 1.0, rng.split("x"))
+    if mode == "injected":
+        dataset = [randn(shape, 0.0, 1.0, rng.split(i)) for i in range(4)]
+        model.head.set_equalize(mode, _stats_for(model, dataset))
+    weight = model.head.fusion_block.weight
+
+    out = model.forward(x)
+    upstream = randn(out.logits.data.shape, 0.0, 1.0, rng.split("up"))
+    ad.backward(ad.dot_const(out.logits, upstream))
+    full = weight.grad
+
+    subjects, target_hw, ratios = model.branches(x)
+    weight.grad = None
+    out = model.head._finish([ad.Var(s.data) for s in subjects], target_hw, ratios)
+    ad.backward(ad.dot_const(out.logits, upstream))
+    assert np.array_equal(weight.grad, full)
 
 
 def test_set_equalize_validation():

@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from scaleq import autodiff as ad
 from scaleq import experiments as ex
+from scaleq.decoders import HEAD_KINDS
 from scaleq.errors import ContractError
 from scaleq.experiments import ExperimentConfig
-from scaleq.tensor import Rng
+from scaleq.tensor import Rng, randn
 
 
 def quick_config(**kw):
@@ -128,6 +130,46 @@ def test_head_audit_fcn_single_branch():
     res = ex.run_head_audit(quick_config(), "fcnhead")
     assert all(s["spread"] == 1.0 for s in res["seeds"])
     assert "eq_spread_ok" not in res["summary"]
+
+
+def test_head_audit_grad_vars_match_full_backward():
+    """The audit's tail-only fusion-weight gradients equal those of a
+    backward through the whole model, in the baseline and injected arms."""
+    cfg = quick_config(audit_seeds=1)
+    res = ex.run_head_audit(cfg, "aspphead")
+    size = ex.head_input_size(cfg, "aspphead")
+    images = [s.image for s in ex.gen_synthetic_dataset(
+        cfg.seed, cfg.audit_dataset, cfg.n_classes, size)]
+    batch = np.concatenate(images, axis=0)
+    stats = ex.model_stats(ex.build_model(cfg, cfg.seed, "aspphead"), images,
+                           cfg.stats_batch)
+    for mode, key in (("off", "loss_grad_var"), ("injected", "eq_loss_grad_var")):
+        model = ex.build_model(cfg, cfg.seed, "aspphead", mode, stats)
+        out = model.forward(batch)
+        upstream = randn(out.logits.data.shape, 0.0, 1.0,
+                         Rng(cfg.seed).split("audit-up"))
+        ad.backward(ad.dot_const(out.logits, upstream))
+        gm = ad.grad_group_moments(model.head.fusion_block.weight.grad,
+                                   model.head.groups())
+        assert [m.variance for m in gm] == [r[key] for r in res["rows"]], mode
+
+
+def test_head_audit_reference_median_spread():
+    """The uperhead median spread recorded as the benchmark's reference."""
+    cfg = ExperimentConfig(seed=0, audit_seeds=3, audit_dataset=32)
+    spread = ex.run_head_audit(cfg, "uperhead")["summary"]["median_spread"]
+    assert spread == pytest.approx(1.5867457414027006, rel=1e-8, abs=0.0)
+
+
+@pytest.mark.parametrize("head", HEAD_KINDS)
+def test_head_audit_short_last_batch_keeps_unit_moments(head):
+    """13 images in batches of 5: the equalized dataset moments are taken
+    over the kept stats-pass taps, short last batch included."""
+    cfg = ExperimentConfig(seed=0, audit_seeds=1, audit_dataset=13,
+                           stats_batch=5)
+    res = ex.run_head_audit(cfg, head)
+    assert all(s["eq_unit_moments"] for s in res["seeds"])
+    assert res["summary"]["equalized_unit_moments_ok"]
 
 
 # ---------------------------------------------------------------------------
