@@ -28,7 +28,6 @@ CONFIG_SCHEMA = {
     ("run", "seed"): ("seed", int),
     ("run", "trials"): ("trials", int),
     ("run", "out"): ("out_dir", str),
-    ("run", "precision"): ("precision", str),
     ("fig2", "shape"): ("shape", _tuple_of(int)),
     ("fig2", "sigma_grid"): ("sigma_grid", _tuple_of(float)),
     ("fig2", "ratios"): ("ratios", _tuple_of(int)),
@@ -52,7 +51,7 @@ CONFIG_SCHEMA = {
 
 # flag destination -> ExperimentConfig field
 FLAG_FIELDS = {
-    "seed": "seed", "out": "out_dir", "precision": "precision",
+    "seed": "seed", "out": "out_dir",
     "align_corners": "align_corners", "sigma_floor": "sigma_floor",
     "head": "head", "equalize": "equalize", "trials": "trials",
 }
@@ -65,7 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="DIR", help="output directory")
     common.add_argument("--threads", type=int,
                         help="cap BLAS/OpenMP thread count")
-    common.add_argument("--precision", choices=("f32", "f64"))
     common.add_argument("--align-corners", dest="align_corners",
                         choices=("true", "false", "both"))
     common.add_argument("--sigma-floor", dest="sigma_floor", type=float,

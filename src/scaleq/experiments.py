@@ -47,13 +47,9 @@ class ExperimentConfig:
     train_steps: int = 500
     batch_size: int = 8
     lr: float = 0.05
-    precision: str = "f64"
     equalize: str = "calibrated"           # mode used by the equalized arm
     sigma_floor: float | None = None
     out_dir: str | None = None
-
-    def dtype(self):
-        return np.float32 if self.precision == "f32" else np.float64
 
     def align_modes(self):
         return {"false": (False,), "true": (True,),
@@ -112,8 +108,7 @@ def run_fig2(config: ExperimentConfig) -> list[dict]:
                 after = []
                 for t in range(config.trials):
                     stream = rng.split(f"{sigma!r}/{r}/{align}/{t}")
-                    x = randn(config.shape, RELU_BN_MEAN, sigma, stream,
-                              dtype=config.dtype())
+                    x = randn(config.shape, RELU_BN_MEAN, sigma, stream)
                     before.append(moments(x).variance)
                     after.append(ops.upsample_moments(x, (r * h, r * w), mode).variance)
                 rows.append({
@@ -493,14 +488,14 @@ def _pixel_metrics(logits: np.ndarray, labels: np.ndarray, n_classes: int):
 
 
 def _train_arm(config: ExperimentConfig, samples, arm: str) -> list[dict]:
-    equalize = "off"
-    stats = None
-    images = [s.image for s in samples]
+    model = build_model(config, config.seed, config.head)
     if arm == "equalized":
-        probe = build_model(config, config.seed, config.head)
-        stats = model_stats(probe, images, config.stats_batch, config.sigma_floor)
-        equalize = config.equalize if config.equalize != "off" else "calibrated"
-    model = build_model(config, config.seed, config.head, equalize, stats)
+        # the statistics pass leaves the weights alone, so the probed model
+        # is equalized in place instead of being built a second time
+        images = [s.image for s in samples]
+        stats = model_stats(model, images, config.stats_batch, config.sigma_floor)
+        model.head.set_equalize(
+            config.equalize if config.equalize != "off" else "calibrated", stats)
     params = model.params()
     order_rng = Rng(config.seed).split("batches").generator()
     idx = np.arange(len(samples))

@@ -7,6 +7,11 @@ upsampling is A_h X A_w^T with cached per-axis matrices, and convolution
 multiplies the weight with an im2col column matrix (Chellapilla et al.,
 2006).  The autodiff layer takes exact adjoints from the same pieces:
 A_h^T G A_w, and col2im of W^T G.
+
+Upsampled moments never materialize the output.  Each row of an axis
+matrix reads at most two adjacent source pixels, so A^T A is tridiagonal
+(diagonal for nearest), and the sum of squares of the centered output is
+a weighted sum of five neighbour products of the centered input.
 """
 
 from __future__ import annotations
@@ -65,8 +70,31 @@ def _axis_matrix(n_in: int, n_out: int, kernel: str, align_corners: bool) -> np.
     return m
 
 
+@lru_cache(maxsize=64)
+def _axis_bands(n_in: int, n_out: int, kernel: str, align_corners: bool):
+    """Column sums, diagonal and first off-diagonal of A^T A for the axis
+    matrix A; every other band of A^T A is zero."""
+    a = _axis_matrix(n_in, n_out, kernel, align_corners)
+    g = a.T @ a
+    bands = (a.sum(axis=0), np.diagonal(g).copy(), np.diagonal(g, 1).copy())
+    for b in bands:
+        b.flags.writeable = False
+    return bands
+
+
 def _out_size(n: int, r) -> int:
     return int(round(r * n))
+
+
+def _upsample_hw(x: np.ndarray, out_hw):
+    """(h, w, oh, ow) of an upsampling of x to out_hw; rejects downsampling."""
+    _check_nchw(x)
+    h, w = x.shape[2], x.shape[3]
+    oh, ow = int(out_hw[0]), int(out_hw[1])
+    if oh < h or ow < w:
+        raise InvalidRatioError(f"downsampling is not supported: output size "
+                                f"{(oh, ow)} below input {(h, w)}")
+    return h, w, oh, ow
 
 
 def upsample(x: np.ndarray, r, mode: UpsampleMode = UpsampleMode()) -> np.ndarray:
@@ -82,11 +110,7 @@ def upsample(x: np.ndarray, r, mode: UpsampleMode = UpsampleMode()) -> np.ndarra
 
 def upsample_to(x: np.ndarray, out_hw, mode: UpsampleMode = UpsampleMode()) -> np.ndarray:
     """Upsample to an explicit output size (avoids rounding ambiguity)."""
-    _check_nchw(x)
-    h, w = x.shape[2], x.shape[3]
-    oh, ow = int(out_hw[0]), int(out_hw[1])
-    if oh < h or ow < w:
-        raise InvalidRatioError(f"output size {(oh, ow)} below input {(h, w)}")
+    h, w, oh, ow = _upsample_hw(x, out_hw)
     if (oh, ow) == (h, w):
         return x
     ah = _axis_matrix(h, oh, mode.kernel, mode.align_corners)
@@ -94,26 +118,37 @@ def upsample_to(x: np.ndarray, out_hw, mode: UpsampleMode = UpsampleMode()) -> n
     return ah @ x @ aw.T
 
 
+def _map_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-pixel sum over maps of a * b, for (M, h, w) arrays."""
+    return np.einsum("mhw,mhw->hw", a, b)
+
+
 def upsample_moments(x: np.ndarray, out_hw, mode: UpsampleMode = UpsampleMode()) -> Moments:
     """Moments of upsample_to(x, out_hw, mode) without materializing the
-    output, via the Gram identity of the separable linear map
-    y = A_h X A_w^T:  sum(y^2) = sum((A_h^T A_h) X (A_w^T A_w) * X).
+    output y = A_h X A_w^T.
+
+    The mean is s_h^T (sum of the maps) s_w / count, with s the column sums
+    of A.  Rows of A sum to 1, so y - mean = A_h Z A_w^T with Z = X - mean,
+    and sum((y - mean)^2) = sum(G_h Z G_w * Z) for the tridiagonal Gram
+    matrices G = A^T A.  That sum is five neighbour products of Z (the pixel
+    with itself, its w- and h-neighbour and its two diagonal neighbours),
+    each weighted by the diagonal d or off-diagonal e of the two axes.
+    Centering first keeps the variance exact under large offsets.
     """
-    _check_nchw(x)
-    n, c, h, w = x.shape
-    oh, ow = int(out_hw[0]), int(out_hw[1])
-    ah = _axis_matrix(h, oh, mode.kernel, mode.align_corners)
-    aw = _axis_matrix(w, ow, mode.kernel, mode.align_corners)
-    gh = ah.T @ ah
-    gw = aw.T @ aw
-    sh = ah.sum(axis=0)
-    sw = aw.sum(axis=0)
+    h, w, oh, ow = _upsample_hw(x, out_hw)
+    n, c = x.shape[:2]
+    sh, dh, eh = _axis_bands(h, oh, mode.kernel, mode.align_corners)
+    sw, dw, ew = _axis_bands(w, ow, mode.kernel, mode.align_corners)
     maps = np.asarray(x, dtype=np.float64).reshape(n * c, h, w)
-    total = float(np.einsum("h,mhw,w->", sh, maps, sw))
-    sumsq = float(np.sum((gh @ maps @ gw) * maps))
     count = n * c * oh * ow
-    mean = total / count
-    return Moments(mean, sumsq / count - mean * mean, count)
+    mean = float(sh @ maps.sum(axis=0) @ sw) / count
+    z = maps - mean
+    sumsq = (dh @ _map_dot(z, z) @ dw
+             + 2.0 * (dh @ _map_dot(z[:, :, :-1], z[:, :, 1:]) @ ew)
+             + 2.0 * (eh @ _map_dot(z[:, :-1], z[:, 1:]) @ dw)
+             + 2.0 * (eh @ (_map_dot(z[:, :-1, :-1], z[:, 1:, 1:])
+                            + _map_dot(z[:, :-1, 1:], z[:, 1:, :-1])) @ ew))
+    return Moments(mean, float(sumsq) / count, count)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Dense NCHW tensors, deterministic random streams, and moment statistics.
 
 Tensors are plain ``numpy.ndarray`` values in batch-channel-row-column
-layout, float64 by default (float32 opt-in for speed experiments).  All
-functions here are pure; arrays are treated as immutable after creation.
+layout, float64 throughout; the file format also reads and writes float32.
+All functions here are pure; arrays are treated as immutable after creation.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FileFormatError, ShapeError
-
-DEFAULT_DTYPE = np.float64
 
 _MAGIC = b"SEQT"
 _VERSION = 1
@@ -47,8 +45,8 @@ class Rng:
         return Rng(self.seed, int.from_bytes(digest[:8], "little"))
 
 
-def randn(shape, mean: float = 0.0, std: float = 1.0, rng: Rng | None = None,
-          dtype=DEFAULT_DTYPE) -> np.ndarray:
+def randn(shape, mean: float = 0.0, std: float = 1.0,
+          rng: Rng | None = None) -> np.ndarray:
     """i.i.d. normal tensor with the given mean/std, deterministic under rng."""
     shape = tuple(int(s) for s in shape)
     if any(s <= 0 for s in shape):
@@ -56,8 +54,10 @@ def randn(shape, mean: float = 0.0, std: float = 1.0, rng: Rng | None = None,
     if std < 0:
         raise ValueError(f"std must be >= 0, got {std}")
     gen = (rng or Rng(0)).generator()
-    out = gen.standard_normal(size=shape, dtype=np.float64) * std + mean
-    return out.astype(dtype, copy=False)
+    out = gen.standard_normal(size=shape, dtype=np.float64)
+    out *= std                   # in place, not relying on temporary elision
+    out += mean
+    return out
 
 
 @dataclass(frozen=True)

@@ -58,6 +58,9 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as e:
         main(["fig2", "--head", "sharpnet"])
     assert e.value.code == 2
+    with pytest.raises(SystemExit) as e:          # deleted flag
+        main(["fig2", "--precision", "f32"])
+    assert e.value.code == 2
 
 
 def test_missing_config_file_exits_1(capsys):
@@ -67,9 +70,10 @@ def test_missing_config_file_exits_1(capsys):
 
 def test_unknown_config_key_exits_1(tmp_path, capsys):
     path = tmp_path / "bad.ini"
-    path.write_text("[run]\nseeed = 1\n")
-    assert main(["check", "--config", str(path)]) == 1
-    assert "unknown config entry" in capsys.readouterr().err
+    for entry in ("seeed = 1", "precision = f64"):     # a typo, a deleted key
+        path.write_text(f"[run]\n{entry}\n")
+        assert main(["check", "--config", str(path)]) == 1
+        assert "unknown config entry" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("end", ["[deco", "image_size ="])

@@ -190,6 +190,21 @@ def test_toy_train_runs_and_is_deterministic(tmp_path):
     assert len(rows) == 1 + 2 * 6                  # two arms x six steps
 
 
+def test_toy_train_builds_one_model_per_arm(monkeypatch):
+    """The equalized arm equalizes its statistics-pass model in place."""
+    built = []
+    real = ex.build_model
+
+    def counting(*args, **kw):
+        built.append(args)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(ex, "build_model", counting)
+    rows = ex.run_toy_train(quick_config(head="fcnhead", train_steps=2))["rows"]
+    assert {r["arm"] for r in rows} == {"baseline", "equalized"}
+    assert len(built) == 2
+
+
 def test_toy_train_loss_moves_down():
     res = ex.run_toy_train(quick_config(head="fcnhead", train_steps=12,
                                         lr=0.1, equalize="off"))

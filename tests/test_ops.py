@@ -28,8 +28,10 @@ def test_upsample_rejects_small_ratio():
     x = np.zeros((1, 1, 4, 4))
     with pytest.raises(InvalidRatioError):
         ops.upsample(x, 0.5)
-    with pytest.raises(InvalidRatioError):
-        ops.upsample_to(x, (2, 8))
+    for out_hw in ((2, 8), (4, 3)):
+        for fn in (ops.upsample_to, ops.upsample_moments):
+            with pytest.raises(InvalidRatioError, match="downsampling"):
+                fn(x, out_hw)
 
 
 def test_bilinear_hand_values_half_pixel():
@@ -54,29 +56,48 @@ def test_upsample_constant_fixpoint():
 
 
 def test_upsample_moments_matches_materialized():
-    """Gram-identity fast path against the actual upsampled tensor."""
+    """Banded fast path against the actual upsampled tensor.  The 1-pixel
+    axes, (1, 2, 1, 7) and (1, 2, 6, 1), have empty off-diagonals."""
     rng = Rng(21)
     for t, (kernel, align) in enumerate(itertools.product(
             ("bilinear", "nearest"), (False, True))):
-        x = randn((2, 3, 5, 9), 0.3, 1.1, rng.split(t))
-        for out_hw in ((10, 18), (13, 9), (40, 72)):
-            mode = UpsampleMode(kernel, align)
-            fast = ops.upsample_moments(x, out_hw, mode)
-            ref = moments(ops.upsample_to(x, out_hw, mode))
-            assert fast.mean == pytest.approx(ref.mean, abs=1e-12)
-            assert fast.variance == pytest.approx(ref.variance, abs=1e-12)
-            assert fast.count == ref.count
+        mode = UpsampleMode(kernel, align)
+        cases = [(randn((2, 3, 5, 9), 0.3, 1.1, rng.split(t)),
+                  ((10, 18), (13, 9), (40, 72))),
+                 (randn((1, 2, 1, 7), 0.3, 1.1, rng.split(f"{t}/row")), ((4, 21),)),
+                 (randn((1, 2, 6, 1), 0.3, 1.1, rng.split(f"{t}/col")), ((6, 5),))]
+        for x, sizes in cases:
+            for out_hw in sizes:
+                fast = ops.upsample_moments(x, out_hw, mode)
+                ref = moments(ops.upsample_to(x, out_hw, mode))
+                assert fast.mean == pytest.approx(ref.mean, abs=1e-12)
+                assert fast.variance == pytest.approx(ref.variance, abs=1e-12)
+                assert fast.count == ref.count
+
+
+def test_upsample_moments_large_offset():
+    """Centering before the sums keeps the variance of a 1e4-offset,
+    1e-3-spread input; E[y^2] - mean^2 lost most of it."""
+    x = randn((2, 3, 16, 16), 1e4, 1e-3)
+    for mode in (UpsampleMode("bilinear", False), UpsampleMode("bilinear", True),
+                 UpsampleMode("nearest")):
+        fast = ops.upsample_moments(x, (64, 64), mode)
+        ref = moments(ops.upsample_to(x, (64, 64), mode))
+        assert fast.variance == pytest.approx(ref.variance, rel=1e-6)
+        assert fast.mean == pytest.approx(ref.mean, rel=1e-12)
 
 
 def test_axis_matrix_rows():
-    """Each output pixel is a convex combination of at most two source
-    pixels (exactly one for nearest); the cached matrix is read-only."""
+    """Each output pixel is a convex combination of at most two adjacent
+    source pixels (exactly one for nearest), so A^T A is tridiagonal; the
+    cached matrix is read-only."""
     for kernel, align in itertools.product(("bilinear", "nearest"), (False, True)):
         for n_in, n_out in ((1, 4), (5, 7), (5, 13), (16, 64)):
             m = ops._axis_matrix(n_in, n_out, kernel, align)
             assert m.shape == (n_out, n_in)
             np.testing.assert_allclose(m.sum(axis=1), 1.0, rtol=0, atol=1e-15)
             assert ((m != 0).sum(axis=1) <= (1 if kernel == "nearest" else 2)).all()
+            assert (np.triu(m.T @ m, 2) == 0).all()
             with pytest.raises(ValueError):
                 m[0, 0] = 0.5
 
