@@ -188,15 +188,32 @@ def conv2d(x: Var, weight: Var, bias: Var | None = None, *, stride: int = 1,
     cout, _, kh, kw = weight.data.shape
     pad, ho, wo = ops._conv_geometry(x.data.shape, weight.data.shape,
                                      stride, dilation, padding)
-    padded_hw = (h + 2 * pad, w + 2 * pad)
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def weight_grad(gr):
         # the column matrix lives only here, so it is freed before dX's
-        # equally large column gradient is allocated
+        # column gradient is allocated
         cols = ops._im2col(ops._pad_input(x.data, pad, pad_value), groups,
                            kh, kw, ho, wo, stride, dilation)
         return (gr @ cols.swapaxes(2, 3)).sum(axis=0).reshape(weight.data.shape)
+
+    def input_grad(g, gr):
+        flip_pad = (kh - 1) * dilation - pad
+        if stride == 1 and kh == kw and flip_pad >= 0:
+            # dX is the convolution of g with the kernel transposed within
+            # each group and flipped in space; pad_value is a constant and
+            # drops out
+            wf = weight.data.reshape(groups, cout // groups, -1, kh, kw)
+            wf = wf.swapaxes(1, 2)[..., ::-1, ::-1].reshape(c, -1, kh, kw)
+            return ops.conv2d(g, ops.ConvParams(wf, None, 1, dilation,
+                                                flip_pad, groups))
+        # strided (a zero-stuffed g would make the columns stride**2 larger),
+        # non-square, or padded beyond the kernel's reach: scatter W^T g
+        wt = weight.data.reshape(1, groups, cout // groups, -1).swapaxes(2, 3)
+        dcols = (wt @ gr).reshape(n, c * kh * kw, ho * wo)
+        gxp = ops._col2im(dcols, (h + 2 * pad, w + 2 * pad), kh, kw, ho, wo,
+                          stride, dilation)
+        return gxp[:, :, pad:pad + h, pad:pad + w]
 
     def bwd(g):
         if bias is not None:
@@ -205,10 +222,7 @@ def conv2d(x: Var, weight: Var, bias: Var | None = None, *, stride: int = 1,
         if weight.requires_grad:
             _accum(weight, weight_grad(gr))
         if x.requires_grad:
-            wt = weight.data.reshape(1, groups, cout // groups, -1).swapaxes(2, 3)
-            dcols = (wt @ gr).reshape(n, c * kh * kw, ho * wo)
-            gxp = ops._col2im(dcols, padded_hw, kh, kw, ho, wo, stride, dilation)
-            _accum(x, gxp[:, :, pad:pad + h, pad:pad + w])
+            _accum(x, input_grad(g, gr))
     return _node(out, parents, bwd, "conv2d")
 
 
@@ -224,23 +238,25 @@ def batchnorm(x: Var, gamma: Var, beta: Var, *, eps: float = ops.BN_EPS,
                                 running_var, eps, mode)
         return Var(ops.batchnorm(x.data, p))
     n, c, h, w = x.data.shape
-    if n * h * w < 2:
-        raise ShapeError("batch-stats mode needs N*H*W >= 2 per channel")
     m = n * h * w
-    mu = x.data.mean(axis=(0, 2, 3))
-    var = np.square(x.data - mu.reshape(1, c, 1, 1)).mean(axis=(0, 2, 3))
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu.reshape(1, c, 1, 1)) * inv.reshape(1, c, 1, 1)
-    out = xhat * gamma.data.reshape(1, c, 1, 1) + beta.data.reshape(1, c, 1, 1)
+    xhat, inv = ops.batch_stats(x.data, eps)
+    xhat *= inv.reshape(1, c, 1, 1)
+    out = xhat * gamma.data.reshape(1, c, 1, 1)
+    out += beta.data.reshape(1, c, 1, 1)
 
     def bwd(g):
-        _accum(beta, g.sum(axis=(0, 2, 3)))
-        _accum(gamma, (g * xhat).sum(axis=(0, 2, 3)))
+        gv = g.reshape(n, c, h * w)
+        sum_g = np.einsum("nci->c", gv)
+        sum_gx = np.einsum("nci,nci->c", gv, xhat.reshape(n, c, h * w))
+        _accum(beta, sum_g)
+        _accum(gamma, sum_gx)
         if x.requires_grad:
-            gh = g * gamma.data.reshape(1, c, 1, 1)
-            mean_gh = gh.mean(axis=(0, 2, 3)).reshape(1, c, 1, 1)
-            mean_ghx = (gh * xhat).mean(axis=(0, 2, 3)).reshape(1, c, 1, 1)
-            _accum(x, inv.reshape(1, c, 1, 1) * (gh - mean_gh - xhat * mean_ghx))
+            # gamma * inv * (g - sum_g/m - xhat * sum_gx/m)
+            gx = xhat * (-sum_gx / m).reshape(1, c, 1, 1)
+            gx += g
+            gx -= (sum_g / m).reshape(1, c, 1, 1)
+            gx *= (gamma.data * inv).reshape(1, c, 1, 1)
+            _accum(x, gx)
     return _node(out, (x, gamma, beta), bwd, "batchnorm")
 
 
@@ -280,18 +296,21 @@ def softmax_cross_entropy(logits: Var, labels: np.ndarray) -> Var:
     labels = np.asarray(labels)
     if labels.shape != (n, h, w):
         raise ShapeError(f"labels shape {labels.shape} != {(n, h, w)}")
+    if labels.min() < 0 or labels.max() >= k:
+        raise ContractError(f"labels must lie in [0, {k})")
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     ez = np.exp(z)
-    sm = ez / ez.sum(axis=1, keepdims=True)
-    idx_n, idx_h, idx_w = np.ogrid[:n, :h, :w]
-    logp = z - np.log(ez.sum(axis=1, keepdims=True))
-    loss = -logp[idx_n, labels, idx_h, idx_w].mean()
+    s = ez.sum(axis=1, keepdims=True)
+    onehot = labels[:, None] == np.arange(k).reshape(1, k, 1, 1)
     count = n * h * w
+    # mean(log s - z[label]): one log-sum-exp, the label term through the mask
+    loss = np.log(s).mean() - np.einsum("nkhw,nkhw->", z, onehot) / count
 
     def bwd(g):
-        gx = sm.copy()
-        gx[idx_n, labels, idx_h, idx_w] -= 1.0
-        _accum(logits, float(g) * gx / count)
+        gx = ez / s
+        gx -= onehot
+        gx *= float(g) / count
+        _accum(logits, gx)
     return _node(np.asarray(loss), (logits,), bwd, "softmax_ce")
 
 

@@ -6,7 +6,10 @@ Everything is float64-friendly pure numpy built on batched matmuls:
 upsampling is A_h X A_w^T with cached per-axis matrices, and convolution
 multiplies the weight with an im2col column matrix (Chellapilla et al.,
 2006).  The autodiff layer takes exact adjoints from the same pieces:
-A_h^T G A_w, and col2im of W^T G.
+A_h^T G A_w for upsampling; for a stride-1 convolution, dX is this
+forward convolution of G with the group-transposed, spatially flipped
+kernel (Dumoulin & Visin, 2016), and strided convolutions scatter
+W^T G back with col2im.
 
 Upsampled moments never materialize the output.  Each row of an axis
 matrix reads at most two adjacent source pixels, so A^T A is tridiagonal
@@ -221,10 +224,11 @@ def _im2col(xp: np.ndarray, groups: int, kh: int, kw: int, ho: int, wo: int,
 def _col2im(dcols: np.ndarray, padded_hw, kh: int, kw: int, ho: int, wo: int,
             stride: int, dilation: int) -> np.ndarray:
     """Adjoint of _im2col: sum each column entry back onto the padded input
-    pixel it was read from.  dcols is (N, C*kh*kw, Ho*Wo)."""
+    pixel it was read from.  dcols is (N, C*kh*kw, Ho*Wo).  Only strided
+    convolutions take dX this way (and, at stride 1, non-square kernels or
+    padding beyond the kernel's reach); any other stride-1 dX is a forward
+    conv2d with the flipped kernel."""
     n = dcols.shape[0]
-    if kh == kw == 1 and stride == 1:
-        return dcols.reshape(n, -1, *padded_hw)
     dcols = dcols.reshape(n, -1, kh, kw, ho, wo)
     out = np.zeros((n, dcols.shape[1]) + tuple(padded_hw), dtype=dcols.dtype)
     for u in range(kh):
@@ -307,6 +311,20 @@ class BatchNormParams:
                    eps=eps, mode=mode)
 
 
+def batch_stats(x: np.ndarray, eps: float):
+    """(x - mu, 1/sqrt(var + eps)) with per-channel mu and population var
+    over N, H, W, both as einsums over an (N, C, H*W) view; the variance is
+    taken from the centered input."""
+    n, c, h, w = x.shape
+    m = n * h * w
+    if m < 2:
+        raise ShapeError("batch-stats mode needs N*H*W >= 2 per channel")
+    mu = np.einsum("nci->c", x.reshape(n, c, h * w)) / m
+    d = x - mu.reshape(1, c, 1, 1)
+    dv = d.reshape(n, c, h * w)
+    return d, 1.0 / np.sqrt(np.einsum("nci,nci->c", dv, dv) / m + eps)
+
+
 def batchnorm(x: np.ndarray, p: BatchNormParams) -> np.ndarray:
     """Per-channel (x - mu)/sqrt(var + eps) * gamma + beta."""
     _check_nchw(x)
@@ -315,17 +333,14 @@ def batchnorm(x: np.ndarray, p: BatchNormParams) -> np.ndarray:
         raise ShapeError(f"batchnorm params sized for {len(p.gamma)} channels, "
                          f"input has {c}")
     if p.mode == "batch-stats":
-        if n * h * w < 2:
-            raise ShapeError("batch-stats mode needs N*H*W >= 2 per channel")
-        mu = x.mean(axis=(0, 2, 3))
-        var = np.square(x - mu.reshape(1, c, 1, 1)).mean(axis=(0, 2, 3))
-    elif p.mode == "running-stats":
-        mu = np.asarray(p.running_mean)
-        var = np.asarray(p.running_var)
-    else:
+        y, inv = batch_stats(x, p.eps)
+        y *= (np.asarray(p.gamma) * inv).reshape(1, c, 1, 1)
+        y += np.asarray(p.beta).reshape(1, c, 1, 1)
+        return y
+    if p.mode != "running-stats":
         raise ValueError(f"unknown batchnorm mode {p.mode!r}")
-    scale = np.asarray(p.gamma) / np.sqrt(var + p.eps)
-    shift = np.asarray(p.beta) - mu * scale
+    scale = np.asarray(p.gamma) / np.sqrt(np.asarray(p.running_var) + p.eps)
+    shift = np.asarray(p.beta) - np.asarray(p.running_mean) * scale
     return x * scale.reshape(1, c, 1, 1) + shift.reshape(1, c, 1, 1)
 
 

@@ -85,8 +85,9 @@ def moments(x: np.ndarray) -> Moments:
     x = np.asarray(x)
     n = x.size
     mean = float(np.mean(x, dtype=np.float64))
-    var = float(np.mean(np.square(x - mean, dtype=np.float64), dtype=np.float64))
-    return Moments(mean, var, n)
+    d = (x - mean).astype(np.float64, copy=False)
+    np.square(d, out=d)          # one full-size temporary, not two
+    return Moments(mean, float(np.mean(d, dtype=np.float64)), n)
 
 
 def channel_moments(x: np.ndarray) -> list[Moments]:

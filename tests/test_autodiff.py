@@ -92,17 +92,21 @@ def test_grad_avgpool():
                randn((2, 2, 5, 7), 0.0, 1.0, Rng(105)))
 
 
-def check_conv_grads(stride, dilation, groups, k=3, x_grad=True):
+def check_conv_grads(stride, dilation, groups, k=3, x_grad=True, pad_value=0.0):
     """Gradients of x, weight and bias against finite differences; with
-    x_grad=False x is a constant input, like the encoder's first conv."""
-    rng = Rng(106).split(f"{stride}{dilation}{groups}" + (f"k{k}" if k != 3 else ""))
+    x_grad=False x is a constant input, like the encoder's first conv.
+    pad_value may be a per-input-channel vector, like the calibrated
+    fusion conv's branch means."""
+    tag = f"{stride}{dilation}{groups}" + (f"k{k}" if k != 3 else "")
+    rng = Rng(106).split(tag + ("pv" if np.any(pad_value) else ""))
     x0 = randn((2, 4, 7, 7), 0.0, 1.0, rng.split("x"))
     w0 = randn((4, 4 // groups, k, k), 0.0, 0.5, rng.split("w"))
     b0 = randn((1, 4, 1, 1), 0.0, 0.5, rng.split("b"))[0, :, 0, 0]
+    pad_value = np.asarray(pad_value, dtype=np.float64)
 
     def run(xv, wv, bv):
-        return ad.sum_sq(ad.conv2d(xv, wv, bv, stride=stride,
-                                   dilation=dilation, groups=groups))
+        return ad.sum_sq(ad.conv2d(xv, wv, bv, stride=stride, dilation=dilation,
+                                   groups=groups, pad_value=pad_value))
 
     xv = ad.Var(x0, requires_grad=x_grad)
     wv = ad.Var(w0, requires_grad=True)
@@ -136,9 +140,50 @@ def test_grad_conv_all_inputs(stride, dilation, groups):
     (2, 1, 2, 1, True),
     (1, 1, 1, 5, True),
     (2, 1, 1, 3, False),        # dW only
+    (1, 2, 4, 3, True),         # depthwise, dilated, stride 1 (SepASPP rate unit)
+    (1, 1, 1, 2, True),         # 2x2: same padding is one-sided in effect
+    (1, 1, 2, 2, True),
 ])
 def test_grad_conv_kernel_shapes(stride, dilation, groups, k, x_grad):
     check_conv_grads(stride, dilation, groups, k, x_grad)
+
+
+@pytest.mark.parametrize("stride,dilation,groups", [(1, 1, 1), (1, 2, 2), (2, 1, 2)])
+def test_grad_conv_per_channel_pad_value(stride, dilation, groups):
+    check_conv_grads(stride, dilation, groups,
+                     pad_value=np.array([0.5, -1.0, 2.0, 0.25]))
+
+
+@pytest.mark.parametrize("stride,dilation,groups,kernel,padding", [
+    (1, 1, 1, (3, 3), None),
+    (1, 2, 2, (3, 3), None),
+    (2, 2, 2, (3, 3), None),
+    (2, 1, 1, (2, 2), None),
+    (1, 3, 4, (3, 3), None),
+    (1, 1, 4, (2, 2), None),
+    (1, 1, 1, (1, 3), None),    # non-square kernel at stride 1
+    (1, 1, 2, (1, 1), 2),       # padding beyond the kernel's reach
+])
+def test_conv_adjoint_identity(stride, dilation, groups, kernel, padding):
+    """<conv(x) - conv(0), g> == <x, dX>: dX is the exact adjoint of the
+    linear part of the convolution, with bias and a per-channel pad_value."""
+    rng = Rng(115).split(f"{stride}{dilation}{groups}{kernel}{padding}")
+    x0 = randn((2, 4, 9, 8), 0.0, 1.0, rng.split("x"))
+    w = ad.Var(randn((8, 4 // groups) + kernel, 0.0, 0.5, rng.split("w")))
+    b = ad.Var(randn((1, 8, 1, 1), 0.0, 0.5, rng.split("b"))[0, :, 0, 0])
+    pad_value = np.array([0.5, -1.0, 2.0, 0.25])
+
+    def conv(xv):
+        return ad.conv2d(xv, w, b, stride=stride, dilation=dilation,
+                         padding=padding, groups=groups, pad_value=pad_value)
+
+    xv = ad.Var(x0, requires_grad=True)
+    y = conv(xv)
+    g = randn(y.shape, 0.0, 1.0, rng.split("g"))
+    ad.backward(ad.dot_const(y, g))
+    lhs = float(np.sum((y.data - conv(ad.Var(np.zeros_like(x0))).data) * g))
+    rhs = float(np.sum(x0 * xv.grad))
+    assert abs(lhs - rhs) < 1e-12
 
 
 def test_grad_batchnorm_all_inputs():
@@ -193,6 +238,15 @@ def test_softmax_ce_uniform_logits():
     loss = ad.softmax_cross_entropy(ad.Var(np.zeros((1, 4, 2, 2))),
                                     np.zeros((1, 2, 2), dtype=np.int64))
     assert float(loss.data) == pytest.approx(math.log(4.0), abs=1e-12)
+
+
+def test_softmax_ce_rejects_out_of_range_labels():
+    logits = ad.Var(np.zeros((1, 3, 2, 2)))
+    for bad in (3, -1):
+        labels = np.zeros((1, 2, 2), dtype=np.int64)
+        labels[0, 1, 0] = bad
+        with pytest.raises(ContractError):
+            ad.softmax_cross_entropy(logits, labels)
 
 
 def test_grad_composite_network():

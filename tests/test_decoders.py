@@ -212,6 +212,26 @@ def test_injected_vs_calibrated_logits_match():
         assert diff < 1e-10, (kind, diff)
 
 
+def test_injected_vs_calibrated_encoder_grads_match():
+    """Same stats and batch: every encoder parameter gets the same
+    cross-entropy gradient through the injected equalizer as through the
+    calibrated fusion conv, whose mean padding reaches dX."""
+    rng = Rng(21)
+    dataset = [randn((2, 3, 64, 64), 0.0, 1.0, rng.split(i)) for i in range(4)]
+    x = randn((2, 3, 64, 64), 0.0, 1.0, rng.split("probe"))
+    labels = rng.split("lbl").generator().integers(0, 4, size=(2, 64, 64))
+    inj = make_model("uperhead", seed=7)
+    stats = _stats_for(inj, dataset)
+    inj.head.set_equalize("injected", stats)
+    cal = make_model("uperhead", seed=7)
+    cal.head.set_equalize("calibrated", stats)
+    for model in (inj, cal):
+        ad.backward(ad.softmax_cross_entropy(model.forward(x).logits, labels))
+    for a, b in zip(inj.encoder.params(), cal.encoder.params()):
+        rel = np.max(np.abs(a.grad - b.grad)) / np.max(np.abs(a.grad))
+        assert rel < 1e-10, rel
+
+
 def test_injected_equalize_unit_moments():
     model = make_model("psphead", seed=4, stride=8)
     rng = Rng(16)

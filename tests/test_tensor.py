@@ -53,6 +53,14 @@ def test_moments_direct():
     assert m.count == 2
 
 
+def test_moments_leaves_input_unchanged():
+    x = randn((2, 3, 4, 5), 1.5, 2.0, Rng(12))
+    before = x.copy()
+    m = moments(x)
+    np.testing.assert_array_equal(x, before)
+    assert m.variance > 0.0
+
+
 def test_moments_constant():
     m = moments(np.full((3, 3), 4.25))
     assert m.mean == 4.25
