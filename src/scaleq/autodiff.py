@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import ops
-from .errors import ContractError, ShapeError, UnsupportedOpError
+from .errors import ContractError, ShapeError
 from .tensor import Moments, moments
 
 
@@ -226,17 +226,8 @@ def conv2d(x: Var, weight: Var, bias: Var | None = None, *, stride: int = 1,
     return _node(out, parents, bwd, "conv2d")
 
 
-def batchnorm(x: Var, gamma: Var, beta: Var, *, eps: float = ops.BN_EPS,
-              mode: str = "batch-stats", running_mean=None,
-              running_var=None) -> Var:
+def batchnorm(x: Var, gamma: Var, beta: Var, *, eps: float = ops.BN_EPS) -> Var:
     x, gamma, beta = as_var(x), as_var(gamma), as_var(beta)
-    if mode != "batch-stats":
-        if any(v.requires_grad for v in (x, gamma, beta)):
-            raise UnsupportedOpError(
-                "batchnorm backward is implemented for batch-stats mode only")
-        p = ops.BatchNormParams(gamma.data, beta.data, running_mean,
-                                running_var, eps, mode)
-        return Var(ops.batchnorm(x.data, p))
     n, c, h, w = x.data.shape
     m = n * h * w
     xhat, inv = ops.batch_stats(x.data, eps)

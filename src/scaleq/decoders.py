@@ -6,7 +6,8 @@ channel concatenation, and a fusion unit block h, followed by a 1x1
 classifier convolution and a final upsampling back to image size.
 
 All parameters are autodiff Vars so the same forwards serve the moment
-audits, the statistics pass, and the toy training loop.
+audits, the statistics pass, and the toy training loop; `Module` finds
+them by name.
 """
 
 from __future__ import annotations
@@ -14,10 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from . import ops
 from .errors import ConfigError, ContractError, ShapeError
 from .equalizer import GlobalStats, branch_pad_values, calibrate_weights
-from .ops import UpsampleMode
 from .tensor import Rng, randn
 
 HEAD_KINDS = ("uperhead", "psphead", "aspphead", "sepaspphead", "fcnhead")
@@ -30,37 +29,68 @@ def he_normal(rng: Rng, cout: int, cin: int, k: int, groups: int = 1) -> np.ndar
     return randn((cout, cin_g, k, k), 0.0, std, rng)
 
 
-class ConvUnit:
+# ---------------------------------------------------------------------------
+# parameter registry
+# ---------------------------------------------------------------------------
+
+class Module:
+    """Parameter registry after the named_parameters() idiom of
+    torch.nn.Module: a unit's Vars are found by walking its Var, Module,
+    list and dict attributes in definition order."""
+
+    def named_params(self, prefix: str = "", seen: set | None = None):
+        """Yield (dotted name, Var) pairs such as "head.fpn_units.8.weight".
+        A Var reachable under two names is yielded once, under the first."""
+        seen = set() if seen is None else seen
+        for name, value in vars(self).items():
+            yield from _named(prefix + name, value, seen)
+
+    def params(self) -> list:
+        return [p for _, p in self.named_params()]
+
+
+def _named(name: str, value, seen: set):
+    if isinstance(value, ad.Var):
+        if id(value) not in seen:
+            seen.add(id(value))
+            yield name, value
+    elif isinstance(value, Module):
+        yield from value.named_params(name + ".", seen)
+    elif isinstance(value, (list, dict)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, item in items:
+            yield from _named(f"{name}.{key}", item, seen)
+
+
+# ---------------------------------------------------------------------------
+# unit blocks
+# ---------------------------------------------------------------------------
+
+class ConvUnit(Module):
     """One [Conv - BatchNorm - ReLU] unit block (gamma=1, beta=0 at init)."""
 
     def __init__(self, rng: Rng, cin: int, cout: int, k: int = 3, *,
-                 stride: int = 1, dilation: int = 1, groups: int = 1,
-                 eps: float = ops.BN_EPS):
+                 stride: int = 1, dilation: int = 1, groups: int = 1):
         self.weight = ad.Var(he_normal(rng, cout, cin, k, groups), requires_grad=True)
         self.gamma = ad.Var(np.ones(cout), requires_grad=True)
         self.beta = ad.Var(np.zeros(cout), requires_grad=True)
         self.stride = stride
         self.dilation = dilation
         self.groups = groups
-        self.eps = eps
         self.pad_value = 0.0
 
     def __call__(self, x: ad.Var) -> ad.Var:
         y = ad.conv2d(x, self.weight, stride=self.stride, dilation=self.dilation,
                       groups=self.groups, pad_value=self.pad_value)
-        y = ad.batchnorm(y, self.gamma, self.beta, eps=self.eps)
-        return ad.relu(y)
-
-    def params(self):
-        return [self.weight, self.gamma, self.beta]
+        return ad.relu(ad.batchnorm(y, self.gamma, self.beta))
 
 
-class SepConvUnit:
+class SepConvUnit(Module):
     """Depthwise-separable unit block: depthwise conv, pointwise conv,
     then one BatchNorm + ReLU."""
 
     def __init__(self, rng: Rng, cin: int, cout: int, k: int = 3, *,
-                 dilation: int = 1, eps: float = ops.BN_EPS):
+                 dilation: int = 1):
         self.dw_weight = ad.Var(he_normal(rng.split("dw"), cin, cin, k, groups=cin),
                                 requires_grad=True)
         self.pw_weight = ad.Var(he_normal(rng.split("pw"), cout, cin, 1),
@@ -69,19 +99,14 @@ class SepConvUnit:
         self.beta = ad.Var(np.zeros(cout), requires_grad=True)
         self.cin = cin
         self.dilation = dilation
-        self.eps = eps
 
     def __call__(self, x: ad.Var) -> ad.Var:
         y = ad.conv2d(x, self.dw_weight, dilation=self.dilation, groups=self.cin)
         y = ad.conv2d(y, self.pw_weight)
-        y = ad.batchnorm(y, self.gamma, self.beta, eps=self.eps)
-        return ad.relu(y)
-
-    def params(self):
-        return [self.dw_weight, self.pw_weight, self.gamma, self.beta]
+        return ad.relu(ad.batchnorm(y, self.gamma, self.beta))
 
 
-class Classifier:
+class Classifier(Module):
     """Final 1x1 convolution to N_c logits."""
 
     def __init__(self, rng: Rng, cin: int, n_classes: int):
@@ -90,37 +115,6 @@ class Classifier:
 
     def __call__(self, x: ad.Var) -> ad.Var:
         return ad.conv2d(x, self.weight, self.bias)
-
-    def params(self):
-        return [self.weight, self.bias]
-
-
-# ---------------------------------------------------------------------------
-# fusion
-# ---------------------------------------------------------------------------
-
-class FusionSpec:
-    """Branch count, per-branch upsampling ratios and channel widths of one
-    multi-level fusion.  At least one branch must have ratio 1."""
-
-    def __init__(self, ratios, channels):
-        self.ratios = tuple(ratios)
-        self.channels = tuple(channels)
-        if len(self.ratios) != len(self.channels):
-            raise ContractError("ratios and channels must align")
-        if any(r < 1 for r in self.ratios):
-            raise ContractError(f"ratios must be >= 1, got {self.ratios}")
-        if 1 not in self.ratios:
-            raise ContractError("at least one branch must have ratio 1")
-
-    @property
-    def n_branches(self) -> int:
-        return len(self.ratios)
-
-    def groups(self):
-        """(start, stop) channel spans of each branch in the concatenation."""
-        edges = np.cumsum((0,) + self.channels)
-        return [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:])]
 
 
 class HeadOutput:
@@ -137,20 +131,20 @@ class HeadOutput:
 # encoder
 # ---------------------------------------------------------------------------
 
-class ToyEncoder:
+class ToyEncoder(Module):
     """Randomly initialized strided unit blocks standing in for a pretrained
-    backbone.  Multi-stage mode emits {C2..C5} at ratios {4, 8, 16, 32};
-    output-stride mode emits only C5 at ratio s in {8, 16}."""
+    backbone on RGB input.  Multi-stage mode emits {C2..C5} at ratios
+    {4, 8, 16, 32}; output-stride mode emits only C5 at ratio s in {8, 16}."""
 
-    def __init__(self, rng: Rng, in_channels: int = 3,
-                 widths=(8, 16, 16, 32, 32), output_stride: int | None = None):
+    def __init__(self, rng: Rng, widths=(8, 16, 16, 32, 32),
+                 output_stride: int | None = None):
         if output_stride is not None and output_stride not in (8, 16):
             raise ConfigError(f"output stride must be 8 or 16, got {output_stride}")
         n_down = 5 if output_stride is None else int(np.log2(output_stride))
         self.output_stride = output_stride
         self.widths = tuple(widths[:n_down])
         self.blocks = []
-        cin = in_channels
+        cin = 3
         for i, w in enumerate(self.widths):
             self.blocks.append(ConvUnit(rng.split(f"enc{i}"), cin, w, 3, stride=2))
             cin = w
@@ -170,9 +164,6 @@ class ToyEncoder:
             return {self.output_stride: y}
         return {r: feats[r] for r in (4, 8, 16, 32)}
 
-    def params(self):
-        return [p for blk in self.blocks for p in blk.params()]
-
     @property
     def out_channels(self):
         return self.widths[-1]
@@ -185,24 +176,27 @@ class ToyEncoder:
 # heads
 # ---------------------------------------------------------------------------
 
-class _HeadBase:
+class _HeadBase(Module):
+    """Every head has one fixed configuration.  `branch_channels` is the
+    channel width of each concatenation subject, in order; the fusion
+    weight groups and the branch count follow from it.  All upsampling is
+    bilinear with align_corners=False."""
+
     kind = None
 
-    def __init__(self):
+    def __init__(self, branch_channels):
         self.equalize = "off"               # off | injected | calibrated
         self.stats: GlobalStats | None = None
-        self.upmode = UpsampleMode()
-
-    @property
-    def fusion_spec(self) -> FusionSpec:
-        raise NotImplementedError
+        self.branch_channels = tuple(branch_channels)
 
     def groups(self):
-        return self.fusion_spec.groups()
+        """(start, stop) channel spans of each branch in the concatenation."""
+        edges = np.cumsum((0,) + self.branch_channels)
+        return [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:])]
 
     @property
     def n_branches(self) -> int:
-        return self.fusion_spec.n_branches
+        return len(self.branch_channels)
 
     def set_equalize(self, mode: str, stats: GlobalStats | None) -> None:
         if mode not in ("off", "injected", "calibrated"):
@@ -222,8 +216,6 @@ class _HeadBase:
         weight groups by 1/sigma_i and pad each branch's channels with its
         global mean (the image of equalized zero padding)."""
         fusion = self.fusion_block
-        if fusion is None:
-            raise ContractError(f"{self.kind} has no fusion block to calibrate")
         new_w, _ = calibrate_weights(fusion.weight.data, None, stats,
                                      self.groups(), bias_skip=True)
         fusion.weight.data = new_w
@@ -248,9 +240,8 @@ class _HeadBase:
                                                 self.stats.sigma)]
         else:
             subjects = subjects_raw
-        z = self.fusion_block(ad.concat_channels(subjects)) \
-            if self.fusion_block is not None else subjects[0]
-        logits = ad.upsample_to(self.classifier(z), target_hw, self.upmode)
+        z = self.fusion_block(ad.concat_channels(subjects))
+        logits = ad.upsample_to(self.classifier(z), target_hw)
         return HeadOutput(logits, subjects_raw, subjects, ratios)
 
 
@@ -259,29 +250,21 @@ class UPerHead(_HeadBase):
     fusion of {P2, UP2(P3), UP4(P4), UP8(P5)}."""
 
     kind = "uperhead"
+    ppm_bins = (1, 2)
 
-    def __init__(self, rng: Rng, in_channels: dict, channels: int,
-                 n_classes: int, ppm_bins=(1, 2), ppm_out_kernel: int = 3,
-                 upmode: UpsampleMode = UpsampleMode()):
-        super().__init__()
-        self.upmode = upmode
-        self.channels = channels
-        self.ppm_bins = tuple(ppm_bins)
+    def __init__(self, rng: Rng, in_channels: dict, channels: int, n_classes: int):
+        super().__init__((channels,) * 4)
         self.laterals = {r: ConvUnit(rng.split(f"lat{r}"), in_channels[r],
                                      channels, 1) for r in (4, 8, 16)}
         self.ppm_units = [ConvUnit(rng.split(f"ppm{b}"), in_channels[32], channels, 1)
                           for b in self.ppm_bins]
         self.ppm_out = ConvUnit(rng.split("ppm_out"),
                                 in_channels[32] + channels * len(self.ppm_bins),
-                                channels, ppm_out_kernel)
+                                channels, 3)
         self.fpn_units = {r: ConvUnit(rng.split(f"fpn{r}"), channels, channels, 3)
                           for r in (4, 8, 16, 32)}
         self.fusion_block = ConvUnit(rng.split("fusion"), channels * 4, channels, 3)
         self.classifier = Classifier(rng.split("cls"), channels, n_classes)
-
-    @property
-    def fusion_spec(self) -> FusionSpec:
-        return FusionSpec((1, 2, 4, 8), (self.channels,) * 4)
 
     def branches(self, feats: dict):
         if set(feats) != {4, 8, 16, 32}:
@@ -292,19 +275,18 @@ class UPerHead(_HeadBase):
         for b in self.ppm_bins:
             if b > min(size5):
                 raise ShapeError(f"PPM bin {b} exceeds C5 size {size5}")
-        ppm = [c5] + [ad.upsample_to(unit(ad.avgpool_to(c5, (b, b))), size5, self.upmode)
+        ppm = [c5] + [ad.upsample_to(unit(ad.avgpool_to(c5, (b, b))), size5)
                       for b, unit in zip(self.ppm_bins, self.ppm_units)]
         laterals = {32: self.ppm_out(ad.concat_channels(ppm))}
         for r in (16, 8, 4):
             laterals[r] = self.laterals[r](ad.as_var(feats[r]))
         merged = {32: laterals[32]}
         for r in (16, 8, 4):
-            up = ad.upsample_to(merged[r * 2], laterals[r].data.shape[2:], self.upmode)
+            up = ad.upsample_to(merged[r * 2], laterals[r].data.shape[2:])
             merged[r] = ad.add(laterals[r], up)
         p = {r: self.fpn_units[r](merged[r]) for r in (4, 8, 16, 32)}
         target = p[4].data.shape[2:]
-        subjects_raw = [p[4]] + [ad.upsample_to(p[r], target, self.upmode)
-                                 for r in (8, 16, 32)]
+        subjects_raw = [p[4]] + [ad.upsample_to(p[r], target) for r in (8, 16, 32)]
         h4, w4 = target
         return subjects_raw, (h4 * 4, w4 * 4), (1, 2, 4, 8)
 
@@ -315,29 +297,18 @@ class PSPHead(_HeadBase):
     concatenation with C5 itself."""
 
     kind = "psphead"
+    bins = (1, 2, 3, 6)
 
     def __init__(self, rng: Rng, in_channels: int, channels: int, n_classes: int,
-                 stride: int, bins=(1, 2, 3, 6),
-                 upmode: UpsampleMode = UpsampleMode()):
-        super().__init__()
-        self.upmode = upmode
-        self.in_channels = in_channels
-        self.channels = channels
+                 stride: int):
+        super().__init__((in_channels,) + (channels,) * len(self.bins))
         self.stride = stride
-        self.bins = tuple(bins)
         self.units = [ConvUnit(rng.split(f"bin{b}"), in_channels, channels, 1)
                       for b in self.bins]
         self.fusion_block = ConvUnit(rng.split("fusion"),
                                      in_channels + channels * len(self.bins),
                                      channels, 3)
         self.classifier = Classifier(rng.split("cls"), channels, n_classes)
-
-    @property
-    def fusion_spec(self) -> FusionSpec:
-        # branch ratios H5/bin depend on the input; report the structure with
-        # the C5 branch as the designated r=1 subject
-        chans = (self.in_channels,) + (self.channels,) * len(self.bins)
-        return FusionSpec((1,) + tuple(max(6 // b, 1) for b in self.bins), chans)
 
     def branches(self, feats: dict):
         c5 = ad.as_var(feats[self.stride])
@@ -347,7 +318,7 @@ class PSPHead(_HeadBase):
         subjects_raw = [c5]
         for b, unit in zip(self.bins, self.units):
             branch = unit(ad.avgpool_to(c5, (b, b)))
-            subjects_raw.append(ad.upsample_to(branch, (h5, w5), self.upmode))
+            subjects_raw.append(ad.upsample_to(branch, (h5, w5)))
         return (subjects_raw, (h5 * self.stride, w5 * self.stride),
                 (1,) + tuple(h5 / b for b in self.bins))
 
@@ -359,14 +330,11 @@ class ASPPHead(_HeadBase):
     kind = "aspphead"
 
     def __init__(self, rng: Rng, in_channels: int, channels: int, n_classes: int,
-                 stride: int, separable: bool = False,
-                 upmode: UpsampleMode = UpsampleMode()):
-        super().__init__()
+                 stride: int, separable: bool = False):
+        super().__init__((channels,) * 5)
         if 96 % stride:
             raise ConfigError(f"atrous rate 96/{stride} is not an integer")
         a = 96 // stride
-        self.upmode = upmode
-        self.channels = channels
         self.stride = stride
         self.rates = (1, a, 2 * a, 3 * a)
         self.separable = separable
@@ -385,15 +353,11 @@ class ASPPHead(_HeadBase):
         self.fusion_block = ConvUnit(rng.split("fusion"), channels * 5, channels, 3)
         self.classifier = Classifier(rng.split("cls"), channels, n_classes)
 
-    @property
-    def fusion_spec(self) -> FusionSpec:
-        return FusionSpec((6, 1, 1, 1, 1), (self.channels,) * 5)
-
     def branches(self, feats: dict):
         c5 = ad.as_var(feats[self.stride])
         h5, w5 = c5.data.shape[2:]
         gap = self.gap_unit(ad.avgpool_to(c5, (1, 1)))
-        subjects_raw = [ad.upsample_to(gap, (h5, w5), self.upmode)]
+        subjects_raw = [ad.upsample_to(gap, (h5, w5))]
         subjects_raw += [unit(c5) for unit in self.rate_units]
         return subjects_raw, (h5 * self.stride, w5 * self.stride), (h5, 1, 1, 1, 1)
 
@@ -401,66 +365,33 @@ class ASPPHead(_HeadBase):
 class SepASPPHead(ASPPHead):
     kind = "sepaspphead"
 
-    def __init__(self, rng, in_channels, channels, n_classes, stride,
-                 upmode: UpsampleMode = UpsampleMode()):
+    def __init__(self, rng, in_channels, channels, n_classes, stride):
         super().__init__(rng, in_channels, channels, n_classes, stride,
-                         separable=True, upmode=upmode)
+                         separable=True)
 
 
 class FCNHead(_HeadBase):
-    """No-fusion baseline: a stack of unit blocks on C5, then the
-    classifier.  The last unit block plays the role of h over a single
-    ratio-1 subject."""
+    """No-fusion baseline: two unit blocks on C5, then the classifier.  The
+    second unit block plays the role of h over a single ratio-1 subject."""
 
     kind = "fcnhead"
 
     def __init__(self, rng: Rng, in_channels: int, channels: int, n_classes: int,
-                 stride: int, depth: int = 2,
-                 upmode: UpsampleMode = UpsampleMode()):
-        super().__init__()
-        self.upmode = upmode
+                 stride: int):
+        super().__init__((channels,))
         self.stride = stride
-        self.depth = depth
-        self.blocks = []
-        cin = in_channels
-        for i in range(depth):
-            self.blocks.append(ConvUnit(rng.split(f"blk{i}"), cin, channels, 3))
-            cin = channels
-        self.fusion_block = self.blocks[-1] if depth else None
-        self.subject_channels = in_channels if depth <= 1 else channels
-        self.classifier = Classifier(rng.split("cls"), cin, n_classes)
-
-    @property
-    def fusion_spec(self) -> FusionSpec:
-        return FusionSpec((1,), (self.subject_channels,))
+        self.blocks = [ConvUnit(rng.split("blk0"), in_channels, channels, 3),
+                       ConvUnit(rng.split("blk1"), channels, channels, 3)]
+        self.fusion_block = self.blocks[-1]
+        self.classifier = Classifier(rng.split("cls"), channels, n_classes)
 
     def branches(self, feats: dict):
         y = ad.as_var(feats[self.stride])
         h5, w5 = y.data.shape[2:]
-        for blk in self.blocks[:-1]:
-            y = blk(y)
-        return [y], (h5 * self.stride, w5 * self.stride), (1,)
+        return [self.blocks[0](y)], (h5 * self.stride, w5 * self.stride), (1,)
 
 
-def head_params(head) -> list:
-    out = []
-    for name in ("laterals", "fpn_units"):
-        if hasattr(head, name):
-            out += [p for unit in getattr(head, name).values() for p in unit.params()]
-    for name in ("ppm_units", "rate_units", "units", "blocks"):
-        if hasattr(head, name):
-            out += [p for unit in getattr(head, name) for p in unit.params()]
-    for name in ("ppm_out", "gap_unit"):
-        if hasattr(head, name):
-            out += getattr(head, name).params()
-    if head.fusion_block is not None and not (hasattr(head, "blocks")
-                                              and head.fusion_block in head.blocks):
-        out += head.fusion_block.params()
-    out += head.classifier.params()
-    return out
-
-
-class SegModel:
+class SegModel(Module):
     """Encoder + head, with the branch taps exposed for the stats pass."""
 
     def __init__(self, encoder: ToyEncoder, head):
@@ -479,26 +410,17 @@ class SegModel:
         """Post-upsample, pre-concat branch features of one batch."""
         return [s.data for s in self.branches(batch)[0]]
 
-    def params(self) -> list:
-        return self.encoder.params() + head_params(self.head)
-
 
 def build_head(kind: str, rng: Rng, encoder: ToyEncoder, channels: int,
-               n_classes: int, upmode: UpsampleMode = UpsampleMode(), **kw):
+               n_classes: int):
     kind = kind.lower()
     if kind == "uperhead":
-        return UPerHead(rng, encoder.stage_channels(), channels, n_classes,
-                        upmode=upmode, **kw)
+        return UPerHead(rng, encoder.stage_channels(), channels, n_classes)
     stride = encoder.output_stride
     if stride is None:
         raise ConfigError(f"{kind} needs an output-stride encoder")
-    cin = encoder.out_channels
-    if kind == "psphead":
-        return PSPHead(rng, cin, channels, n_classes, stride, upmode=upmode, **kw)
-    if kind == "aspphead":
-        return ASPPHead(rng, cin, channels, n_classes, stride, upmode=upmode, **kw)
-    if kind == "sepaspphead":
-        return SepASPPHead(rng, cin, channels, n_classes, stride, upmode=upmode, **kw)
-    if kind == "fcnhead":
-        return FCNHead(rng, cin, channels, n_classes, stride, upmode=upmode, **kw)
-    raise ConfigError(f"unknown head kind {kind!r}")
+    heads = {"psphead": PSPHead, "aspphead": ASPPHead,
+             "sepaspphead": SepASPPHead, "fcnhead": FCNHead}
+    if kind not in heads:
+        raise ConfigError(f"unknown head kind {kind!r}")
+    return heads[kind](rng, encoder.out_channels, channels, n_classes, stride)

@@ -42,8 +42,7 @@ class GlobalStats:
 class StatsAccumulator:
     """Streaming per-branch moments over the dataset, one `add` per sample
     or mini-batch.  Batches combine with Chan's parallel update weighted by
-    element count, so a short last batch counts only for what it holds;
-    merge is associative."""
+    element count, so a short last batch counts only for what it holds."""
 
     def __init__(self, n_branches: int):
         if n_branches < 1:
@@ -57,14 +56,6 @@ class StatsAccumulator:
                 f"expected {len(self.moments)} branch taps, got {len(taps)}")
         self.moments = [m.merge(moments(tap)) for m, tap in zip(self.moments, taps)]
         self.count += 1
-
-    def merge(self, other: "StatsAccumulator") -> "StatsAccumulator":
-        if len(other.moments) != len(self.moments):
-            raise ContractError("accumulators have different branch counts")
-        out = StatsAccumulator(len(self.moments))
-        out.moments = [a.merge(b) for a, b in zip(self.moments, other.moments)]
-        out.count = self.count + other.count
-        return out
 
     def finalize(self, sigma_floor: float | None = None) -> GlobalStats:
         if self.count == 0:

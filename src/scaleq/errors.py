@@ -27,9 +27,5 @@ class DegenerateFeatureError(ScaleqError):
     (sigma == 0), which signals a broken pipeline."""
 
 
-class UnsupportedOpError(ScaleqError):
-    """The autodiff tape encountered an operator it cannot differentiate."""
-
-
 class FileFormatError(ScaleqError):
     """A tensor or statistics file is truncated or malformed."""

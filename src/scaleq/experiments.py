@@ -286,11 +286,8 @@ def build_model(config: ExperimentConfig, seed: int, head_kind: str | None = Non
                 equalize: str = "off", stats=None) -> SegModel:
     head_kind = (head_kind or config.head).lower()
     rng = Rng(seed).split("model")
-    if head_kind == "uperhead":
-        enc = ToyEncoder(rng.split("enc"), 3, config.encoder_widths)
-    else:
-        enc = ToyEncoder(rng.split("enc"), 3, config.encoder_widths,
-                         output_stride=config.output_stride)
+    stride = None if head_kind == "uperhead" else config.output_stride
+    enc = ToyEncoder(rng.split("enc"), config.encoder_widths, stride)
     head = build_head(head_kind, rng.split("head"), enc,
                       config.head_channels, config.n_classes)
     model = SegModel(enc, head)
@@ -694,7 +691,8 @@ def run_check(config: ExperimentConfig) -> dict:
                 va = ops.upsample_moments(
                     xt, (r * 11, r * 13), UpsampleMode("bilinear", align)).variance
                 violations += va >= v0
-            vn = moments(ops.upsample(xt, r, UpsampleMode("nearest"))).variance
+            vn = moments(ops.upsample_to(xt, (r * 11, r * 13),
+                                         UpsampleMode("nearest"))).variance
             nearest_err = max(nearest_err, abs(vn - v0))
     checks["bilinear_decreases_variance"] = {"violations": int(violations),
                                              "ok": violations == 0}

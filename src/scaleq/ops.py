@@ -1,7 +1,8 @@
 """Forward numerical operators on NCHW arrays.
 
 Bilinear/nearest upsampling, 2-D convolution (dense, atrous, grouped),
-batch normalization, ReLU, adaptive average pooling, elementwise add.
+batch normalization over the batch's own statistics, ReLU, adaptive
+average pooling, elementwise add.
 Everything is float64-friendly pure numpy built on batched matmuls:
 upsampling is A_h X A_w^T with cached per-axis matrices, and convolution
 multiplies the weight with an im2col column matrix (Chellapilla et al.,
@@ -98,17 +99,6 @@ def _upsample_hw(x: np.ndarray, out_hw):
         raise InvalidRatioError(f"downsampling is not supported: output size "
                                 f"{(oh, ow)} below input {(h, w)}")
     return h, w, oh, ow
-
-
-def upsample(x: np.ndarray, r, mode: UpsampleMode = UpsampleMode()) -> np.ndarray:
-    """r-times upsampling (r >= 1); r == 1 is the identity."""
-    _check_nchw(x)
-    if r < 1:
-        raise InvalidRatioError(f"upsampling ratio must be >= 1, got {r}")
-    if r == 1:
-        return x
-    h, w = x.shape[2], x.shape[3]
-    return upsample_to(x, (_out_size(h, r), _out_size(w, r)), mode)
 
 
 def upsample_to(x: np.ndarray, out_hw, mode: UpsampleMode = UpsampleMode()) -> np.ndarray:
@@ -298,17 +288,11 @@ def conv2d_reference(x: np.ndarray, p: ConvParams) -> np.ndarray:
 class BatchNormParams:
     gamma: np.ndarray
     beta: np.ndarray
-    running_mean: np.ndarray | None = None
-    running_var: np.ndarray | None = None
     eps: float = BN_EPS
-    mode: str = "batch-stats"             # "batch-stats" | "running-stats"
 
     @classmethod
-    def identity_init(cls, channels: int, eps: float = BN_EPS,
-                      mode: str = "batch-stats") -> "BatchNormParams":
-        return cls(gamma=np.ones(channels), beta=np.zeros(channels),
-                   running_mean=np.zeros(channels), running_var=np.ones(channels),
-                   eps=eps, mode=mode)
+    def identity_init(cls, channels: int) -> "BatchNormParams":
+        return cls(gamma=np.ones(channels), beta=np.zeros(channels))
 
 
 def batch_stats(x: np.ndarray, eps: float):
@@ -318,7 +302,7 @@ def batch_stats(x: np.ndarray, eps: float):
     n, c, h, w = x.shape
     m = n * h * w
     if m < 2:
-        raise ShapeError("batch-stats mode needs N*H*W >= 2 per channel")
+        raise ShapeError("batchnorm needs N*H*W >= 2 per channel")
     mu = np.einsum("nci->c", x.reshape(n, c, h * w)) / m
     d = x - mu.reshape(1, c, 1, 1)
     dv = d.reshape(n, c, h * w)
@@ -326,22 +310,17 @@ def batch_stats(x: np.ndarray, eps: float):
 
 
 def batchnorm(x: np.ndarray, p: BatchNormParams) -> np.ndarray:
-    """Per-channel (x - mu)/sqrt(var + eps) * gamma + beta."""
+    """Per-channel (x - mu)/sqrt(var + eps) * gamma + beta with the batch's
+    own mu and var."""
     _check_nchw(x)
     n, c, h, w = x.shape
     if len(p.gamma) != c or len(p.beta) != c:
         raise ShapeError(f"batchnorm params sized for {len(p.gamma)} channels, "
                          f"input has {c}")
-    if p.mode == "batch-stats":
-        y, inv = batch_stats(x, p.eps)
-        y *= (np.asarray(p.gamma) * inv).reshape(1, c, 1, 1)
-        y += np.asarray(p.beta).reshape(1, c, 1, 1)
-        return y
-    if p.mode != "running-stats":
-        raise ValueError(f"unknown batchnorm mode {p.mode!r}")
-    scale = np.asarray(p.gamma) / np.sqrt(np.asarray(p.running_var) + p.eps)
-    shift = np.asarray(p.beta) - np.asarray(p.running_mean) * scale
-    return x * scale.reshape(1, c, 1, 1) + shift.reshape(1, c, 1, 1)
+    y, inv = batch_stats(x, p.eps)
+    y *= (np.asarray(p.gamma) * inv).reshape(1, c, 1, 1)
+    y += np.asarray(p.beta).reshape(1, c, 1, 1)
+    return y
 
 
 def relu(x: np.ndarray) -> np.ndarray:

@@ -90,29 +90,6 @@ def moments(x: np.ndarray) -> Moments:
     return Moments(mean, float(np.mean(d, dtype=np.float64)), n)
 
 
-def channel_moments(x: np.ndarray) -> list[Moments]:
-    """Moments over the N x H x W slice of each channel."""
-    _check_nchw(x)
-    n, c, h, w = x.shape
-    xt = np.asarray(x, dtype=np.float64).transpose(1, 0, 2, 3).reshape(c, -1)
-    means = xt.mean(axis=1)
-    variances = np.mean(np.square(xt - means[:, None]), axis=1)
-    return [Moments(float(m), float(v), n * h * w) for m, v in zip(means, variances)]
-
-
-def concat_channels(xs) -> np.ndarray:
-    """Concatenate along the channel axis; all inputs must share N, H, W."""
-    xs = [_check_nchw(np.asarray(x)) for x in xs]
-    if not xs:
-        raise ShapeError("concat_channels needs at least one input")
-    n, _, h, w = xs[0].shape
-    for x in xs[1:]:
-        if x.shape[0] != n or x.shape[2] != h or x.shape[3] != w:
-            raise ShapeError(
-                f"batch/spatial mismatch: {x.shape} vs {(n, '*', h, w)}")
-    return np.concatenate(xs, axis=1)
-
-
 def save_tensor(path, x: np.ndarray) -> None:
     """Write a tensor in the flat binary format: magic 'SEQT', u32 version,
     u32 dtype tag, 4 dims as u64, then raw little-endian element data."""

@@ -58,7 +58,8 @@ def test_criterion_2_variance_decrease_1000_tensors():
                 va = ops.upsample_moments(x, (9 * r, 11 * r),
                                           UpsampleMode("bilinear", align)).variance
                 violations += va >= v0
-            vn = moments(ops.upsample(x, r, UpsampleMode("nearest"))).variance
+            vn = moments(ops.upsample_to(x, (9 * r, 11 * r),
+                                         UpsampleMode("nearest"))).variance
             nearest_err = max(nearest_err, abs(vn - v0))
     ok = violations == 0 and nearest_err <= 1e-12
     report(2, "bilinear decreases variance / nearest conserves", ok,
@@ -131,8 +132,10 @@ def test_criterion_6_gradient_correctness():
     fd_check(lambda v: ad.sum_sq(ad.avgpool_to(v, (2, 3))), x)
     fd_check(lambda v: ad.sum_sq(ad.conv2d(v, ad.Var(w), stride=2, dilation=2)), x)
     fd_check(lambda v: ad.sum_sq(ad.conv2d(ad.Var(x), v)), w)
-    fd_check(lambda v: ad.sum_sq(
-        ad.batchnorm(v, ad.Var(np.ones(3)), ad.Var(np.zeros(3)))), x)
+    # projected on the fixed tensor `other`: sum_sq would give an eps-sized
+    # x-gradient, at the finite differences' rounding noise
+    fd_check(lambda v: ad.dot_const(
+        ad.batchnorm(v, ad.Var(np.ones(3)), ad.Var(np.zeros(3))), other), x)
     fd_check(ad.vmean, x)
     fd_check(ad.sum_sq, x)
     fd_check(lambda v: ad.dot_const(v, other), x)

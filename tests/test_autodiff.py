@@ -6,7 +6,7 @@ import pytest
 
 from scaleq import autodiff as ad
 from scaleq import ops
-from scaleq.errors import ContractError, UnsupportedOpError
+from scaleq.errors import ContractError
 from scaleq.ops import UpsampleMode
 from scaleq.tensor import Rng, randn
 
@@ -191,9 +191,12 @@ def test_grad_batchnorm_all_inputs():
     x0 = randn((2, 3, 4, 4), 0.5, 1.5, rng.split("x"))
     g0 = randn((1, 3, 1, 1), 1.0, 0.2, rng.split("g"))[0, :, 0, 0]
     b0 = randn((1, 3, 1, 1), 0.0, 0.2, rng.split("b"))[0, :, 0, 0]
+    # a fixed random projection: the x-gradient of sum_sq(batchnorm(x)) is
+    # only eps-sized, which would leave the check at its rounding noise
+    u = randn(x0.shape, 0.0, 1.0, rng.split("u"))
 
     def run(xv, gv, bv):
-        return ad.sum_sq(ad.batchnorm(xv, gv, bv))
+        return ad.dot_const(ad.batchnorm(xv, gv, bv), u)
 
     xv, gv, bv = (ad.Var(x0, requires_grad=True),
                   ad.Var(g0, requires_grad=True),
@@ -208,14 +211,6 @@ def test_grad_batchnorm_all_inputs():
     assert rel_err(xv.grad, fd_x) < 1e-5
     assert rel_err(gv.grad, fd_g) < 1e-5
     assert rel_err(bv.grad, fd_b) < 1e-5
-
-
-def test_batchnorm_running_stats_is_forward_only():
-    x = ad.Var(randn((2, 2, 3, 3), 0.0, 1.0, Rng(108)), requires_grad=True)
-    with pytest.raises(UnsupportedOpError):
-        ad.batchnorm(x, ad.Var(np.ones(2)), ad.Var(np.zeros(2)),
-                     mode="running-stats",
-                     running_mean=np.zeros(2), running_var=np.ones(2))
 
 
 def test_grad_scalar_reductions():

@@ -3,11 +3,12 @@ import pytest
 
 from scaleq import autodiff as ad
 from scaleq import decoders
-from scaleq.decoders import (FusionSpec, SegModel, ToyEncoder, build_head,
-                             head_params, he_normal)
+from scaleq import experiments as ex
+from scaleq.decoders import SegModel, ToyEncoder, build_head, he_normal
 from scaleq.equalizer import GlobalStats, accumulate_stats
 from scaleq.errors import ConfigError, ContractError, ShapeError
-from scaleq.tensor import Rng, channel_moments, moments, randn
+from scaleq.experiments import ExperimentConfig
+from scaleq.tensor import Rng, moments, randn
 
 
 def make_model(head_kind, seed=0, image=None, widths=(8, 16, 16, 32, 32),
@@ -120,34 +121,59 @@ def test_uperhead_needs_all_stages():
         model.head.forward(feats)
 
 
-def test_fusion_spec_validation():
-    spec = FusionSpec((1, 2, 4), (8, 8, 8))
-    assert spec.n_branches == 3
-    assert spec.groups() == [(0, 8), (8, 16), (16, 24)]
-    with pytest.raises(ContractError):
-        FusionSpec((1, 2), (8,))
-    with pytest.raises(ContractError):
-        FusionSpec((2, 4), (8, 8))                # no ratio-1 branch
-    with pytest.raises(ContractError):
-        FusionSpec((1, 0.5), (8, 8))
-
-
 def test_head_groups_tile_concat_width():
     for kind in decoders.HEAD_KINDS:
         model = make_model(kind)
         spans = model.head.groups()
         assert spans[0][0] == 0
         assert all(a == b0 for (_, b0), (a, _) in zip(spans, spans[1:]))
-        if model.head.fusion_block is not None:
-            assert spans[-1][1] == model.head.fusion_block.weight.data.shape[1]
+        assert spans[-1][1] == model.head.fusion_block.weight.data.shape[1]
+        assert len(spans) == model.head.n_branches
 
 
-def test_head_params_collects_vars():
-    for kind in decoders.HEAD_KINDS:
-        model = make_model(kind)
-        ps = model.params()
-        assert len(ps) == len({id(p) for p in ps})
-        assert all(isinstance(p, ad.Var) and p.requires_grad for p in ps)
+def _reachable_vars(obj, found, visited):
+    """Every Var reachable from obj through instance attributes, lists,
+    tuples and dicts, found without the registry."""
+    if id(obj) in visited:
+        return
+    visited.add(id(obj))
+    if isinstance(obj, ad.Var):
+        found[id(obj)] = obj
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            _reachable_vars(item, found, visited)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            _reachable_vars(item, found, visited)
+    elif hasattr(obj, "__dict__"):
+        for item in vars(obj).values():
+            _reachable_vars(item, found, visited)
+
+
+def test_named_params():
+    """Unique dotted names, each trainable Var of the model exactly once
+    (FCNHead's fusion block is also its last unit block), at the parameter
+    counts of the default experiment configuration."""
+    counts = {"uperhead": 50, "psphead": 26, "aspphead": 29, "sepaspphead": 32,
+              "fcnhead": 17}
+    for kind, count in counts.items():
+        model = ex.build_model(ExperimentConfig(), 0, kind)
+        named = list(model.named_params())
+        names = [name for name, _ in named]
+        assert len(names) == len(set(names)), kind
+        assert [p for _, p in named] == model.params()
+        found = {}
+        _reachable_vars(model, found, set())
+        assert ({id(p) for _, p in named}
+                == {i for i, v in found.items() if v.requires_grad}), kind
+        assert len(named) == count, kind
+    model = ex.build_model(ExperimentConfig(), 0, "uperhead")
+    names = [name for name, _ in model.named_params()]
+    assert names[0] == "encoder.blocks.0.weight"
+    assert "head.fpn_units.8.weight" in names
+    model = ex.build_model(ExperimentConfig(), 0, "fcnhead")
+    fusion = model.head.fusion_block.weight
+    assert [n for n, p in model.named_params() if p is fusion] == ["head.blocks.1.weight"]
 
 
 # ---------------------------------------------------------------------------

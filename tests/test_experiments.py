@@ -1,5 +1,8 @@
+import importlib
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -205,6 +208,13 @@ def test_toy_train_builds_one_model_per_arm(monkeypatch):
     assert len(built) == 2
 
 
+def test_toy_train_reference_final_loss():
+    """The equalized-arm loss recorded as the benchmark's reference."""
+    cfg = ExperimentConfig(seed=0, dataset_size=32, train_steps=3)
+    loss = ex.run_toy_train(cfg)["checks"]["equalized"]["final_loss"]
+    assert loss == pytest.approx(1.0592477107078873, rel=1e-8, abs=0.0)
+
+
 def test_toy_train_loss_moves_down():
     res = ex.run_toy_train(quick_config(head="fcnhead", train_steps=12,
                                         lr=0.1, equalize="off"))
@@ -251,3 +261,19 @@ def test_config_hash_stable_and_sensitive():
     assert quick_config().hash() == quick_config().hash()
     assert quick_config().hash() != quick_config(seed=8).hash()
     assert quick_config(out_dir="/x").hash() == quick_config(out_dir="/y").hash()
+
+
+def test_bench_trace_targets_resolve():
+    """Every function the benchmark's tracer patches by name still exists,
+    so a deletion fails here and not in `bench/run.py --trace 1`."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for mod_name, attr in spans.TARGETS:
+        owner = importlib.import_module(f"scaleq.{mod_name}")
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), (mod_name, attr)
+    for attr in spans.AUTODIFF_OPS:
+        assert callable(getattr(ad, attr)), attr

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from scaleq.errors import FileFormatError, ShapeError
-from scaleq.tensor import (Moments, Rng, channel_moments, concat_channels,
-                           load_tensor, moments, randn, save_tensor)
+from scaleq.tensor import Moments, Rng, load_tensor, moments, randn, save_tensor
 
 
 def test_randn_large_shape_mean():
@@ -93,43 +92,8 @@ def test_moments_merge_order_independent():
 
 def test_duplication_keeps_variance():
     x = randn((1, 3, 8, 8), 0.1, 0.9, Rng(2))
-    dup = concat_channels([x, x])
+    dup = np.concatenate([x, x], axis=1)
     assert abs(moments(dup).variance - moments(x).variance) < 1e-12
-
-
-def test_channel_moments_basic():
-    x = np.zeros((2, 2, 3, 3))
-    x[:, 1] = 1.0
-    ms = channel_moments(x)
-    assert (ms[0].mean, ms[0].variance) == (0.0, 0.0)
-    assert (ms[1].mean, ms[1].variance) == (1.0, 0.0)
-
-
-def test_channel_moments_concat_preserves():
-    x = randn((2, 2, 5, 5), 0.0, 1.0, Rng(4).split("x"))
-    y = randn((2, 3, 5, 5), 1.0, 2.0, Rng(4).split("y"))
-    ms = channel_moments(concat_channels([x, y]))
-    ref = channel_moments(x) + channel_moments(y)
-    for a, b in zip(ms, ref):
-        assert abs(a.mean - b.mean) < 1e-12
-        assert abs(a.variance - b.variance) < 1e-12
-
-
-def test_channel_moments_monte_carlo():
-    x = randn((16, 4, 128, 128), 0.0, 0.7, Rng(9))
-    for m in channel_moments(x):
-        assert abs(m.variance - 0.49) < 0.02 * 0.49
-
-
-def test_concat_channels_shapes():
-    x = np.zeros((1, 2, 4, 4))
-    y = np.ones((1, 3, 4, 4))
-    assert concat_channels([x, y]).shape == (1, 5, 4, 4)
-    np.testing.assert_array_equal(concat_channels([x]), x)
-    with pytest.raises(ShapeError):
-        concat_channels([x, np.ones((1, 3, 5, 4))])
-    with pytest.raises(ShapeError):
-        concat_channels([])
 
 
 def test_tensor_roundtrip(tmp_path):
