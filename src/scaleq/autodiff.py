@@ -46,11 +46,14 @@ def _node(data, parents, backward, op) -> Var:
     return Var(data, requires, parents, backward if requires else None, op)
 
 
-def _accum(v: Var, g: np.ndarray) -> None:
+def _accum(v: Var, g: np.ndarray, shared: bool = False) -> None:
+    """Add g to v.grad.  A first gradient is taken over without a copy,
+    unless `shared` says g is (a view of) an array someone else holds: the
+    incoming gradient itself, or a slice of it or of another buffer."""
     if not v.requires_grad:
         return
     if v.grad is None:
-        v.grad = np.array(g, dtype=np.float64)
+        v.grad = np.array(g, dtype=np.float64) if shared else np.asarray(g, np.float64)
     else:
         v.grad += g
 
@@ -96,8 +99,8 @@ def add(x: Var, y: Var) -> Var:
     out = ops.add(x.data, y.data)
 
     def bwd(g):
-        _accum(x, g)
-        _accum(y, g)
+        _accum(x, g, shared=True)
+        _accum(y, g, shared=True)
     return _node(out, (x, y), bwd, "add")
 
 
@@ -117,7 +120,7 @@ def concat_channels(xs) -> Var:
 
     def bwd(g):
         for x, gx in zip(xs, np.split(g, splits, axis=1)):
-            _accum(x, gx)
+            _accum(x, gx, shared=True)
     return _node(out, tuple(xs), bwd, "concat")
 
 
@@ -189,17 +192,11 @@ def conv2d(x: Var, weight: Var, bias: Var | None = None, *, stride: int = 1,
     pad, ho, wo = ops._conv_geometry(x.data.shape, weight.data.shape,
                                      stride, dilation, padding)
     parents = (x, weight) if bias is None else (x, weight, bias)
+    flip_pad = (kh - 1) * dilation - pad
+    flipped = stride == 1 and kh == kw and flip_pad >= 0
 
-    def weight_grad(gr):
-        # the column matrix lives only here, so it is freed before dX's
-        # column gradient is allocated
-        cols = ops._im2col(ops._pad_input(x.data, pad, pad_value), groups,
-                           kh, kw, ho, wo, stride, dilation)
-        return (gr @ cols.swapaxes(2, 3)).sum(axis=0).reshape(weight.data.shape)
-
-    def input_grad(g, gr):
-        flip_pad = (kh - 1) * dilation - pad
-        if stride == 1 and kh == kw and flip_pad >= 0:
+    def input_grad(g):
+        if flipped:
             # dX is the convolution of g with the kernel transposed within
             # each group and flipped in space; pad_value is a constant and
             # drops out
@@ -210,6 +207,7 @@ def conv2d(x: Var, weight: Var, bias: Var | None = None, *, stride: int = 1,
         # strided (a zero-stuffed g would make the columns stride**2 larger),
         # non-square, or padded beyond the kernel's reach: scatter W^T g
         wt = weight.data.reshape(1, groups, cout // groups, -1).swapaxes(2, 3)
+        gr = g.reshape(n, groups, cout // groups, ho * wo)
         dcols = (wt @ gr).reshape(n, c * kh * kw, ho * wo)
         gxp = ops._col2im(dcols, (h + 2 * pad, w + 2 * pad), kh, kw, ho, wo,
                           stride, dilation)
@@ -218,19 +216,19 @@ def conv2d(x: Var, weight: Var, bias: Var | None = None, *, stride: int = 1,
     def bwd(g):
         if bias is not None:
             _accum(bias, g.sum(axis=(0, 2, 3)))
-        gr = g.reshape(n, groups, cout // groups, ho * wo)
         if weight.requires_grad:
-            _accum(weight, weight_grad(gr))
+            _accum(weight, ops._conv_weight_grad(x.data, p, g))
         if x.requires_grad:
-            _accum(x, input_grad(g, gr))
+            # the col2im result is a crop of the padded grid
+            _accum(x, input_grad(g), shared=not flipped)
     return _node(out, parents, bwd, "conv2d")
 
 
-def batchnorm(x: Var, gamma: Var, beta: Var, *, eps: float = ops.BN_EPS) -> Var:
+def batchnorm(x: Var, gamma: Var, beta: Var) -> Var:
     x, gamma, beta = as_var(x), as_var(gamma), as_var(beta)
     n, c, h, w = x.data.shape
     m = n * h * w
-    xhat, inv = ops.batch_stats(x.data, eps)
+    xhat, inv = ops.batch_stats(x.data)
     xhat *= inv.reshape(1, c, 1, 1)
     out = xhat * gamma.data.reshape(1, c, 1, 1)
     out += beta.data.reshape(1, c, 1, 1)

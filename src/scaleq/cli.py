@@ -64,8 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="DIR", help="output directory")
     common.add_argument("--threads", type=int,
                         help="cap BLAS/OpenMP thread count")
-    common.add_argument("--align-corners", dest="align_corners",
-                        choices=("true", "false", "both"))
     common.add_argument("--sigma-floor", dest="sigma_floor", type=float,
                         help="substitute for degenerate sigma=0 branches")
     common.add_argument("--head", choices=HEADS)
@@ -77,8 +75,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Measure and correct scale disequilibrium in "
                     "multi-level feature fusion.")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("fig2", parents=[common],
-                   help="variance decay under bilinear upsampling")
+    fig2 = sub.add_parser("fig2", parents=[common],
+                          help="variance decay under bilinear upsampling")
+    # the decoder heads always upsample with align_corners=False
+    fig2.add_argument("--align-corners", dest="align_corners",
+                      choices=("true", "false", "both"))
     sub.add_parser("prop1", parents=[common],
                    help="gradient-variance disequilibrium on a constructed fusion")
     sub.add_parser("audit", parents=[common],

@@ -4,13 +4,18 @@ Bilinear/nearest upsampling, 2-D convolution (dense, atrous, grouped),
 batch normalization over the batch's own statistics, ReLU, adaptive
 average pooling, elementwise add.
 Everything is float64-friendly pure numpy built on batched matmuls:
-upsampling is A_h X A_w^T with cached per-axis matrices, and convolution
-multiplies the weight with an im2col column matrix (Chellapilla et al.,
-2006).  The autodiff layer takes exact adjoints from the same pieces:
-A_h^T G A_w for upsampling; for a stride-1 convolution, dX is this
-forward convolution of G with the group-transposed, spatially flipped
-kernel (Dumoulin & Visin, 2016), and strided convolutions scatter
-W^T G back with col2im.
+upsampling is A_h X A_w^T with cached per-axis matrices.  Convolution has
+two kernels, picked by `_use_taps` from the shapes alone.  A dense
+stride-1 conv that does not widen the channels, such as the fusion conv
+over the concatenated branches, runs one (Cout, Cin) matmul per kernel
+tap on a contiguous slice of the flat padded frame (kn2row-aa, Anderson
+et al., 2017).  Every other conv multiplies the weight with an im2col
+column matrix (Chellapilla et al., 2006).  The autodiff layer takes exact
+adjoints from the same pieces: A_h^T G A_w for upsampling; the weight
+gradient per tap or from the columns, by the same rule; for a stride-1
+convolution, dX is this forward convolution of G with the
+group-transposed, spatially flipped kernel (Dumoulin & Visin, 2016), and
+strided convolutions scatter W^T G back with col2im.
 
 Upsampled moments never materialize the output.  Each row of an axis
 matrix reads at most two adjacent source pixels, so A^T A is tridiagonal
@@ -170,18 +175,52 @@ def same_padding(kernel: int, dilation: int = 1) -> int:
     return ((kernel - 1) * dilation) // 2
 
 
+def _flat_frame(x: np.ndarray, pad: int, pad_value, kw: int,
+                dilation: int) -> np.ndarray:
+    """The padded input as one (N, C, Hp*Wp + (kw-1)*dilation) buffer, rows
+    flattened, borders and tail filled with pad_value (a scalar or one value
+    per channel).  At stride 1, kernel tap (u, v) of a conv reads the
+    contiguous slice at offset (u*Wp + v)*dilation, of length Ho*Wp; the
+    tail lets the last tap's slice run Wp - Wo columns past the frame."""
+    n, c, h, w = x.shape
+    hp, wp = h + 2 * pad, w + 2 * pad
+    frame = np.empty((n, c, hp * wp + (kw - 1) * dilation), dtype=x.dtype)
+    pv = np.asarray(pad_value, dtype=x.dtype)
+    frame[:] = pv.reshape(1, c, 1) if pv.ndim == 1 else pv
+    frame[:, :, :hp * wp].reshape(n, c, hp, wp)[:, :, pad:pad + h, pad:pad + w] = x
+    return frame
+
+
 def _pad_input(x: np.ndarray, pad: int, pad_value) -> np.ndarray:
+    """(N, C, Hp, Wp) view of the padded frame; x itself when pad is 0."""
     if pad == 0:
         return x
     n, c, h, w = x.shape
-    xp = np.empty((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
-    pv = np.asarray(pad_value, dtype=x.dtype)
-    if pv.ndim == 1:
-        xp[:] = pv.reshape(1, c, 1, 1)
-    else:
-        xp[:] = pv
-    xp[:, :, pad:pad + h, pad:pad + w] = x
-    return xp
+    frame = _flat_frame(x, pad, pad_value, 1, 1)
+    return frame.reshape(n, c, h + 2 * pad, w + 2 * pad)
+
+
+def _use_taps(w_shape, stride: int, groups: int, wp: int, wo: int) -> bool:
+    """Whether a conv runs one matmul per kernel tap on the flat frame
+    instead of one matmul on an im2col column matrix.  The taps skip the
+    (Cin*kh*kw, Ho*Wo) column matrix but compute Wp/Wo times the output
+    and contract over Cin alone, so they pay off for dense stride-1 convs
+    that do not widen the channels and whose wide rows stay under twice
+    the output row; a large dilation on a small map breaks the last."""
+    cout, cin_g, kh, kw = w_shape
+    return (stride == 1 and groups == 1 and kh * kw > 1 and cout <= cin_g
+            and wp < 2 * wo)
+
+
+def _tap_slices(frame: np.ndarray, kh: int, kw: int, ho: int, wp: int,
+                dilation: int):
+    """(u, v, slice) for every kernel tap: the (N, C, Ho*Wp) window of the
+    flat frame that tap reads for every output pixel of a wide row."""
+    span = ho * wp
+    for u in range(kh):
+        for v in range(kw):
+            off = (u * wp + v) * dilation
+            yield u, v, frame[:, :, off:off + span]
 
 
 def _conv_geometry(x_shape, w_shape, stride, dilation, padding):
@@ -217,7 +256,8 @@ def _col2im(dcols: np.ndarray, padded_hw, kh: int, kw: int, ho: int, wo: int,
     pixel it was read from.  dcols is (N, C*kh*kw, Ho*Wo).  Only strided
     convolutions take dX this way (and, at stride 1, non-square kernels or
     padding beyond the kernel's reach); any other stride-1 dX is a forward
-    conv2d with the flipped kernel."""
+    conv2d with the flipped kernel, which picks the tap loop or im2col by
+    its own shapes."""
     n = dcols.shape[0]
     dcols = dcols.reshape(n, -1, kh, kw, ho, wo)
     out = np.zeros((n, dcols.shape[1]) + tuple(padded_hw), dtype=dcols.dtype)
@@ -228,9 +268,46 @@ def _col2im(dcols: np.ndarray, padded_hw, kh: int, kw: int, ho: int, wo: int,
     return out
 
 
+def _conv_taps(frame: np.ndarray, weight: np.ndarray, ho: int, wo: int,
+               wp: int, dilation: int) -> np.ndarray:
+    """Stride-1, ungrouped conv as one (Cout, Cin) matmul per kernel tap
+    against its slice of the flat frame (kn2row-aa: Anderson et al., 2017),
+    accumulated over wide (Ho, Wp) rows whose last Wp - Wo columns are
+    cropped.  No column matrix is made."""
+    n = frame.shape[0]
+    cout, _, kh, kw = weight.shape
+    wt = np.ascontiguousarray(weight.transpose(2, 3, 0, 1))
+    acc = np.empty((n, cout, ho * wp), dtype=np.result_type(weight, frame))
+    tmp = np.empty_like(acc)
+    for u, v, window in _tap_slices(frame, kh, kw, ho, wp, dilation):
+        if u == v == 0:
+            np.matmul(wt[u, v], window, out=acc)
+        else:
+            np.matmul(wt[u, v], window, out=tmp)
+            acc += tmp
+    return np.ascontiguousarray(acc.reshape(n, cout, ho, wp)[..., :wo])
+
+
+def _conv_taps_weight_grad(frame: np.ndarray, g: np.ndarray, kh: int, kw: int,
+                           wp: int, dilation: int) -> np.ndarray:
+    """Weight gradient of _conv_taps for the output gradient g: per tap,
+    g zero-extended to wide rows times that tap's frame slice, summed over
+    the batch.  The zero columns cancel the reads past each row's end."""
+    n, cout, ho, wo = g.shape
+    gw = np.zeros((n, cout, ho, wp), dtype=g.dtype)
+    gw[..., :wo] = g
+    gw = gw.reshape(n, cout, ho * wp)
+    dw = np.empty((cout, frame.shape[1], kh, kw), dtype=np.result_type(g, frame))
+    for u, v, window in _tap_slices(frame, kh, kw, ho, wp, dilation):
+        dw[:, :, u, v] = (gw @ window.swapaxes(1, 2)).sum(axis=0)
+    return dw
+
+
 def conv2d(x: np.ndarray, p: ConvParams) -> np.ndarray:
-    """Cross-correlation with dilation and groups, as one batched matmul of
-    the (1, G, Cout/G, K) weight view with the im2col column matrix."""
+    """Cross-correlation with dilation and groups.  Where _use_taps holds it
+    is one matmul per kernel tap on the flat frame; otherwise one batched
+    matmul of the (1, G, Cout/G, K) weight view with the im2col column
+    matrix."""
     _check_nchw(x)
     n, c, h, w = x.shape
     cout, cin_g, kh, kw = p.weight.shape
@@ -242,13 +319,36 @@ def conv2d(x: np.ndarray, p: ConvParams) -> np.ndarray:
         raise ShapeError("out channels must be divisible by groups")
     pad, ho, wo = _conv_geometry(x.shape, p.weight.shape,
                                  p.stride, p.dilation, p.padding)
-    cols = _im2col(_pad_input(x, pad, p.pad_value), p.groups, kh, kw, ho, wo,
-                   p.stride, p.dilation)
-    y = p.weight.reshape(1, p.groups, cout // p.groups, -1) @ cols
+    wp = w + 2 * pad
+    if _use_taps(p.weight.shape, p.stride, p.groups, wp, wo):
+        frame = _flat_frame(x, pad, p.pad_value, kw, p.dilation)
+        y = _conv_taps(frame, p.weight, ho, wo, wp, p.dilation)
+    else:
+        cols = _im2col(_pad_input(x, pad, p.pad_value), p.groups, kh, kw, ho, wo,
+                       p.stride, p.dilation)
+        y = p.weight.reshape(1, p.groups, cout // p.groups, -1) @ cols
     y = y.reshape(n, cout, ho, wo).astype(x.dtype, copy=False)
     if p.bias is not None:
         y += np.asarray(p.bias, dtype=y.dtype).reshape(1, cout, 1, 1)
     return y
+
+
+def _conv_weight_grad(x: np.ndarray, p: ConvParams, g: np.ndarray) -> np.ndarray:
+    """Weight gradient of conv2d(x, p) for the output gradient g, by the
+    kernel conv2d picks: per tap on the flat frame, or from the im2col
+    column matrix.  The columns live only here, so they are freed before
+    a strided dX allocates its column gradient."""
+    n, _, _, w = x.shape
+    cout, _, kh, kw = p.weight.shape
+    pad, ho, wo = _conv_geometry(x.shape, p.weight.shape,
+                                 p.stride, p.dilation, p.padding)
+    if _use_taps(p.weight.shape, p.stride, p.groups, w + 2 * pad, wo):
+        frame = _flat_frame(x, pad, p.pad_value, kw, p.dilation)
+        return _conv_taps_weight_grad(frame, g, kh, kw, w + 2 * pad, p.dilation)
+    cols = _im2col(_pad_input(x, pad, p.pad_value), p.groups, kh, kw, ho, wo,
+                   p.stride, p.dilation)
+    gr = g.reshape(n, p.groups, cout // p.groups, ho * wo)
+    return (gr @ cols.swapaxes(2, 3)).sum(axis=0).reshape(p.weight.shape)
 
 
 def conv2d_reference(x: np.ndarray, p: ConvParams) -> np.ndarray:
@@ -288,15 +388,14 @@ def conv2d_reference(x: np.ndarray, p: ConvParams) -> np.ndarray:
 class BatchNormParams:
     gamma: np.ndarray
     beta: np.ndarray
-    eps: float = BN_EPS
 
     @classmethod
     def identity_init(cls, channels: int) -> "BatchNormParams":
         return cls(gamma=np.ones(channels), beta=np.zeros(channels))
 
 
-def batch_stats(x: np.ndarray, eps: float):
-    """(x - mu, 1/sqrt(var + eps)) with per-channel mu and population var
+def batch_stats(x: np.ndarray):
+    """(x - mu, 1/sqrt(var + BN_EPS)) with per-channel mu and population var
     over N, H, W, both as einsums over an (N, C, H*W) view; the variance is
     taken from the centered input."""
     n, c, h, w = x.shape
@@ -306,18 +405,18 @@ def batch_stats(x: np.ndarray, eps: float):
     mu = np.einsum("nci->c", x.reshape(n, c, h * w)) / m
     d = x - mu.reshape(1, c, 1, 1)
     dv = d.reshape(n, c, h * w)
-    return d, 1.0 / np.sqrt(np.einsum("nci,nci->c", dv, dv) / m + eps)
+    return d, 1.0 / np.sqrt(np.einsum("nci,nci->c", dv, dv) / m + BN_EPS)
 
 
 def batchnorm(x: np.ndarray, p: BatchNormParams) -> np.ndarray:
-    """Per-channel (x - mu)/sqrt(var + eps) * gamma + beta with the batch's
+    """Per-channel (x - mu)/sqrt(var + BN_EPS) * gamma + beta with the batch's
     own mu and var."""
     _check_nchw(x)
     n, c, h, w = x.shape
     if len(p.gamma) != c or len(p.beta) != c:
         raise ShapeError(f"batchnorm params sized for {len(p.gamma)} channels, "
                          f"input has {c}")
-    y, inv = batch_stats(x, p.eps)
+    y, inv = batch_stats(x)
     y *= (np.asarray(p.gamma) * inv).reshape(1, c, 1, 1)
     y += np.asarray(p.beta).reshape(1, c, 1, 1)
     return y

@@ -166,24 +166,28 @@ def test_grad_conv_per_channel_pad_value(stride, dilation, groups):
 ])
 def test_conv_adjoint_identity(stride, dilation, groups, kernel, padding):
     """<conv(x) - conv(0), g> == <x, dX>: dX is the exact adjoint of the
-    linear part of the convolution, with bias and a per-channel pad_value."""
-    rng = Rng(115).split(f"{stride}{dilation}{groups}{kernel}{padding}")
-    x0 = randn((2, 4, 9, 8), 0.0, 1.0, rng.split("x"))
-    w = ad.Var(randn((8, 4 // groups) + kernel, 0.0, 0.5, rng.split("w")))
-    b = ad.Var(randn((1, 8, 1, 1), 0.0, 0.5, rng.split("b"))[0, :, 0, 0])
-    pad_value = np.array([0.5, -1.0, 2.0, 0.25])
+    linear part of the convolution, with bias and a per-channel pad_value.
+    Each case runs channel-expanding (4 -> 8) and channel-reducing (4 -> 2,
+    or 4 -> 4 where groups need it), so both conv kernels are covered."""
+    for cout in (8, max(2, groups)):
+        rng = Rng(115).split(f"{stride}{dilation}{groups}{kernel}{padding}"
+                             + ("" if cout == 8 else f"c{cout}"))
+        x0 = randn((2, 4, 9, 8), 0.0, 1.0, rng.split("x"))
+        w = ad.Var(randn((cout, 4 // groups) + kernel, 0.0, 0.5, rng.split("w")))
+        b = ad.Var(randn((1, cout, 1, 1), 0.0, 0.5, rng.split("b"))[0, :, 0, 0])
+        pad_value = np.array([0.5, -1.0, 2.0, 0.25])
 
-    def conv(xv):
-        return ad.conv2d(xv, w, b, stride=stride, dilation=dilation,
-                         padding=padding, groups=groups, pad_value=pad_value)
+        def conv(xv):
+            return ad.conv2d(xv, w, b, stride=stride, dilation=dilation,
+                             padding=padding, groups=groups, pad_value=pad_value)
 
-    xv = ad.Var(x0, requires_grad=True)
-    y = conv(xv)
-    g = randn(y.shape, 0.0, 1.0, rng.split("g"))
-    ad.backward(ad.dot_const(y, g))
-    lhs = float(np.sum((y.data - conv(ad.Var(np.zeros_like(x0))).data) * g))
-    rhs = float(np.sum(x0 * xv.grad))
-    assert abs(lhs - rhs) < 1e-12
+        xv = ad.Var(x0, requires_grad=True)
+        y = conv(xv)
+        g = randn(y.shape, 0.0, 1.0, rng.split("g"))
+        ad.backward(ad.dot_const(y, g))
+        lhs = float(np.sum((y.data - conv(ad.Var(np.zeros_like(x0))).data) * g))
+        rhs = float(np.sum(x0 * xv.grad))
+        assert abs(lhs - rhs) < 1e-12
 
 
 def test_grad_batchnorm_all_inputs():
@@ -314,10 +318,35 @@ def test_grad_group_moments_contract():
         ad.grad_group_moments(np.zeros(4), [(0, 4)])
 
 
+def assert_no_shared_grads(grads):
+    arrays = list(grads.values())
+    for i, j in itertools.combinations(range(len(arrays)), 2):
+        assert not np.shares_memory(arrays[i], arrays[j])
+
+
 def test_gradient_accumulates_over_reuse():
+    """A Var consumed twice sums both gradients, and no two gradients share
+    memory, though add hands one array to both parents and concat hands
+    out views: a first gradient is owned by the Var it lands on."""
     x0 = randn((1, 1, 3, 3), 0.0, 1.0, Rng(114))
     v = ad.Var(x0, requires_grad=True)
-    ad.backward(ad.sum_sq(ad.add(v, v)))
+    grads = ad.backward(ad.sum_sq(ad.add(v, v)))
     np.testing.assert_allclose(v.grad, 8.0 * x0, atol=1e-12)
+    assert_no_shared_grads(grads)
     ad.zero_grad([v])
     assert v.grad is None
+
+    # x feeds two convs (the channel-reducing tap kernel) and a concat
+    rng = Rng(116)
+    x0 = randn((2, 4, 6, 7), 0.0, 1.0, rng.split("x"))
+    w1, w2 = (randn((2, 4, 3, 3), 0.0, 0.5, rng.split(f"w{i}")) for i in (1, 2))
+    u = randn((2, 6, 6, 7), 0.0, 1.0, rng.split("u"))
+    xv = ad.Var(x0, requires_grad=True)
+    wv1, wv2 = ad.Var(w1, requires_grad=True), ad.Var(w2, requires_grad=True)
+    s = ad.add(ad.conv2d(xv, wv1), ad.conv2d(xv, wv2))
+    grads = ad.backward(ad.dot_const(ad.concat_channels([s, xv]), u))
+    assert_no_shared_grads(grads)
+    ref = ad.Var(x0, requires_grad=True)
+    ad.backward(ad.dot_const(ad.conv2d(ref, ad.Var(w1 + w2)), u[:, :2]))
+    np.testing.assert_allclose(xv.grad, ref.grad + u[:, 2:], rtol=1e-12, atol=1e-12)
+    np.testing.assert_array_equal(wv1.grad, wv2.grad)

@@ -61,6 +61,9 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as e:          # deleted flag
         main(["fig2", "--precision", "f32"])
     assert e.value.code == 2
+    with pytest.raises(SystemExit) as e:          # fig2-only flag
+        main(["train", "--align-corners", "true"])
+    assert e.value.code == 2
 
 
 def test_missing_config_file_exits_1(capsys):

@@ -208,6 +208,22 @@ def test_toy_train_builds_one_model_per_arm(monkeypatch):
     assert len(built) == 2
 
 
+def test_toy_train_step_runs_both_conv_kernels(monkeypatch):
+    """One UPerHead step runs the tap loop (the channel-reducing fusion and
+    FPN convs, forward and dW) and im2col (1x1 laterals, strided encoder
+    convs, the fusion conv's channel-expanding dX)."""
+    from scaleq import ops
+    calls = {}
+    for name in ("_conv_taps", "_conv_taps_weight_grad", "_im2col"):
+        def counting(*args, _name=name, _real=getattr(ops, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args)
+        monkeypatch.setattr(ops, name, counting)
+    ex.run_toy_train(quick_config(head="uperhead", image_size=64, train_steps=1,
+                                  equalize="off"))
+    assert set(calls) == {"_conv_taps", "_conv_taps_weight_grad", "_im2col"}
+
+
 def test_toy_train_reference_final_loss():
     """The equalized-arm loss recorded as the benchmark's reference."""
     cfg = ExperimentConfig(seed=0, dataset_size=32, train_steps=3)

@@ -171,6 +171,16 @@ def test_conv_matches_reference_oracle():
               (4, 6, 3, 2, 1, 1, (7, 7), False),
               (4, 6, 3, 1, 1, 2, (8, 9), True),                 # grouped + pad
               (6, 6, 3, 2, 2, 6, (9, 8), True)]
+    # channel-reducing, stride 1: the tap loop (the fusion conv's path)
+    cases += [(6, 4, 3, 1, 1, 1, (8, 9), False),
+              (6, 4, 3, 1, 2, 1, (8, 9), False),                # dilated
+              (6, 4, 5, 1, 1, 1, (8, 9), False),                # 5x5
+              (6, 4, 2, 1, 1, 1, (8, 9), False),                # 2x2, no padding
+              (6, 4, 3, 1, 1, 1, (8, 9), True),                 # per-channel pad
+              (6, 4, 3, 1, 3, 1, (8, 6), False),                # Wp == 2 Wo: im2col
+              (6, 4, 3, 1, 3, 1, (8, 7), False)]                # Wp < 2 Wo: taps
+    assert not ops._use_taps((4, 6, 3, 3), 1, 1, 6 + 6, 6)
+    assert ops._use_taps((4, 6, 3, 3), 1, 1, 7 + 6, 7)
     for i, (cin, cout, k, stride, dilation, groups, hw, pad) in enumerate(cases):
         x = randn((2, cin) + hw, 0.0, 1.0, rng.split(f"x{i}"))
         w = randn((cout, cin // groups, k, k), 0.0, 0.5, rng.split(f"w{i}"))
