@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import ops
+from .equalizer import channel_spans, scale_equalize as _scale_equalize
 from .errors import ContractError, ShapeError
 from .tensor import Moments, moments
 
@@ -49,7 +50,7 @@ def _node(data, parents, backward, op) -> Var:
 def _accum(v: Var, g: np.ndarray, shared: bool = False) -> None:
     """Add g to v.grad.  A first gradient is taken over without a copy,
     unless `shared` says g is (a view of) an array someone else holds: the
-    incoming gradient itself, or a slice of it or of another buffer."""
+    incoming gradient itself, or a slice of it."""
     if not v.requires_grad:
         return
     if v.grad is None:
@@ -126,27 +127,32 @@ def concat_channels(xs) -> Var:
 
 def scale_equalize(x: Var, mu: float, sigma: float) -> Var:
     """(x - mu) / sigma with mu, sigma treated as constants."""
-    from .equalizer import scale_equalize as _raw
     x = as_var(x)
-    out = _raw(x.data, mu, sigma)
+    out = _scale_equalize(x.data, mu, sigma)
 
     def bwd(g):
         _accum(x, g / sigma)
     return _node(out, (x,), bwd, "scale_equalize")
 
 
-def upsample_to(x: Var, out_hw, mode: ops.UpsampleMode = ops.UpsampleMode()) -> Var:
-    x = as_var(x)
-    h, w = x.data.shape[2], x.data.shape[3]
-    out = ops.upsample_to(x.data, out_hw, mode)
-    if out is x.data:
-        return x
-    ah = ops._axis_matrix(h, int(out_hw[0]), mode.kernel, mode.align_corners)
-    aw = ops._axis_matrix(w, int(out_hw[1]), mode.kernel, mode.align_corners)
+def _separable(x: Var, out: np.ndarray, axis_matrix, op: str) -> Var:
+    """Node for out = A_h X A_w^T with A = axis_matrix(n_in, n_out) per
+    axis; the adjoint is A_h^T G A_w."""
+    ah = axis_matrix(x.data.shape[2], out.shape[2])
+    aw = axis_matrix(x.data.shape[3], out.shape[3])
 
     def bwd(g):
         _accum(x, ah.T @ g @ aw)
-    return _node(out, (x,), bwd, "upsample")
+    return _node(out, (x,), bwd, op)
+
+
+def upsample_to(x: Var, out_hw, mode: ops.UpsampleMode = ops.UpsampleMode()) -> Var:
+    x = as_var(x)
+    out = ops.upsample_to(x.data, out_hw, mode)
+    if out is x.data:
+        return x
+    return _separable(x, out, lambda n_in, n_out: ops._axis_matrix(
+        n_in, n_out, mode.kernel, mode.align_corners), "upsample")
 
 
 def upsample(x: Var, r, mode: ops.UpsampleMode = ops.UpsampleMode()) -> Var:
@@ -164,20 +170,7 @@ def avgpool_to(x: Var, out_size) -> Var:
     out = ops.avgpool_to(x.data, out_size)
     if out is x.data:
         return x
-    h, w = x.data.shape[2], x.data.shape[3]
-    oh, ow = int(out_size[0]), int(out_size[1])
-    rlo, rhi = ops._pool_bounds(h, oh)
-    clo, chi = ops._pool_bounds(w, ow)
-
-    def bwd(g):
-        gx = np.zeros_like(x.data, dtype=np.float64)
-        for i in range(oh):
-            for j in range(ow):
-                area = (rhi[i] - rlo[i]) * (chi[j] - clo[j])
-                gx[:, :, rlo[i]:rhi[i], clo[j]:chi[j]] += \
-                    g[:, :, i:i + 1, j:j + 1] / area
-        _accum(x, gx)
-    return _node(out, (x,), bwd, "avgpool")
+    return _separable(x, out, ops._pool_matrix, "avgpool")
 
 
 def conv2d(x: Var, weight: Var, bias: Var | None = None, *, stride: int = 1,
@@ -186,32 +179,7 @@ def conv2d(x: Var, weight: Var, bias: Var | None = None, *, stride: int = 1,
     x, weight = as_var(x), as_var(weight)
     p = ops.ConvParams(weight.data, None if bias is None else bias.data,
                        stride, dilation, padding, groups, pad_value)
-    out = ops.conv2d(x.data, p)
-    n, c, h, w = x.data.shape
-    cout, _, kh, kw = weight.data.shape
-    pad, ho, wo = ops._conv_geometry(x.data.shape, weight.data.shape,
-                                     stride, dilation, padding)
     parents = (x, weight) if bias is None else (x, weight, bias)
-    flip_pad = (kh - 1) * dilation - pad
-    flipped = stride == 1 and kh == kw and flip_pad >= 0
-
-    def input_grad(g):
-        if flipped:
-            # dX is the convolution of g with the kernel transposed within
-            # each group and flipped in space; pad_value is a constant and
-            # drops out
-            wf = weight.data.reshape(groups, cout // groups, -1, kh, kw)
-            wf = wf.swapaxes(1, 2)[..., ::-1, ::-1].reshape(c, -1, kh, kw)
-            return ops.conv2d(g, ops.ConvParams(wf, None, 1, dilation,
-                                                flip_pad, groups))
-        # strided (a zero-stuffed g would make the columns stride**2 larger),
-        # non-square, or padded beyond the kernel's reach: scatter W^T g
-        wt = weight.data.reshape(1, groups, cout // groups, -1).swapaxes(2, 3)
-        gr = g.reshape(n, groups, cout // groups, ho * wo)
-        dcols = (wt @ gr).reshape(n, c * kh * kw, ho * wo)
-        gxp = ops._col2im(dcols, (h + 2 * pad, w + 2 * pad), kh, kw, ho, wo,
-                          stride, dilation)
-        return gxp[:, :, pad:pad + h, pad:pad + w]
 
     def bwd(g):
         if bias is not None:
@@ -219,9 +187,8 @@ def conv2d(x: Var, weight: Var, bias: Var | None = None, *, stride: int = 1,
         if weight.requires_grad:
             _accum(weight, ops._conv_weight_grad(x.data, p, g))
         if x.requires_grad:
-            # the col2im result is a crop of the padded grid
-            _accum(x, input_grad(g), shared=not flipped)
-    return _node(out, parents, bwd, "conv2d")
+            _accum(x, ops._conv_input_grad(x.data.shape, p, g))
+    return _node(ops.conv2d(x.data, p), parents, bwd, "conv2d")
 
 
 def batchnorm(x: Var, gamma: Var, beta: Var) -> Var:
@@ -333,13 +300,5 @@ def grad_group_moments(grads: np.ndarray, groups) -> list[Moments]:
     grads = np.asarray(grads)
     if grads.ndim < 2:
         raise ContractError("expected a weight-shaped gradient (Cout, Cin, ...)")
-    cin = grads.shape[1]
-    spans = sorted((int(a), int(b)) for a, b in groups)
-    cursor = 0
-    for a, b in spans:
-        if a != cursor or b <= a:
-            raise ContractError(f"groups {spans} do not tile [0, {cin}) exactly")
-        cursor = b
-    if cursor != cin:
-        raise ContractError(f"groups {spans} do not cover all {cin} channels")
-    return [moments(grads[:, a:b]) for a, b in groups]
+    spans = channel_spans(groups, grads.shape[1])
+    return [moments(grads[:, a:b]) for a, b in spans]

@@ -328,23 +328,23 @@ class ASPPHead(_HeadBase):
     unit blocks with atrous rates {1, a, 2a, 3a}, a = 96/s."""
 
     kind = "aspphead"
+    separable = False                 # depthwise-separable atrous units
 
     def __init__(self, rng: Rng, in_channels: int, channels: int, n_classes: int,
-                 stride: int, separable: bool = False):
+                 stride: int):
         super().__init__((channels,) * 5)
         if 96 % stride:
             raise ConfigError(f"atrous rate 96/{stride} is not an integer")
         a = 96 // stride
         self.stride = stride
         self.rates = (1, a, 2 * a, 3 * a)
-        self.separable = separable
         self.gap_unit = ConvUnit(rng.split("gap"), in_channels, channels, 1)
         self.rate_units = []
         for r in self.rates:
             sub = rng.split(f"rate{r}")
             if r == 1:
                 self.rate_units.append(ConvUnit(sub, in_channels, channels, 1))
-            elif separable:
+            elif self.separable:
                 self.rate_units.append(SepConvUnit(sub, in_channels, channels, 3,
                                                    dilation=r))
             else:
@@ -364,10 +364,7 @@ class ASPPHead(_HeadBase):
 
 class SepASPPHead(ASPPHead):
     kind = "sepaspphead"
-
-    def __init__(self, rng, in_channels, channels, n_classes, stride):
-        super().__init__(rng, in_channels, channels, n_classes, stride,
-                         separable=True)
+    separable = True
 
 
 class FCNHead(_HeadBase):

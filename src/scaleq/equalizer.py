@@ -88,6 +88,21 @@ def accumulate_stats(dataset, tap_fn, n_branches: int, batch_size: int = 8,
     return acc.finalize(sigma_floor)
 
 
+def channel_spans(groups, channels: int) -> list[tuple[int, int]]:
+    """The (start, stop) groups as int pairs in their given order, checked
+    to tile [0, channels) exactly once."""
+    spans = [(int(a), int(b)) for a, b in groups]
+    error = ContractError(f"groups {spans} do not tile [0, {channels}) exactly")
+    cursor = 0
+    for a, b in sorted(spans):
+        if a != cursor or b <= a:
+            raise error
+        cursor = b
+    if cursor != channels:
+        raise error
+    return spans
+
+
 def calibrate_weights(weight: np.ndarray, bias: np.ndarray | None,
                       stats: GlobalStats, groups, *, bias_skip: bool = False):
     """Fold the equalizers of each branch into the fusion layer:
@@ -95,18 +110,10 @@ def calibrate_weights(weight: np.ndarray, bias: np.ndarray | None,
     batch normalization follows) b' = b - sum_i mu_i/sigma_i * sum(w_i)
     aggregated over the group's channels and spatial kernel taps."""
     weight = np.asarray(weight, dtype=np.float64)
-    spans = [(int(a), int(b)) for a, b in groups]
+    spans = channel_spans(groups, weight.shape[1])
     if len(spans) != stats.n_branches:
         raise ContractError(
             f"{len(spans)} groups vs {stats.n_branches} branches in stats")
-    cursor = 0
-    for a, b in sorted(spans):
-        if a != cursor or b <= a:
-            raise ContractError(f"groups {spans} do not tile the channel axis")
-        cursor = b
-    if cursor != weight.shape[1]:
-        raise ContractError(
-            f"groups cover {cursor} channels, weight has {weight.shape[1]}")
     new_w = weight.copy()
     correction = np.zeros(weight.shape[0])
     for (a, b), mu, sigma in zip(spans, stats.mu, stats.sigma):

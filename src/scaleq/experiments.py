@@ -271,13 +271,6 @@ def gen_synthetic_dataset(seed: int, n: int, n_classes: int = 4,
     return samples
 
 
-def dataset_batches(samples, batch_size: int):
-    for lo in range(0, len(samples), batch_size):
-        chunk = samples[lo:lo + batch_size]
-        yield (np.concatenate([s.image for s in chunk], axis=0),
-               np.concatenate([s.mask for s in chunk], axis=0))
-
-
 # ---------------------------------------------------------------------------
 # model construction and the statistics pass
 # ---------------------------------------------------------------------------
@@ -491,8 +484,7 @@ def _train_arm(config: ExperimentConfig, samples, arm: str) -> list[dict]:
         # is equalized in place instead of being built a second time
         images = [s.image for s in samples]
         stats = model_stats(model, images, config.stats_batch, config.sigma_floor)
-        model.head.set_equalize(
-            config.equalize if config.equalize != "off" else "calibrated", stats)
+        model.head.set_equalize(config.equalize, stats)
     params = model.params()
     order_rng = Rng(config.seed).split("batches").generator()
     idx = np.arange(len(samples))

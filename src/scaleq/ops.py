@@ -1,21 +1,23 @@
-"""Forward numerical operators on NCHW arrays.
+"""Forward numerical operators on NCHW arrays, with the adjoints of the
+linear ones beside them.
 
 Bilinear/nearest upsampling, 2-D convolution (dense, atrous, grouped),
 batch normalization over the batch's own statistics, ReLU, adaptive
 average pooling, elementwise add.
-Everything is float64-friendly pure numpy built on batched matmuls:
-upsampling is A_h X A_w^T with cached per-axis matrices.  Convolution has
-two kernels, picked by `_use_taps` from the shapes alone.  A dense
-stride-1 conv that does not widen the channels, such as the fusion conv
-over the concatenated branches, runs one (Cout, Cin) matmul per kernel
-tap on a contiguous slice of the flat padded frame (kn2row-aa, Anderson
-et al., 2017).  Every other conv multiplies the weight with an im2col
-column matrix (Chellapilla et al., 2006).  The autodiff layer takes exact
-adjoints from the same pieces: A_h^T G A_w for upsampling; the weight
-gradient per tap or from the columns, by the same rule; for a stride-1
-convolution, dX is this forward convolution of G with the
-group-transposed, spatially flipped kernel (Dumoulin & Visin, 2016), and
-strided convolutions scatter W^T G back with col2im.
+Everything is float64-friendly pure numpy built on batched matmuls.
+Upsampling and adaptive pooling are separable per-axis maps, A_h X A_w^T
+and P_h X P_w^T with cached read-only matrices, whose adjoints are
+A_h^T G A_w and P_h^T G P_w.  Convolution has two kernels, picked by
+`_use_taps` from the shapes alone.  A dense stride-1 conv that does not
+widen the channels, such as the fusion conv over the concatenated
+branches, runs one (Cout, Cin) matmul per kernel tap on a contiguous
+slice of the flat padded frame (kn2row-aa, Anderson et al., 2017).  Every
+other conv multiplies the weight with an im2col column matrix
+(Chellapilla et al., 2006).  The weight gradient follows the same rule.
+dX is the transposed convolution (Dumoulin & Visin, 2016): at stride 1
+with a square kernel it is this forward convolution of G with the
+group-transposed, spatially flipped kernel; otherwise each kernel tap
+scatters W^T G onto its strided window of the padded grid.
 
 Upsampled moments never materialize the output.  Each row of an axis
 matrix reads at most two adjacent source pixels, so A^T A is tridiagonal
@@ -250,24 +252,6 @@ def _im2col(xp: np.ndarray, groups: int, kh: int, kw: int, ho: int, wo: int,
     return win.transpose(0, 1, 4, 5, 2, 3).reshape(n, groups, -1, ho * wo)
 
 
-def _col2im(dcols: np.ndarray, padded_hw, kh: int, kw: int, ho: int, wo: int,
-            stride: int, dilation: int) -> np.ndarray:
-    """Adjoint of _im2col: sum each column entry back onto the padded input
-    pixel it was read from.  dcols is (N, C*kh*kw, Ho*Wo).  Only strided
-    convolutions take dX this way (and, at stride 1, non-square kernels or
-    padding beyond the kernel's reach); any other stride-1 dX is a forward
-    conv2d with the flipped kernel, which picks the tap loop or im2col by
-    its own shapes."""
-    n = dcols.shape[0]
-    dcols = dcols.reshape(n, -1, kh, kw, ho, wo)
-    out = np.zeros((n, dcols.shape[1]) + tuple(padded_hw), dtype=dcols.dtype)
-    for u in range(kh):
-        for v in range(kw):
-            out[:, :, u * dilation:u * dilation + ho * stride:stride,
-                v * dilation:v * dilation + wo * stride:stride] += dcols[:, :, u, v]
-    return out
-
-
 def _conv_taps(frame: np.ndarray, weight: np.ndarray, ho: int, wo: int,
                wp: int, dilation: int) -> np.ndarray:
     """Stride-1, ungrouped conv as one (Cout, Cin) matmul per kernel tap
@@ -337,7 +321,7 @@ def _conv_weight_grad(x: np.ndarray, p: ConvParams, g: np.ndarray) -> np.ndarray
     """Weight gradient of conv2d(x, p) for the output gradient g, by the
     kernel conv2d picks: per tap on the flat frame, or from the im2col
     column matrix.  The columns live only here, so they are freed before
-    a strided dX allocates its column gradient."""
+    dX allocates its grid."""
     n, _, _, w = x.shape
     cout, _, kh, kw = p.weight.shape
     pad, ho, wo = _conv_geometry(x.shape, p.weight.shape,
@@ -349,6 +333,36 @@ def _conv_weight_grad(x: np.ndarray, p: ConvParams, g: np.ndarray) -> np.ndarray
                    p.stride, p.dilation)
     gr = g.reshape(n, p.groups, cout // p.groups, ho * wo)
     return (gr @ cols.swapaxes(2, 3)).sum(axis=0).reshape(p.weight.shape)
+
+
+def _conv_input_grad(x_shape, p: ConvParams, g: np.ndarray) -> np.ndarray:
+    """dX of conv2d for an input of shape x_shape and the output gradient
+    g; pad_value is a constant and drops out.  At stride 1 with a square
+    kernel whose reach covers the padding, dX is conv2d of g with the
+    kernel transposed within each group and flipped in space.  Otherwise
+    each kernel tap adds W^T g, per group, onto its strided window of a
+    zeroed padded grid, which is then cropped."""
+    n, c, h, w = x_shape
+    cout, cin_g, kh, kw = p.weight.shape
+    groups, d, s = p.groups, p.dilation, p.stride
+    pad, ho, wo = _conv_geometry(x_shape, p.weight.shape, s, d, p.padding)
+    wg = p.weight.reshape(groups, cout // groups, cin_g, kh, kw)
+    flip_pad = (kh - 1) * d - pad
+    if s == 1 and kh == kw and flip_pad >= 0:
+        wf = wg.swapaxes(1, 2)[..., ::-1, ::-1].reshape(c, -1, kh, kw)
+        return conv2d(g, ConvParams(wf, None, 1, d, flip_pad, groups))
+    # per tap a (G, Cin/G, Cout/G) block of W^T
+    wt = np.ascontiguousarray(wg.transpose(3, 4, 0, 2, 1))
+    gr = g.reshape(n, groups, cout // groups, ho * wo)
+    hp, wp = h + 2 * pad, w + 2 * pad
+    grid = np.zeros((n, groups, cin_g, hp, wp), dtype=np.result_type(wt, g))
+    tap = np.empty((n, groups, cin_g, ho * wo), dtype=grid.dtype)
+    for u in range(kh):
+        for v in range(kw):
+            np.matmul(wt[u, v], gr, out=tap)
+            grid[..., u * d:u * d + ho * s:s, v * d:v * d + wo * s:s] += \
+                tap.reshape(n, groups, cin_g, ho, wo)
+    return grid.reshape(n, c, hp, wp)[:, :, pad:pad + h, pad:pad + w]
 
 
 def conv2d_reference(x: np.ndarray, p: ConvParams) -> np.ndarray:
@@ -426,30 +440,30 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0)
 
 
-def _pool_bounds(n_in: int, n_out: int):
-    i = np.arange(n_out)
-    lo = (i * n_in) // n_out
-    hi = -(-((i + 1) * n_in) // n_out)      # ceil
-    return lo, hi
+@lru_cache(maxsize=64)
+def _pool_matrix(n_in: int, n_out: int) -> np.ndarray:
+    """Dense, read-only (n_out, n_in) matrix of adaptive average pooling
+    along one axis: row i averages [floor(i*n_in/n_out),
+    ceil((i+1)*n_in/n_out)).  Pooling is y = P_h X P_w^T and its adjoint
+    P_h^T G P_w."""
+    m = np.zeros((n_out, n_in))
+    for i in range(n_out):
+        lo, hi = (i * n_in) // n_out, -(-((i + 1) * n_in) // n_out)
+        m[i, lo:hi] = 1.0 / (hi - lo)
+    m.flags.writeable = False
+    return m
 
 
 def avgpool_to(x: np.ndarray, out_size) -> np.ndarray:
-    """Adaptive average pooling: output cell (i, j) averages the input
-    window [floor(i*H/h), ceil((i+1)*H/h)) x the same along width."""
+    """Adaptive average pooling as P_h X P_w^T (see _pool_matrix)."""
     _check_nchw(x)
-    n, c, h, w = x.shape
+    h, w = x.shape[2], x.shape[3]
     oh, ow = int(out_size[0]), int(out_size[1])
     if oh > h or ow > w:
         raise ShapeError(f"pool output {(oh, ow)} exceeds input {(h, w)}")
     if (oh, ow) == (h, w):
         return x
-    rlo, rhi = _pool_bounds(h, oh)
-    clo, chi = _pool_bounds(w, ow)
-    y = np.empty((n, c, oh, ow), dtype=x.dtype)
-    for i in range(oh):
-        for j in range(ow):
-            y[:, :, i, j] = x[:, :, rlo[i]:rhi[i], clo[j]:chi[j]].mean(axis=(2, 3))
-    return y
+    return _pool_matrix(h, oh) @ x @ _pool_matrix(w, ow).T
 
 
 def add(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -273,8 +273,21 @@ def test_grad_composite_network():
 
 def test_upsample_transpose_identity():
     """<UP(x), y> == <x, UP^T(y)> to 1e-10 for both kernels and modes, also
-    at ratios where nearest repeats source pixels unevenly."""
+    at ratios where nearest repeats source pixels unevenly; the same for
+    adaptive average pooling, <P(x), y> == <x, P^T(y)>, with overlapping,
+    uneven and global windows."""
     rng = Rng(112)
+    for in_hw, out_hw in (((6, 6), (4, 4)), ((7, 5), (3, 2)), ((8, 8), (6, 1)),
+                          ((5, 7), (1, 1))):
+        tag = f"pool{in_hw}{out_hw}"
+        x0 = randn((2, 3) + in_hw, 0.0, 1.0, rng.split(f"x{tag}"))
+        y = randn((2, 3) + out_hw, 0.0, 1.0, rng.split(f"y{tag}"))
+        xv = ad.Var(x0, requires_grad=True)
+        pooled = ad.avgpool_to(xv, out_hw)
+        ad.backward(ad.dot_const(pooled, y))    # x.grad = P^T(y)
+        lhs = float(np.sum(pooled.data * y))
+        rhs = float(np.sum(x0 * xv.grad))
+        assert abs(lhs - rhs) < 1e-10
     for kernel, align, out_hw in itertools.product(
             ("bilinear", "nearest"), (False, True), ((12, 13), (7, 10), (11, 17))):
         mode = UpsampleMode(kernel, align)

@@ -61,13 +61,6 @@ def test_dataset_contracts():
         ex.gen_synthetic_dataset(0, 4, n_classes=9)
 
 
-def test_dataset_batches():
-    samples = ex.gen_synthetic_dataset(2, 5, 4, 32)
-    batches = list(ex.dataset_batches(samples, 2))
-    assert [b[0].shape[0] for b in batches] == [2, 2, 1]
-    assert batches[0][1].shape == (2, 32, 32)
-
-
 # ---------------------------------------------------------------------------
 # fig2
 # ---------------------------------------------------------------------------

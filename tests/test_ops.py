@@ -288,10 +288,28 @@ def test_avgpool_identity_and_blocks():
 
 
 def test_avgpool_uneven_bins():
-    x = randn((1, 1, 6, 6), 0.0, 1.0, Rng(66))
-    y = ops.avgpool_to(x, (4, 4))      # windows overlap per the adaptive rule
-    assert y.shape == (1, 1, 4, 4)
-    np.testing.assert_allclose(y[0, 0, 0, 0], x[0, 0, 0:2, 0:2].mean(), rtol=1e-12)
+    """Every output cell (i, j) is the mean of the input window
+    [floor(i*H/h), ceil((i+1)*H/h)) x the same along width; the windows
+    overlap where h does not divide H.  Each row of a per-axis pooling
+    matrix sums to 1."""
+    rng = Rng(66)
+    for (h, w), (oh, ow) in (((6, 6), (4, 4)), ((7, 7), (3, 3)), ((5, 5), (2, 2)),
+                             ((8, 8), (6, 6)), ((7, 5), (3, 2)), ((7, 5), (1, 1))):
+        x = randn((2, 3, h, w), 0.0, 1.0, rng.split(f"{h}x{w}->{oh}x{ow}"))
+        y = ops.avgpool_to(x, (oh, ow))
+        assert y.shape == (2, 3, oh, ow)
+        for i in range(oh):
+            r0, r1 = math.floor(i * h / oh), math.ceil((i + 1) * h / oh)
+            for j in range(ow):
+                c0, c1 = math.floor(j * w / ow), math.ceil((j + 1) * w / ow)
+                np.testing.assert_allclose(
+                    y[:, :, i, j], x[:, :, r0:r1, c0:c1].mean(axis=(2, 3)),
+                    rtol=1e-12, atol=1e-15)
+        for n_in, n_out in ((h, oh), (w, ow)):
+            m = ops._pool_matrix(n_in, n_out)    # cached and read-only
+            np.testing.assert_allclose(m.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+            with pytest.raises(ValueError):
+                m[0, 0] = 0.5
 
 
 def test_avgpool_rejects_upsizing():
