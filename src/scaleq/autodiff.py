@@ -162,7 +162,7 @@ def upsample(x: Var, r, mode: ops.UpsampleMode = ops.UpsampleMode()) -> Var:
     if r == 1:
         return x
     h, w = x.data.shape[2], x.data.shape[3]
-    return upsample_to(x, (ops._out_size(h, r), ops._out_size(w, r)), mode)
+    return upsample_to(x, (int(round(r * h)), int(round(r * w))), mode)
 
 
 def avgpool_to(x: Var, out_size) -> Var:
@@ -174,11 +174,10 @@ def avgpool_to(x: Var, out_size) -> Var:
 
 
 def conv2d(x: Var, weight: Var, bias: Var | None = None, *, stride: int = 1,
-           dilation: int = 1, padding: int | None = None, groups: int = 1,
-           pad_value=0.0) -> Var:
+           dilation: int = 1, groups: int = 1, pad_value=0.0) -> Var:
     x, weight = as_var(x), as_var(weight)
     p = ops.ConvParams(weight.data, None if bias is None else bias.data,
-                       stride, dilation, padding, groups, pad_value)
+                       stride, dilation, groups, pad_value)
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def bwd(g):
@@ -274,10 +273,10 @@ def softmax_cross_entropy(logits: Var, labels: np.ndarray) -> Var:
 # verification helpers
 # ---------------------------------------------------------------------------
 
-def finite_diff_grad(f, x: np.ndarray, step: float = 1e-4) -> np.ndarray:
-    """Central differences (f(x+h e_i) - f(x-h e_i)) / 2h per element."""
-    if step <= 0:
-        raise ValueError("step must be positive")
+def finite_diff_grad(f, x: np.ndarray) -> np.ndarray:
+    """Central differences (f(x+h e_i) - f(x-h e_i)) / 2h per element, with
+    h = 1e-4."""
+    step = 1e-4
     x = np.asarray(x, dtype=np.float64)
     grad = np.zeros_like(x)
     flat = grad.reshape(-1)

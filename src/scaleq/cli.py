@@ -2,8 +2,9 @@
 
 Subcommands: fig2, prop1, audit, train, calibrate, check.  Settings come
 from (in increasing precedence) built-in defaults, an INI config file, and
-command-line flags.  Exit codes: 0 success, 1 assertion/experiment failure,
-2 usage error.
+command-line flags; every subcommand checks the file's [fig2] entries, but
+only fig2 applies them.  Exit codes: 0 success, 1 assertion/experiment
+failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -48,6 +49,11 @@ CONFIG_SCHEMA = {
     ("train", "lr"): ("lr", float),
     ("train", "dataset_size"): ("dataset_size", int),
 }
+
+# ExperimentConfig fields that count something and must be at least 1
+COUNT_FIELDS = ("trials", "audit_seeds", "dataset_size", "audit_dataset",
+                "stats_batch", "train_steps", "batch_size", "head_channels",
+                "image_size")
 
 # flag destination -> ExperimentConfig field
 FLAG_FIELDS = {
@@ -111,6 +117,8 @@ def load_config(args) -> "ExperimentConfig":
                 spec = CONFIG_SCHEMA.get((section, key))
                 if spec is None:
                     raise ConfigError(f"unknown config entry [{section}] {key}")
+                if section == "fig2" and args.command != "fig2":
+                    continue                # only fig2 reads its section
                 fieldname, cast = spec
                 try:
                     setattr(cfg, fieldname, cast(raw))
@@ -125,6 +133,13 @@ def load_config(args) -> "ExperimentConfig":
                 cfg.audit_seeds = value
             else:
                 setattr(cfg, fieldname, value)
+    for fieldname in COUNT_FIELDS:
+        if getattr(cfg, fieldname) < 1:
+            raise ConfigError(f"{fieldname} must be at least 1, "
+                              f"got {getattr(cfg, fieldname)}")
+    if any(s < 0 for s in cfg.sigma_grid):
+        raise ConfigError(f"sigma_grid entries must be >= 0, "
+                          f"got {cfg.sigma_grid}")
     if cfg.out_dir:
         os.makedirs(cfg.out_dir, exist_ok=True)
     return cfg
@@ -155,9 +170,8 @@ def _dispatch(command: str, cfg) -> int:
               f"unit_moments={summary['equalized_unit_moments_ok']} "
               f"median_spread={summary['median_spread']:.2f} -> "
               f"{summary['median_eq_spread']:.2f} equalized")
-        keys = [k for k in ("r1_max_ok", "equalized_unit_moments_ok",
-                            "eq_spread_ok", "baseline_spread_ok") if k in summary]
-        return 0 if all(summary[k] for k in keys) else 1
+        ok = all(v for k, v in summary.items() if k.endswith("_ok"))
+        return 0 if ok else 1
 
     if command == "train":
         result = ex.run_toy_train(cfg)

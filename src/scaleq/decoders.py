@@ -70,18 +70,17 @@ class ConvUnit(Module):
     """One [Conv - BatchNorm - ReLU] unit block (gamma=1, beta=0 at init)."""
 
     def __init__(self, rng: Rng, cin: int, cout: int, k: int = 3, *,
-                 stride: int = 1, dilation: int = 1, groups: int = 1):
-        self.weight = ad.Var(he_normal(rng, cout, cin, k, groups), requires_grad=True)
+                 stride: int = 1, dilation: int = 1):
+        self.weight = ad.Var(he_normal(rng, cout, cin, k), requires_grad=True)
         self.gamma = ad.Var(np.ones(cout), requires_grad=True)
         self.beta = ad.Var(np.zeros(cout), requires_grad=True)
         self.stride = stride
         self.dilation = dilation
-        self.groups = groups
         self.pad_value = 0.0
 
     def __call__(self, x: ad.Var) -> ad.Var:
         y = ad.conv2d(x, self.weight, stride=self.stride, dilation=self.dilation,
-                      groups=self.groups, pad_value=self.pad_value)
+                      pad_value=self.pad_value)
         return ad.relu(ad.batchnorm(y, self.gamma, self.beta))
 
 
@@ -120,11 +119,10 @@ class Classifier(Module):
 class HeadOutput:
     """Logits plus the fusion taps needed by audits and the stats pass."""
 
-    def __init__(self, logits, subjects_raw, subjects, ratios):
+    def __init__(self, logits, subjects_raw, subjects):
         self.logits = logits
         self.subjects_raw = subjects_raw      # post-upsample, pre-equalizer
         self.subjects = subjects              # as concatenated
-        self.ratios = tuple(ratios)           # realized upsampling ratio per branch
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +227,10 @@ class _HeadBase(Module):
         raise NotImplementedError
 
     def forward(self, feats: dict) -> HeadOutput:
-        return self._finish(*self.branches(feats))
+        subjects_raw, target_hw, _ = self.branches(feats)
+        return self._finish(subjects_raw, target_hw)
 
-    def _finish(self, subjects_raw, target_hw, ratios) -> HeadOutput:
+    def _finish(self, subjects_raw, target_hw) -> HeadOutput:
         """The head tail: equalize (if injected), concat, fuse, classify,
         restore size."""
         if self.equalize == "injected":
@@ -242,7 +241,7 @@ class _HeadBase(Module):
             subjects = subjects_raw
         z = self.fusion_block(ad.concat_channels(subjects))
         logits = ad.upsample_to(self.classifier(z), target_hw)
-        return HeadOutput(logits, subjects_raw, subjects, ratios)
+        return HeadOutput(logits, subjects_raw, subjects)
 
 
 class UPerHead(_HeadBase):

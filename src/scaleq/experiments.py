@@ -61,17 +61,15 @@ class ExperimentConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def write_csv(path, header, rows) -> None:
+def write_csv(path, rows) -> None:
+    """Row dicts as CSV lines, floats as repr, under a header of the keys of
+    the first row; every row has the same keys in the same order."""
     with open(path, "w", newline="") as f:
-        f.write(",".join(header) + "\n")
+        if rows:
+            f.write(",".join(rows[0]) + "\n")
         for row in rows:
-            f.write(",".join(_fmt(row[h]) for h in header) + "\n")
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+            f.write(",".join(repr(v) if isinstance(v, float) else str(v)
+                             for v in row.values()) + "\n")
 
 
 def write_summary(path, config: ExperimentConfig, checks: dict) -> None:
@@ -120,9 +118,7 @@ def run_fig2(config: ExperimentConfig) -> list[dict]:
                     "config_hash": chash,
                 })
     if config.out_dir:
-        write_csv(f"{config.out_dir}/fig2.csv",
-                  ["sigma", "r", "mode", "var_before", "var_after",
-                   "is_reference", "config_hash"], rows)
+        write_csv(f"{config.out_dir}/fig2.csv", rows)
         checks = fig2_checks(rows)
         write_summary(f"{config.out_dir}/fig2_summary.json", config, checks)
     return rows
@@ -145,12 +141,12 @@ def fig2_checks(rows) -> dict:
 # gradient-scale disequilibrium on a constructed two-branch fusion
 # ---------------------------------------------------------------------------
 
-def _prop1_trial(rng: Rng, var_ratio: float, equalized: bool,
-                 shape=(4, 32, 16, 16), cout: int = 32) -> float:
+def _prop1_trial(rng: Rng, var_ratio: float, equalized: bool) -> float:
     """Two-branch 1x1-conv fusion y = w1*x1 + w2*x2 + b with
-    Var[x1]/Var[x2] = var_ratio; returns the per-group gradient-variance
-    ratio of the fusion weight."""
-    n, c, h, w = shape
+    Var[x1]/Var[x2] = var_ratio on (4, 32, 16, 16) branches and 32 output
+    channels; returns the per-group gradient-variance ratio of the fusion
+    weight."""
+    shape, c, cout = (4, 32, 16, 16), 32, 32
     x1 = randn(shape, 0.0, math.sqrt(var_ratio), rng.split("x1"))
     x2 = randn(shape, 0.0, 1.0, rng.split("x2"))
     if equalized:
@@ -186,9 +182,7 @@ def run_prop1(config: ExperimentConfig) -> list[dict]:
                              "equalized": int(equalized),
                              "grad_var_ratio": float(r), "config_hash": chash})
     if config.out_dir:
-        write_csv(f"{config.out_dir}/prop1.csv",
-                  ["trial", "construct_ratio", "equalized", "grad_var_ratio",
-                   "config_hash"], rows)
+        write_csv(f"{config.out_dir}/prop1.csv", rows)
         write_summary(f"{config.out_dir}/prop1_summary.json", config,
                       prop1_checks(rows))
     return rows
@@ -283,12 +277,8 @@ def build_model(config: ExperimentConfig, seed: int, head_kind: str | None = Non
     enc = ToyEncoder(rng.split("enc"), config.encoder_widths, stride)
     head = build_head(head_kind, rng.split("head"), enc,
                       config.head_channels, config.n_classes)
-    model = SegModel(enc, head)
-    if equalize != "off":
-        if stats is None:
-            raise ContractError("equalize mode needs stats")
-        head.set_equalize(equalize, stats)
-    return model
+    head.set_equalize(equalize, stats)
+    return SegModel(enc, head)
 
 
 def model_stats(model: SegModel, images, batch_size: int, sigma_floor=None):
@@ -317,14 +307,14 @@ def _subject_is_broadcast(subject: np.ndarray) -> bool:
     return bool(np.max(spatial_var) < 1e-18)
 
 
-def _tail_grad_vars(head, subjects, target_hw, ratios, rng: Rng):
+def _tail_grad_vars(head, subjects, target_hw, rng: Rng):
     """Run the head tail on constant subjects and return its output with the
     per-group variance of the fusion-weight gradient under a random
     scalarization of the logits.  The subjects carry no tape, so backward
     stops at the concatenation."""
     weight = head.fusion_block.weight
     weight.grad = None
-    out = head._finish(subjects, target_hw, ratios)
+    out = head._finish(subjects, target_hw)
     upstream = randn(out.logits.data.shape, 0.0, 1.0, rng)
     ad.backward(ad.dot_const(out.logits, upstream))
     return out, [m.variance for m in ad.grad_group_moments(weight.grad, head.groups())]
@@ -339,6 +329,8 @@ def run_head_audit(config: ExperimentConfig, head_kind: str | None = None) -> di
     both arms share the encoder and branches: each seed computes them once
     and runs only the head tail (concat, fusion, classifier) per arm."""
     head_kind = (head_kind or config.head).lower()
+    if config.audit_seeds < 1:
+        raise ContractError("the audit needs at least one seed")
     chash = config.hash()
     size = head_input_size(config, head_kind)
     images = [s.image for s in
@@ -363,17 +355,13 @@ def run_head_audit(config: ExperimentConfig, head_kind: str | None = None) -> di
         subjects = [ad.Var(s.data) for s in subjects_raw]
         subj_m = [moments(s.data) for s in subjects]
         broadcast = [_subject_is_broadcast(s.data) for s in subjects]
-        single = head.n_branches == 1
         # the Jacobian of the fused output w.r.t. the group-i fusion weight
         # is subject i itself, so the per-group gradient scale is the
         # subject's variance on the audit batch
         jac_vars = [m.variance for m in subj_m]
         spread = max(jac_vars) / min(jac_vars)
-        if not single:
-            _, loss_grad_vars = _tail_grad_vars(
-                head, subjects, target_hw, ratios, Rng(seed).split("audit-up"))
-        else:
-            loss_grad_vars = jac_vars
+        _, loss_grad_vars = _tail_grad_vars(
+            head, subjects, target_hw, Rng(seed).split("audit-up"))
 
         # "injected" leaves the weights alone, so the same model serves
         # as the equalized arm
@@ -384,15 +372,10 @@ def run_head_audit(config: ExperimentConfig, head_kind: str | None = None) -> di
             acc.add([scale_equalize(t, mu, sigma) for t, mu, sigma
                      in zip(batch_taps, stats.mu, stats.sigma)])
         acc_mom = acc.moments
-        if not single:
-            eq_out, eq_loss_grad_vars = _tail_grad_vars(
-                head, subjects, target_hw, ratios, Rng(seed).split("audit-up"))
-        else:
-            eq_out = head._finish(subjects, target_hw, ratios)
+        eq_out, eq_loss_grad_vars = _tail_grad_vars(
+            head, subjects, target_hw, Rng(seed).split("audit-up"))
         eq_jac_vars = [moments(s.data).variance for s in eq_out.subjects]
         eq_spread = max(eq_jac_vars) / min(eq_jac_vars)
-        if single:
-            eq_loss_grad_vars = eq_jac_vars
 
         r1_vars = [subj_m[i].variance
                    for i, r in enumerate(ratios) if r == 1]
@@ -419,21 +402,17 @@ def run_head_audit(config: ExperimentConfig, head_kind: str | None = None) -> di
                 "eq_loss_grad_var": float(eq_loss_grad_vars[i]),
                 "config_hash": chash,
             })
-    summary = audit_checks(head_kind, seed_summaries, config)
+    summary = audit_checks(head_kind, head.n_branches, seed_summaries)
     if config.out_dir:
-        write_csv(f"{config.out_dir}/head_audit_{head_kind}.csv",
-                  ["head", "seed", "branch", "ratio", "broadcast", "var", "mean",
-                   "loss_grad_var", "eq_var", "eq_mean", "eq_loss_grad_var",
-                   "config_hash"], rows)
+        write_csv(f"{config.out_dir}/head_audit_{head_kind}.csv", rows)
         write_summary(f"{config.out_dir}/head_audit_{head_kind}_summary.json",
                       config, summary)
     return {"rows": rows, "seeds": seed_summaries, "summary": summary}
 
 
-def audit_checks(head_kind: str, seed_summaries, config: ExperimentConfig) -> dict:
+def audit_checks(head_kind: str, n_branches: int, seed_summaries) -> dict:
     n = len(seed_summaries)
     need = max(n - 2, 1)            # >= 30 of 32 at the default seed count
-    multi = head_kind != "fcnhead"
     ok_order = sum(s["smoothed_below"] and s["none_above"]
                    for s in seed_summaries) >= need
     ok_eq_unit = all(s["eq_unit_moments"] for s in seed_summaries)
@@ -445,7 +424,7 @@ def audit_checks(head_kind: str, seed_summaries, config: ExperimentConfig) -> di
         "median_eq_spread": float(np.median([s["eq_spread"]
                                              for s in seed_summaries])),
     }
-    if multi:
+    if n_branches > 1:
         out["eq_spread_ok"] = bool(
             sum(s["eq_spread"] <= 1.5 for s in seed_summaries) >= need)
     if head_kind == "uperhead":
@@ -522,16 +501,14 @@ def run_toy_train(config: ExperimentConfig) -> dict:
     rows = []
     for arm in arms:
         rows += _train_arm(config, samples, arm)
-    checks = train_checks(rows, config)
+    checks = train_checks(rows)
     if config.out_dir:
-        write_csv(f"{config.out_dir}/train.csv",
-                  ["arm", "step", "loss", "pixel_acc", "miou", "config_hash"],
-                  rows)
+        write_csv(f"{config.out_dir}/train.csv", rows)
         write_summary(f"{config.out_dir}/train_summary.json", config, checks)
     return {"rows": rows, "checks": checks}
 
 
-def train_checks(rows, config: ExperimentConfig) -> dict:
+def train_checks(rows) -> dict:
     out = {}
     for arm in sorted({r["arm"] for r in rows}):
         arm_rows = [r for r in rows if r["arm"] == arm]
@@ -548,9 +525,9 @@ def train_checks(rows, config: ExperimentConfig) -> dict:
 # injected / calibrated equivalence
 # ---------------------------------------------------------------------------
 
-def equivalence_trial(rng: Rng, n_branches: int = 3, k: int = 3,
-                      shape=(4, 6, 10, 10), cout: int = 8):
-    """One random fusion configuration, evaluated both ways.
+def equivalence_trial(rng: Rng):
+    """One random three-branch fusion of (4, 6, 10, 10) branches by a 3x3
+    conv to 8 channels, evaluated both ways.
 
     Returns (pre_bn_diff, post_bn_diff): max elementwise difference between
     injected-equalizer fusion and calibrated-weight fusion, before BN (with
@@ -558,7 +535,7 @@ def equivalence_trial(rng: Rng, n_branches: int = 3, k: int = 3,
     """
     from .equalizer import GlobalStats, branch_pad_values, calibrate_weights
 
-    n, c, h, w = shape
+    n_branches, shape, c, cout = 3, (4, 6, 10, 10), 6, 8
     gen = rng.generator()
     raw, eq, mus, sigmas = [], [], [], []
     for i in range(n_branches):
@@ -569,10 +546,9 @@ def equivalence_trial(rng: Rng, n_branches: int = 3, k: int = 3,
         eq.append(scale_equalize(x, mu, sigma))
         mus.append(mu)
         sigmas.append(sigma)
-    stats = GlobalStats(tuple(mus), tuple(sigmas), n)
+    stats = GlobalStats(tuple(mus), tuple(sigmas), shape[0])
     groups = [(i * c, (i + 1) * c) for i in range(n_branches)]
-    ctot = n_branches * c
-    weight = randn((cout, ctot, k, k), 0.0, 0.5, rng.split("w"))
+    weight = randn((cout, n_branches * c, 3, 3), 0.0, 0.5, rng.split("w"))
     bias = randn((1, cout, 1, 1), 0.0, 0.5, rng.split("b"))[0, :, 0, 0]
 
     x_eq = np.concatenate(eq, axis=1)
@@ -583,12 +559,13 @@ def equivalence_trial(rng: Rng, n_branches: int = 3, k: int = 3,
         w_cal, b_cal, pad_value=branch_pad_values(stats, groups)))
     pre = float(np.max(np.abs(y_inj - y_cal)))
 
-    bn = ops.BatchNormParams(gamma=gen.uniform(0.5, 1.5, cout),
-                             beta=gen.uniform(-0.5, 0.5, cout))
+    gamma, beta = gen.uniform(0.5, 1.5, cout), gen.uniform(-0.5, 0.5, cout)
     w_skip, b_skip = calibrate_weights(weight, bias, stats, groups, bias_skip=True)
-    z_inj = ops.batchnorm(ops.conv2d(x_eq, ops.ConvParams(weight, bias)), bn)
+    z_inj = ops.batchnorm(ops.conv2d(x_eq, ops.ConvParams(weight, bias)),
+                          gamma, beta)
     z_cal = ops.batchnorm(ops.conv2d(x_raw, ops.ConvParams(
-        w_skip, b_skip, pad_value=branch_pad_values(stats, groups))), bn)
+        w_skip, b_skip, pad_value=branch_pad_values(stats, groups))),
+        gamma, beta)
     post = float(np.max(np.abs(z_inj - z_cal)))
     return pre, post
 
@@ -600,12 +577,9 @@ def run_equivalence(config: ExperimentConfig, trials: int = 100) -> dict:
         d_pre, d_post = equivalence_trial(rng.split(t))
         pre.append(d_pre)
         post.append(d_post)
-    out = {"trials": trials, "max_pre_bn_diff": float(max(pre)),
-           "max_post_bn_diff": float(max(post)),
-           "pass": max(pre) <= 1e-10 and max(post) <= 1e-10}
-    if config.out_dir:
-        write_summary(f"{config.out_dir}/equivalence_summary.json", config, out)
-    return out
+    return {"trials": trials, "max_pre_bn_diff": float(max(pre)),
+            "max_post_bn_diff": float(max(post)),
+            "pass": max(pre) <= 1e-10 and max(post) <= 1e-10}
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +639,7 @@ def run_check(config: ExperimentConfig) -> dict:
     x = randn((8, 64, 32, 32), 0.0, 1.0, rng.split("moments"))
     wgt = randn((64, 64, 3, 3), 0.0, math.sqrt(2.0 / (64 * 9)), rng.split("mw"))
     y = ops.relu(ops.batchnorm(ops.conv2d(x, ops.ConvParams(wgt)),
-                               ops.BatchNormParams.identity_init(64)))
+                               np.ones(64), np.zeros(64)))
     m = moments(y)
     checks["unit_block_moments"] = {
         "mean": m.mean, "variance": m.variance,

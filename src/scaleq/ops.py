@@ -1,9 +1,9 @@
 """Forward numerical operators on NCHW arrays, with the adjoints of the
 linear ones beside them.
 
-Bilinear/nearest upsampling, 2-D convolution (dense, atrous, grouped),
-batch normalization over the batch's own statistics, ReLU, adaptive
-average pooling, elementwise add.
+Bilinear/nearest upsampling, 2-D convolution (dense, atrous, grouped; odd
+square kernels at "same" padding), batch normalization over the batch's
+own statistics, ReLU, adaptive average pooling, elementwise add.
 Everything is float64-friendly pure numpy built on batched matmuls.
 Upsampling and adaptive pooling are separable per-axis maps, A_h X A_w^T
 and P_h X P_w^T with cached read-only matrices, whose adjoints are
@@ -14,10 +14,11 @@ branches, runs one (Cout, Cin) matmul per kernel tap on a contiguous
 slice of the flat padded frame (kn2row-aa, Anderson et al., 2017).  Every
 other conv multiplies the weight with an im2col column matrix
 (Chellapilla et al., 2006).  The weight gradient follows the same rule.
-dX is the transposed convolution (Dumoulin & Visin, 2016): at stride 1
-with a square kernel it is this forward convolution of G with the
-group-transposed, spatially flipped kernel; otherwise each kernel tap
-scatters W^T G onto its strided window of the padded grid.
+dX is the transposed convolution (Dumoulin & Visin, 2016).  Same padding
+of an odd square kernel is symmetric, so at stride 1 dX is this forward
+convolution of G with the group-transposed, spatially flipped kernel; at
+a larger stride each kernel tap scatters W^T G onto its strided window of
+the padded grid.
 
 Upsampled moments never materialize the output.  Each row of an axis
 matrix reads at most two adjacent source pixels, so A^T A is tridiagonal
@@ -93,10 +94,6 @@ def _axis_bands(n_in: int, n_out: int, kernel: str, align_corners: bool):
     return bands
 
 
-def _out_size(n: int, r) -> int:
-    return int(round(r * n))
-
-
 def _upsample_hw(x: np.ndarray, out_hw):
     """(h, w, oh, ow) of an upsampling of x to out_hw; rejects downsampling."""
     _check_nchw(x)
@@ -159,16 +156,16 @@ def upsample_moments(x: np.ndarray, out_hw, mode: UpsampleMode = UpsampleMode())
 class ConvParams:
     """Weights and hyperparameters of one 2-D convolution.
 
-    padding=None means "same" for the given dilation (stride-1 preserving);
-    pad_value may be a scalar or a per-input-channel vector (used by the
-    calibrated equalizer to pad each branch with its own global mean).
+    The kernel is square with an odd side and pads "same" for its dilation,
+    so a stride-1 conv keeps the spatial size.  pad_value may be a scalar or
+    a per-input-channel vector (used by the calibrated equalizer to pad each
+    branch with its own global mean).
     """
 
-    weight: np.ndarray                    # (Cout, Cin/groups, kh, kw)
+    weight: np.ndarray                    # (Cout, Cin/groups, k, k)
     bias: np.ndarray | None = None        # (Cout,)
     stride: int = 1
     dilation: int = 1
-    padding: int | None = None
     groups: int = 1
     pad_value: float | np.ndarray = 0.0
 
@@ -225,17 +222,15 @@ def _tap_slices(frame: np.ndarray, kh: int, kw: int, ho: int, wp: int,
             yield u, v, frame[:, :, off:off + span]
 
 
-def _conv_geometry(x_shape, w_shape, stride, dilation, padding):
-    n, c, h, w = x_shape
-    cout, cin_g, kh, kw = w_shape
-    pad = same_padding(kh, dilation) if padding is None else int(padding)
-    eh = (kh - 1) * dilation + 1
-    ew = (kw - 1) * dilation + 1
-    ho = (h + 2 * pad - eh) // stride + 1
-    wo = (w + 2 * pad - ew) // stride + 1
-    if ho <= 0 or wo <= 0:
-        raise ShapeError(f"kernel {w_shape[2:]} too large for input {x_shape[2:]}")
-    return pad, ho, wo
+def _conv_geometry(x_shape, w_shape, stride, dilation):
+    """(pad, Ho, Wo) of a conv at same padding; rejects a kernel that is not
+    square with an odd side, for which same padding would be one-sided."""
+    h, w = x_shape[2:]
+    kh, kw = w_shape[2:]
+    if kh != kw or kh % 2 == 0:
+        raise ShapeError(f"kernel {kh}x{kw} is not square with an odd side")
+    pad = same_padding(kh, dilation)
+    return pad, (h - 1) // stride + 1, (w - 1) // stride + 1
 
 
 def _im2col(xp: np.ndarray, groups: int, kh: int, kw: int, ho: int, wo: int,
@@ -301,8 +296,7 @@ def conv2d(x: np.ndarray, p: ConvParams) -> np.ndarray:
             f"and groups {p.groups}")
     if cout % p.groups != 0:
         raise ShapeError("out channels must be divisible by groups")
-    pad, ho, wo = _conv_geometry(x.shape, p.weight.shape,
-                                 p.stride, p.dilation, p.padding)
+    pad, ho, wo = _conv_geometry(x.shape, p.weight.shape, p.stride, p.dilation)
     wp = w + 2 * pad
     if _use_taps(p.weight.shape, p.stride, p.groups, wp, wo):
         frame = _flat_frame(x, pad, p.pad_value, kw, p.dilation)
@@ -324,8 +318,7 @@ def _conv_weight_grad(x: np.ndarray, p: ConvParams, g: np.ndarray) -> np.ndarray
     dX allocates its grid."""
     n, _, _, w = x.shape
     cout, _, kh, kw = p.weight.shape
-    pad, ho, wo = _conv_geometry(x.shape, p.weight.shape,
-                                 p.stride, p.dilation, p.padding)
+    pad, ho, wo = _conv_geometry(x.shape, p.weight.shape, p.stride, p.dilation)
     if _use_taps(p.weight.shape, p.stride, p.groups, w + 2 * pad, wo):
         frame = _flat_frame(x, pad, p.pad_value, kw, p.dilation)
         return _conv_taps_weight_grad(frame, g, kh, kw, w + 2 * pad, p.dilation)
@@ -337,20 +330,19 @@ def _conv_weight_grad(x: np.ndarray, p: ConvParams, g: np.ndarray) -> np.ndarray
 
 def _conv_input_grad(x_shape, p: ConvParams, g: np.ndarray) -> np.ndarray:
     """dX of conv2d for an input of shape x_shape and the output gradient
-    g; pad_value is a constant and drops out.  At stride 1 with a square
-    kernel whose reach covers the padding, dX is conv2d of g with the
-    kernel transposed within each group and flipped in space.  Otherwise
-    each kernel tap adds W^T g, per group, onto its strided window of a
-    zeroed padded grid, which is then cropped."""
+    g; pad_value is a constant and drops out.  At stride 1, dX is conv2d of
+    g with the kernel transposed within each group and flipped in space, at
+    the same padding.  At a larger stride each kernel tap adds W^T g, per
+    group, onto its strided window of a zeroed padded grid, which is then
+    cropped."""
     n, c, h, w = x_shape
     cout, cin_g, kh, kw = p.weight.shape
     groups, d, s = p.groups, p.dilation, p.stride
-    pad, ho, wo = _conv_geometry(x_shape, p.weight.shape, s, d, p.padding)
+    pad, ho, wo = _conv_geometry(x_shape, p.weight.shape, s, d)
     wg = p.weight.reshape(groups, cout // groups, cin_g, kh, kw)
-    flip_pad = (kh - 1) * d - pad
-    if s == 1 and kh == kw and flip_pad >= 0:
+    if s == 1:
         wf = wg.swapaxes(1, 2)[..., ::-1, ::-1].reshape(c, -1, kh, kw)
-        return conv2d(g, ConvParams(wf, None, 1, d, flip_pad, groups))
+        return conv2d(g, ConvParams(wf, dilation=d, groups=groups))
     # per tap a (G, Cin/G, Cout/G) block of W^T
     wt = np.ascontiguousarray(wg.transpose(3, 4, 0, 2, 1))
     gr = g.reshape(n, groups, cout // groups, ho * wo)
@@ -370,8 +362,7 @@ def conv2d_reference(x: np.ndarray, p: ConvParams) -> np.ndarray:
     _check_nchw(x)
     n, c, h, w = x.shape
     cout, cin_g, kh, kw = p.weight.shape
-    pad, ho, wo = _conv_geometry(x.shape, p.weight.shape,
-                                 p.stride, p.dilation, p.padding)
+    pad, ho, wo = _conv_geometry(x.shape, p.weight.shape, p.stride, p.dilation)
     xp = _pad_input(x, pad, p.pad_value)
     og = cout // p.groups
     y = np.zeros((n, cout, ho, wo), dtype=np.float64)
@@ -398,16 +389,6 @@ def conv2d_reference(x: np.ndarray, p: ConvParams) -> np.ndarray:
 # batch normalization / activation / pooling / add
 # ---------------------------------------------------------------------------
 
-@dataclass
-class BatchNormParams:
-    gamma: np.ndarray
-    beta: np.ndarray
-
-    @classmethod
-    def identity_init(cls, channels: int) -> "BatchNormParams":
-        return cls(gamma=np.ones(channels), beta=np.zeros(channels))
-
-
 def batch_stats(x: np.ndarray):
     """(x - mu, 1/sqrt(var + BN_EPS)) with per-channel mu and population var
     over N, H, W, both as einsums over an (N, C, H*W) view; the variance is
@@ -422,17 +403,17 @@ def batch_stats(x: np.ndarray):
     return d, 1.0 / np.sqrt(np.einsum("nci,nci->c", dv, dv) / m + BN_EPS)
 
 
-def batchnorm(x: np.ndarray, p: BatchNormParams) -> np.ndarray:
+def batchnorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Per-channel (x - mu)/sqrt(var + BN_EPS) * gamma + beta with the batch's
     own mu and var."""
     _check_nchw(x)
     n, c, h, w = x.shape
-    if len(p.gamma) != c or len(p.beta) != c:
-        raise ShapeError(f"batchnorm params sized for {len(p.gamma)} channels, "
+    if len(gamma) != c or len(beta) != c:
+        raise ShapeError(f"batchnorm params sized for {len(gamma)} channels, "
                          f"input has {c}")
     y, inv = batch_stats(x)
-    y *= (np.asarray(p.gamma) * inv).reshape(1, c, 1, 1)
-    y += np.asarray(p.beta).reshape(1, c, 1, 1)
+    y *= (np.asarray(gamma) * inv).reshape(1, c, 1, 1)
+    y += np.asarray(beta).reshape(1, c, 1, 1)
     return y
 
 

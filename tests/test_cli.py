@@ -117,6 +117,43 @@ def test_load_config_flags_override_file(quick_ini):
     assert cfg.train_steps == 5
 
 
+def test_fig2_section_applies_only_to_fig2(tmp_path):
+    """An INI [fig2] entry leaves the config hash of other commands alone."""
+    hashes = []
+    for value in ("true", "false"):
+        path = tmp_path / f"align_{value}.ini"
+        path.write_text(f"[fig2]\nalign_corners = {value}\n")
+        args = build_parser().parse_args(["train", "--config", str(path)])
+        hashes.append(load_config(args).hash())
+    assert hashes[0] == hashes[1]
+
+
+@pytest.mark.parametrize("command,section,key,value", [
+    ("fig2", "run", "trials", "0"),
+    ("prop1", None, "trials", "0"),             # the --trials flag
+    ("audit", "experiments", "audit_seeds", "0"),
+    ("audit", "experiments", "audit_dataset", "0"),
+    ("train", "train", "dataset_size", "0"),
+    ("calibrate", "equalizer", "stats_batch", "0"),
+    ("train", "train", "steps", "0"),
+    ("train", "train", "batch_size", "0"),
+    ("audit", "decoders", "head_channels", "0"),
+    ("audit", "decoders", "image_size", "0"),
+    ("fig2", "fig2", "sigma_grid", "0.2,-0.1"),
+])
+def test_bad_count_exits_1(tmp_path, capsys, command, section, key, value):
+    """A count below 1 or a negative sigma fails as a ConfigError."""
+    if section is None:
+        argv = [command, f"--{key}", value]
+    else:
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[{section}]\n{key} = {value}\n")
+        argv = [command, "--config", str(path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
 def test_trials_flag_sets_audit_seeds(quick_ini):
     args = build_parser().parse_args(["audit", "--config", quick_ini,
                                       "--trials", "3"])
@@ -153,6 +190,19 @@ def test_audit_command(tmp_path, quick_ini, capsys):
     assert (out / "head_audit_psphead.csv").exists()
     summary = json.loads((out / "head_audit_psphead_summary.json").read_text())
     assert summary["checks"]["r1_max_ok"] is True
+
+
+def test_audit_exit_covers_every_check(monkeypatch, capsys):
+    """audit exits 1 when any *_ok entry of its summary is false."""
+    from scaleq import experiments as ex
+    summary = {"head": "uperhead", "r1_max_ok": True,
+               "equalized_unit_moments_ok": True, "median_spread": 1.2,
+               "median_eq_spread": 1.0, "eq_spread_ok": True,
+               "baseline_spread_ok": True, "median_spread_ok": False}
+    monkeypatch.setattr(ex, "run_head_audit", lambda cfg: {
+        "rows": [], "seeds": [], "summary": summary})
+    assert main(["audit"]) == 1
+    assert "audit[uperhead]" in capsys.readouterr().out
 
 
 def test_train_command(tmp_path, quick_ini, capsys):

@@ -33,10 +33,10 @@ def forward(model, shape, seed=1):
 
 def test_uperhead_output_shape():
     model = make_model("uperhead")
-    out, _ = forward(model, (2, 3, 64, 64))
+    out, x = forward(model, (2, 3, 64, 64))
     assert out.logits.data.shape == (2, 4, 64, 64)
     assert len(out.subjects_raw) == 4
-    assert out.ratios == (1, 2, 4, 8)
+    assert model.branches(x)[2] == (1, 2, 4, 8)
     # all subjects live on the P2 grid (64/4 = 16)
     for s in out.subjects_raw:
         assert s.data.shape == (2, 16, 16, 16)
@@ -44,12 +44,12 @@ def test_uperhead_output_shape():
 
 def test_psphead_output_shape():
     model = make_model("psphead", stride=8)
-    out, _ = forward(model, (2, 3, 48, 48))       # C5 is 6x6
+    out, x = forward(model, (2, 3, 48, 48))       # C5 is 6x6
     assert out.logits.data.shape == (2, 4, 48, 48)
     assert len(out.subjects_raw) == 5             # C5 + bins (1, 2, 3, 6)
     for s in out.subjects_raw:
         assert s.data.shape[2:] == (6, 6)
-    assert out.ratios == (1, 6, 3, 2, 1)
+    assert model.branches(x)[2] == (1, 6, 3, 2, 1)
 
 
 def test_aspp_rates_follow_stride():
@@ -71,10 +71,10 @@ def test_sepaspp_matches_aspp_structure():
 
 def test_fcnhead_single_branch():
     model = make_model("fcnhead", stride=8)
-    out, _ = forward(model, (1, 3, 48, 48))
+    out, x = forward(model, (1, 3, 48, 48))
     assert out.logits.data.shape == (1, 4, 48, 48)
     assert len(out.subjects_raw) == 1
-    assert out.ratios == (1,)
+    assert model.branches(x)[2] == (1,)
 
 
 def test_aspp_rejects_bad_stride():
@@ -110,7 +110,7 @@ def test_forward_is_finish_of_branches(kind):
     shape = (2, 3, 64, 64) if kind == "uperhead" else (2, 3, 48, 48)
     x = randn(shape, 0.0, 1.0, Rng(19))
     full = model.forward(x).logits.data
-    tail = model.head._finish(*model.branches(x)).logits.data
+    tail = model.head._finish(*model.branches(x)[:2]).logits.data
     assert np.array_equal(full, tail)
 
 
@@ -311,9 +311,9 @@ def test_tail_fusion_grad_matches_full_backward(kind, mode):
     ad.backward(ad.dot_const(out.logits, upstream))
     full = weight.grad
 
-    subjects, target_hw, ratios = model.branches(x)
+    subjects, target_hw, _ = model.branches(x)
     weight.grad = None
-    out = model.head._finish([ad.Var(s.data) for s in subjects], target_hw, ratios)
+    out = model.head._finish([ad.Var(s.data) for s in subjects], target_hw)
     ad.backward(ad.dot_const(out.logits, upstream))
     assert np.array_equal(weight.grad, full)
 

@@ -128,26 +128,35 @@ def test_head_audit_fcn_single_branch():
     assert "eq_spread_ok" not in res["summary"]
 
 
+def test_head_audit_needs_a_seed():
+    with pytest.raises(ContractError):
+        ex.run_head_audit(quick_config(audit_seeds=0), "fcnhead")
+
+
 def test_head_audit_grad_vars_match_full_backward():
     """The audit's tail-only fusion-weight gradients equal those of a
-    backward through the whole model, in the baseline and injected arms."""
+    backward through the whole model, in the baseline and injected arms,
+    for a multi-branch head and the single-branch one."""
     cfg = quick_config(audit_seeds=1)
-    res = ex.run_head_audit(cfg, "aspphead")
-    size = ex.head_input_size(cfg, "aspphead")
-    images = [s.image for s in ex.gen_synthetic_dataset(
-        cfg.seed, cfg.audit_dataset, cfg.n_classes, size)]
-    batch = np.concatenate(images, axis=0)
-    stats = ex.model_stats(ex.build_model(cfg, cfg.seed, "aspphead"), images,
-                           cfg.stats_batch)
-    for mode, key in (("off", "loss_grad_var"), ("injected", "eq_loss_grad_var")):
-        model = ex.build_model(cfg, cfg.seed, "aspphead", mode, stats)
-        out = model.forward(batch)
-        upstream = randn(out.logits.data.shape, 0.0, 1.0,
-                         Rng(cfg.seed).split("audit-up"))
-        ad.backward(ad.dot_const(out.logits, upstream))
-        gm = ad.grad_group_moments(model.head.fusion_block.weight.grad,
-                                   model.head.groups())
-        assert [m.variance for m in gm] == [r[key] for r in res["rows"]], mode
+    for head in ("aspphead", "fcnhead"):
+        res = ex.run_head_audit(cfg, head)
+        size = ex.head_input_size(cfg, head)
+        images = [s.image for s in ex.gen_synthetic_dataset(
+            cfg.seed, cfg.audit_dataset, cfg.n_classes, size)]
+        batch = np.concatenate(images, axis=0)
+        stats = ex.model_stats(ex.build_model(cfg, cfg.seed, head), images,
+                               cfg.stats_batch)
+        for mode, key in (("off", "loss_grad_var"),
+                          ("injected", "eq_loss_grad_var")):
+            model = ex.build_model(cfg, cfg.seed, head, mode, stats)
+            out = model.forward(batch)
+            upstream = randn(out.logits.data.shape, 0.0, 1.0,
+                             Rng(cfg.seed).split("audit-up"))
+            ad.backward(ad.dot_const(out.logits, upstream))
+            gm = ad.grad_group_moments(model.head.fusion_block.weight.grad,
+                                       model.head.groups())
+            assert ([m.variance for m in gm]
+                    == [r[key] for r in res["rows"]]), (head, mode)
 
 
 def test_head_audit_reference_median_spread():

@@ -6,7 +6,7 @@ import pytest
 
 from scaleq import ops
 from scaleq.errors import InvalidRatioError, ShapeError
-from scaleq.ops import BatchNormParams, ConvParams, UpsampleMode
+from scaleq.ops import ConvParams, UpsampleMode
 from scaleq.tensor import Rng, moments, randn
 
 
@@ -156,6 +156,14 @@ def test_conv_channel_mismatch():
         ops.conv2d(x, ConvParams(np.zeros((2, 3, 3, 3))))
 
 
+def test_conv_rejects_even_or_non_square_kernel():
+    """Same padding is symmetric only for an odd square kernel."""
+    for kernel in ((2, 2), (1, 3), (3, 1), (4, 4)):
+        with pytest.raises(ShapeError):
+            ops.conv2d(np.zeros((1, 2, 5, 5)),
+                       ConvParams(np.zeros((2, 2) + kernel)))
+
+
 def test_conv_matches_reference_oracle():
     """Vectorized conv against the naive quintuple-loop direct sum."""
     rng = Rng(50)
@@ -175,7 +183,7 @@ def test_conv_matches_reference_oracle():
     cases += [(6, 4, 3, 1, 1, 1, (8, 9), False),
               (6, 4, 3, 1, 2, 1, (8, 9), False),                # dilated
               (6, 4, 5, 1, 1, 1, (8, 9), False),                # 5x5
-              (6, 4, 2, 1, 1, 1, (8, 9), False),                # 2x2, no padding
+              (6, 4, 1, 1, 1, 1, (8, 9), False),                # 1x1: im2col
               (6, 4, 3, 1, 1, 1, (8, 9), True),                 # per-channel pad
               (6, 4, 3, 1, 3, 1, (8, 6), False),                # Wp == 2 Wo: im2col
               (6, 4, 3, 1, 3, 1, (8, 7), False)]                # Wp < 2 Wo: taps
@@ -187,7 +195,7 @@ def test_conv_matches_reference_oracle():
         b = randn((1, cout, 1, 1), 0.0, 0.5, rng.split(f"b{i}"))[0, :, 0, 0]
         pv = randn((1, 1, 1, cin), 0.0, 1.0, rng.split(f"p{i}")).ravel() if pad else 0.0
         for bias in (None, b):
-            p = ConvParams(w, bias, stride, dilation, None, groups, pv)
+            p = ConvParams(w, bias, stride, dilation, groups, pv)
             np.testing.assert_allclose(ops.conv2d(x, p),
                                        ops.conv2d_reference(x, p), atol=1e-10)
 
@@ -200,11 +208,12 @@ def test_conv_per_channel_pad_value():
     p = ConvParams(w, pad_value=pv)
     np.testing.assert_allclose(ops.conv2d(x, p),
                                ops.conv2d_reference(x, p), atol=1e-10)
-    # same as manually embedding x into a constant border
+    # same as manually embedding x into a constant border: the interior
+    # of a conv over the embedded input reads no padding
     xb = np.empty((1, 3, 8, 8))
     xb[:] = pv.reshape(1, 3, 1, 1)
     xb[:, :, 1:-1, 1:-1] = x
-    ref = ops.conv2d(xb, ConvParams(w, padding=0))
+    ref = ops.conv2d(xb, ConvParams(w))[:, :, 1:-1, 1:-1]
     np.testing.assert_allclose(ops.conv2d(x, p), ref, atol=1e-12)
 
 
@@ -224,7 +233,7 @@ def test_conv_dilated_receptive_field():
 
 def test_batchnorm_normalizes_channels():
     x = randn((4, 3, 8, 8), 5.0, 10.0, Rng(60))
-    y = ops.batchnorm(x, BatchNormParams.identity_init(3))
+    y = ops.batchnorm(x, np.ones(3), np.zeros(3))
     for m in (moments(y[:, ch]) for ch in range(3)):
         assert abs(m.mean) < 1e-10
         assert abs(m.variance - 1.0) < 1e-6
@@ -232,14 +241,13 @@ def test_batchnorm_normalizes_channels():
 
 def test_batchnorm_constant_channel():
     x = np.full((2, 1, 4, 4), 7.0)
-    y = ops.batchnorm(x, BatchNormParams.identity_init(1))
+    y = ops.batchnorm(x, np.ones(1), np.zeros(1))
     np.testing.assert_allclose(y, 0.0, atol=1e-12)
 
 
 def test_batchnorm_affine():
     x = randn((4, 2, 16, 16), 0.0, 20.0, Rng(61))
-    p = BatchNormParams(gamma=np.full(2, 2.0), beta=np.full(2, 3.0))
-    y = ops.batchnorm(x, p)
+    y = ops.batchnorm(x, np.full(2, 2.0), np.full(2, 3.0))
     for m in (moments(y[:, ch]) for ch in range(2)):
         assert abs(m.mean - 3.0) < 1e-9
         assert abs(m.variance - 4.0) < 1e-4
@@ -247,9 +255,9 @@ def test_batchnorm_affine():
 
 def test_batchnorm_needs_population():
     with pytest.raises(ShapeError):
-        ops.batchnorm(np.zeros((1, 2, 1, 1)), BatchNormParams.identity_init(2))
+        ops.batchnorm(np.zeros((1, 2, 1, 1)), np.ones(2), np.zeros(2))
     with pytest.raises(ShapeError):
-        ops.batchnorm(np.zeros((2, 3, 2, 2)), BatchNormParams.identity_init(2))
+        ops.batchnorm(np.zeros((2, 3, 2, 2)), np.ones(2), np.zeros(2))
 
 
 def test_relu():
@@ -264,7 +272,7 @@ def test_unit_block_moment_constants():
     x = randn((8, 128, 32, 32), 0.0, 1.0, Rng(64).split("x"))
     w = randn((128, 128, 1, 1), 0.0, math.sqrt(2.0 / 128), Rng(64).split("w"))
     y = ops.relu(ops.batchnorm(ops.conv2d(x, ConvParams(w)),
-                               BatchNormParams.identity_init(128)))
+                               np.ones(128), np.zeros(128)))
     m = moments(y)
     mean_ref = 1.0 / math.sqrt(2 * math.pi)
     var_ref = (math.pi - 1) / (2 * math.pi)
