@@ -2,9 +2,10 @@
 
 Subcommands: fig2, prop1, audit, train, calibrate, check.  Settings come
 from (in increasing precedence) built-in defaults, an INI config file, and
-command-line flags; every subcommand checks the file's [fig2] entries, but
-only fig2 applies them.  Exit codes: 0 success, 1 assertion/experiment
-failure, 2 usage error.
+command-line flags.  A command reads seed, out_dir and its COMMAND_FIELDS
+alone and offers only their flags; every INI entry is checked, but only
+those of the command's fields apply.  Exit codes: 0 success, 1 bad setting
+or experiment failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -50,16 +51,38 @@ CONFIG_SCHEMA = {
     ("train", "dataset_size"): ("dataset_size", int),
 }
 
-# ExperimentConfig fields that count something and must be at least 1
-COUNT_FIELDS = ("trials", "audit_seeds", "dataset_size", "audit_dataset",
-                "stats_batch", "train_steps", "batch_size", "head_channels",
-                "image_size")
+# the fields that build a model and run its statistics pass
+MODEL_FIELDS = ("head", "head_channels", "encoder_widths", "output_stride",
+                "image_size", "n_classes", "stats_batch", "sigma_floor")
 
-# flag destination -> ExperimentConfig field
-FLAG_FIELDS = {
-    "seed": "seed", "out": "out_dir",
-    "align_corners": "align_corners", "sigma_floor": "sigma_floor",
-    "head": "head", "equalize": "equalize", "trials": "trials",
+# command -> the ExperimentConfig fields it reads besides seed and out_dir
+COMMAND_FIELDS = {
+    "fig2": ("trials", "shape", "sigma_grid", "ratios", "align_corners"),
+    "prop1": ("audit_seeds",),
+    "audit": MODEL_FIELDS + ("audit_seeds", "audit_dataset"),
+    "train": MODEL_FIELDS + ("dataset_size", "train_steps", "batch_size", "lr",
+                             "equalize"),
+    "calibrate": MODEL_FIELDS + ("dataset_size",),
+    "check": (),
+}
+
+# field -> (flag, argparse keywords); --trials sets trials or audit_seeds
+FLAGS = {
+    "trials": ("--trials", {"type": int, "help": "Monte-Carlo trials"}),
+    "audit_seeds": ("--trials", {"type": int, "help": "seeds"}),
+    "align_corners": ("--align-corners", {"choices": ("false", "true", "both")}),
+    "head": ("--head", {"choices": HEADS}),
+    "sigma_floor": ("--sigma-floor", {"type": float, "help": "sigma=0 substitute"}),
+    "equalize": ("--equalize", {"choices": ("off", "injected", "calibrated")}),
+}
+
+HELP = {
+    "fig2": "variance decay under bilinear upsampling",
+    "prop1": "gradient-variance disequilibrium on a constructed fusion",
+    "audit": "per-branch moment and gradient audit of a decoder head",
+    "train": "toy synthetic-segmentation training, baseline vs equalized",
+    "calibrate": "statistics pass + equalizer-equivalent weight calibration",
+    "check": "run the invariant/property suite",
 }
 
 
@@ -67,35 +90,21 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="INI config file")
     common.add_argument("--seed", type=int, help="root random seed (default 42)")
-    common.add_argument("--out", metavar="DIR", help="output directory")
+    common.add_argument("--out", dest="out_dir", metavar="DIR", help="output directory")
     common.add_argument("--threads", type=int,
                         help="cap BLAS/OpenMP thread count")
-    common.add_argument("--sigma-floor", dest="sigma_floor", type=float,
-                        help="substitute for degenerate sigma=0 branches")
-    common.add_argument("--head", choices=HEADS)
-    common.add_argument("--equalize", choices=("off", "injected", "calibrated"))
-    common.add_argument("--trials", type=int, help="Monte-Carlo trials/seeds")
 
     parser = argparse.ArgumentParser(
         prog="scaleq",
         description="Measure and correct scale disequilibrium in "
                     "multi-level feature fusion.")
     sub = parser.add_subparsers(dest="command", required=True)
-    fig2 = sub.add_parser("fig2", parents=[common],
-                          help="variance decay under bilinear upsampling")
-    # the decoder heads always upsample with align_corners=False
-    fig2.add_argument("--align-corners", dest="align_corners",
-                      choices=("true", "false", "both"))
-    sub.add_parser("prop1", parents=[common],
-                   help="gradient-variance disequilibrium on a constructed fusion")
-    sub.add_parser("audit", parents=[common],
-                   help="per-branch moment and gradient audit of a decoder head")
-    sub.add_parser("train", parents=[common],
-                   help="toy synthetic-segmentation training, baseline vs equalized")
-    sub.add_parser("calibrate", parents=[common],
-                   help="statistics pass + equalizer-equivalent weight calibration")
-    sub.add_parser("check", parents=[common],
-                   help="run the invariant/property suite")
+    for command, fields in COMMAND_FIELDS.items():
+        cmd = sub.add_parser(command, parents=[common], help=HELP[command])
+        for name in fields:
+            if name in FLAGS:
+                flag, kwargs = FLAGS[name]
+                cmd.add_argument(flag, dest=name, **kwargs)
     return parser
 
 
@@ -103,11 +112,11 @@ def load_config(args) -> "ExperimentConfig":
     from .errors import ConfigError
     from .experiments import ExperimentConfig
 
-    cfg = ExperimentConfig()
+    values = {}
     if args.config:
         if not os.path.exists(args.config):
             raise ConfigError(f"config file not found: {args.config}")
-        ini = configparser.ConfigParser()
+        ini = configparser.ConfigParser(interpolation=None)
         try:
             ini.read(args.config)
         except configparser.Error as exc:
@@ -117,29 +126,17 @@ def load_config(args) -> "ExperimentConfig":
                 spec = CONFIG_SCHEMA.get((section, key))
                 if spec is None:
                     raise ConfigError(f"unknown config entry [{section}] {key}")
-                if section == "fig2" and args.command != "fig2":
-                    continue                # only fig2 reads its section
                 fieldname, cast = spec
                 try:
-                    setattr(cfg, fieldname, cast(raw))
+                    values[fieldname] = cast(raw)
                 except ValueError:
                     raise ConfigError(
                         f"bad value {raw!r} for [{section}] {key}") from None
-    for dest, fieldname in FLAG_FIELDS.items():
-        value = getattr(args, dest, None)
-        if value is not None:
-            if dest == "trials":
-                cfg.trials = value
-                cfg.audit_seeds = value
-            else:
-                setattr(cfg, fieldname, value)
-    for fieldname in COUNT_FIELDS:
-        if getattr(cfg, fieldname) < 1:
-            raise ConfigError(f"{fieldname} must be at least 1, "
-                              f"got {getattr(cfg, fieldname)}")
-    if any(s < 0 for s in cfg.sigma_grid):
-        raise ConfigError(f"sigma_grid entries must be >= 0, "
-                          f"got {cfg.sigma_grid}")
+        ExperimentConfig(**values)          # every entry obeys the value rules
+    fields = ("seed", "out_dir") + COMMAND_FIELDS[args.command]
+    values.update((name, getattr(args, name)) for name in fields
+                  if getattr(args, name, None) is not None)
+    cfg = ExperimentConfig(**{name: values[name] for name in fields if name in values})
     if cfg.out_dir:
         os.makedirs(cfg.out_dir, exist_ok=True)
     return cfg
@@ -211,10 +208,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args)
         return _dispatch(args.command, cfg)
-    except ScaleqError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FloatingPointError as exc:
+    except (ScaleqError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -20,6 +20,7 @@ from .equalizer import GlobalStats, branch_pad_values, calibrate_weights
 from .tensor import Rng, randn
 
 HEAD_KINDS = ("uperhead", "psphead", "aspphead", "sepaspphead", "fcnhead")
+EQUALIZE_MODES = ("off", "injected", "calibrated")
 
 
 def he_normal(rng: Rng, cout: int, cin: int, k: int, groups: int = 1) -> np.ndarray:
@@ -197,7 +198,7 @@ class _HeadBase(Module):
         return len(self.branch_channels)
 
     def set_equalize(self, mode: str, stats: GlobalStats | None) -> None:
-        if mode not in ("off", "injected", "calibrated"):
+        if mode not in EQUALIZE_MODES:
             raise ConfigError(f"unknown equalize mode {mode!r}")
         if mode != "off" and stats is None:
             raise ContractError("equalize mode requires global stats")

@@ -17,6 +17,7 @@ from .errors import ContractError, DegenerateFeatureError, FileFormatError
 from .tensor import Moments, moments
 
 STATS_HEADER = "# scaleq global-stats v1"
+STATS_COLUMNS = "branch,mu,sigma,count"
 
 
 def scale_equalize(x: np.ndarray, mu: float, sigma: float) -> np.ndarray:
@@ -142,8 +143,7 @@ def branch_pad_values(stats: GlobalStats, groups) -> np.ndarray:
 
 
 def save_stats(path, stats: GlobalStats) -> None:
-    lines = [STATS_HEADER]
-    lines.append("branch,mu,sigma,count")
+    lines = [STATS_HEADER, STATS_COLUMNS]
     for i, (mu, sigma) in enumerate(zip(stats.mu, stats.sigma)):
         lines.append(f"{i},{mu!r},{sigma!r},{stats.count}")
     with open(path, "w") as f:
@@ -153,15 +153,17 @@ def save_stats(path, stats: GlobalStats) -> None:
 def load_stats(path) -> GlobalStats:
     with open(path) as f:
         lines = [ln.strip() for ln in f if ln.strip()]
-    if not lines or lines[0] != STATS_HEADER:
-        raise FileFormatError(f"{path} is not a scaleq stats file")
+    if lines[:2] != [STATS_HEADER, STATS_COLUMNS] or len(lines) < 3:
+        raise FileFormatError(f"{path} is not a scaleq stats file with branch rows")
     mu, sigma, count = [], [], 0
-    for ln in lines[2:]:
+    for i, ln in enumerate(lines[2:]):
         try:
-            _, m, s, c = ln.split(",")
+            branch, m, s, c = ln.split(",")
             mu.append(float(m))
             sigma.append(float(s))
             count = int(c)
         except ValueError:
             raise FileFormatError(f"{path}: malformed stats row {ln!r}") from None
+        if branch != str(i):
+            raise FileFormatError(f"{path}: row {ln!r} is not branch {i}")
     return GlobalStats(tuple(mu), tuple(sigma), count)

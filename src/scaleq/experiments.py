@@ -16,14 +16,18 @@ import numpy as np
 
 from . import autodiff as ad
 from . import ops
-from .decoders import SegModel, ToyEncoder, build_head
+from .decoders import EQUALIZE_MODES, SegModel, ToyEncoder, build_head
 from .equalizer import StatsAccumulator, accumulate_stats, scale_equalize
-from .errors import ContractError
+from .errors import ConfigError, ContractError
 from .ops import UpsampleMode
 from .tensor import Rng, moments, randn
 
 RELU_BN_MEAN = 1.0 / math.sqrt(2.0 * math.pi)          # E[ReLU(BN(Wx))]
 RELU_BN_VAR = (math.pi - 1.0) / (2.0 * math.pi)        # Var[ReLU(BN(Wx))]
+ALIGN_MODES = {"false": (False,), "true": (True,), "both": (False, True)}
+COUNT_FIELDS = ("trials", "audit_seeds", "dataset_size", "audit_dataset",
+                "stats_batch", "train_steps", "batch_size", "head_channels",
+                "image_size")
 
 
 @dataclass
@@ -51,9 +55,25 @@ class ExperimentConfig:
     sigma_floor: float | None = None
     out_dir: str | None = None
 
+    def __post_init__(self):
+        for name in COUNT_FIELDS:
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} = {getattr(self, name)} is below 1")
+        if len(self.shape) != 4 or min(self.shape) < 1:
+            raise ConfigError(f"shape {self.shape} is not 4 positive sizes")
+        if len(self.encoder_widths) != 5 or min(self.encoder_widths) < 1:
+            raise ConfigError(f"{self.encoder_widths} is not 5 positive encoder_widths")
+        if not self.sigma_grid or min(self.sigma_grid) < 0:
+            raise ConfigError(f"sigma_grid {self.sigma_grid} is empty or negative")
+        if not self.ratios:
+            raise ConfigError("ratios must not be empty")
+        if self.align_corners not in ALIGN_MODES:
+            raise ConfigError(f"unknown align_corners {self.align_corners!r}")
+        if self.equalize not in EQUALIZE_MODES:
+            raise ConfigError(f"unknown equalize mode {self.equalize!r}")
+
     def align_modes(self):
-        return {"false": (False,), "true": (True,),
-                "both": (False, True)}[self.align_corners]
+        return ALIGN_MODES[self.align_corners]
 
     def hash(self) -> str:
         blob = json.dumps({k: v for k, v in asdict(self).items() if k != "out_dir"},
@@ -329,8 +349,6 @@ def run_head_audit(config: ExperimentConfig, head_kind: str | None = None) -> di
     both arms share the encoder and branches: each seed computes them once
     and runs only the head tail (concat, fusion, classifier) per arm."""
     head_kind = (head_kind or config.head).lower()
-    if config.audit_seeds < 1:
-        raise ContractError("the audit needs at least one seed")
     chash = config.hash()
     size = head_input_size(config, head_kind)
     images = [s.image for s in
@@ -684,18 +702,15 @@ def run_check(config: ExperimentConfig) -> dict:
     xs = randn((2, 3, 8, 8), 0.0, 1.0, rng.split("fd/x"))
     ws = randn((4, 3, 3, 3), 0.0, 0.4, rng.split("fd/w"))
 
-    def f(wv):
-        v = ad.conv2d(ad.Var(xs), ad.Var(wv))
+    def net(w: ad.Var) -> ad.Var:
+        v = ad.conv2d(ad.Var(xs), w)
         v = ad.relu(ad.batchnorm(v, ad.Var(np.ones(4)), ad.Var(np.zeros(4))))
         v = ad.upsample_to(v, (16, 16))
-        return float(ad.sum_sq(ad.avgpool_to(v, (4, 4))).data)
+        return ad.sum_sq(ad.avgpool_to(v, (4, 4)))
 
     wvar = ad.Var(ws, requires_grad=True)
-    v = ad.conv2d(ad.Var(xs), wvar)
-    v = ad.relu(ad.batchnorm(v, ad.Var(np.ones(4)), ad.Var(np.zeros(4))))
-    v = ad.upsample_to(v, (16, 16))
-    ad.backward(ad.sum_sq(ad.avgpool_to(v, (4, 4))))
-    fd = ad.finite_diff_grad(f, ws)
+    ad.backward(net(wvar))
+    fd = ad.finite_diff_grad(lambda wv: float(net(ad.Var(wv)).data), ws)
     rel = float(np.max(np.abs(wvar.grad - fd))
                 / max(float(np.max(np.abs(fd))), 1e-12))
     checks["autodiff_finite_diff"] = {"max_rel_err": rel, "ok": rel <= 1e-5}

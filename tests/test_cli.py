@@ -1,3 +1,6 @@
+import argparse
+import configparser
+import dataclasses
 import json
 import os
 import subprocess
@@ -6,9 +9,11 @@ from pathlib import Path
 
 import pytest
 
+from scaleq import cli
 from scaleq.cli import build_parser, load_config, main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+DEFAULT_INI = str(Path(__file__).resolve().parents[1] / "configs" / "default.ini")
 
 
 QUICK_INI = """\
@@ -101,31 +106,114 @@ def test_import_leaves_numpy_unloaded():
 
 
 def test_cli_heads_match_decoders():
-    from scaleq import cli, decoders
+    """The CLI choices, copied to keep numpy unloaded, match the package."""
+    from scaleq import decoders, experiments
     assert cli.HEADS == decoders.HEAD_KINDS
+    assert cli.FLAGS["equalize"][1]["choices"] == decoders.EQUALIZE_MODES
+    assert cli.FLAGS["align_corners"][1]["choices"] == tuple(experiments.ALIGN_MODES)
 
 
 def test_load_config_flags_override_file(quick_ini):
     args = build_parser().parse_args(
-        ["fig2", "--config", quick_ini, "--seed", "99", "--align-corners", "both"])
+        ["train", "--config", quick_ini, "--seed", "99", "--head", "fcnhead"])
     cfg = load_config(args)
     assert cfg.seed == 99                       # flag wins
-    assert cfg.align_corners == "both"
-    assert cfg.shape == (2, 8, 16, 16)          # file beats defaults
-    assert cfg.head == "psphead"
-    assert cfg.trials == 2
-    assert cfg.train_steps == 5
+    assert cfg.head == "fcnhead"
+    assert cfg.train_steps == 5                 # file beats defaults
+    assert cfg.head_channels == 8
+    assert cfg.shape == (16, 256, 128, 128)     # train does not read [fig2]
+    assert cfg.trials == 1
 
 
-def test_fig2_section_applies_only_to_fig2(tmp_path):
-    """An INI [fig2] entry leaves the config hash of other commands alone."""
-    hashes = []
-    for value in ("true", "false"):
-        path = tmp_path / f"align_{value}.ini"
-        path.write_text(f"[fig2]\nalign_corners = {value}\n")
-        args = build_parser().parse_args(["train", "--config", str(path)])
-        hashes.append(load_config(args).hash())
-    assert hashes[0] == hashes[1]
+# a valid value other than the default for every config entry that enters
+# the config hash ([run] out does not)
+OTHER_VALUES = {
+    ("run", "seed"): "7", ("run", "trials"): "2",
+    ("fig2", "shape"): "2,8,16,16", ("fig2", "sigma_grid"): "0.2",
+    ("fig2", "ratios"): "2", ("fig2", "align_corners"): "false",
+    ("decoders", "head"): "psphead", ("decoders", "head_channels"): "8",
+    ("decoders", "encoder_widths"): "4,8,8,8,8",
+    ("decoders", "output_stride"): "16", ("decoders", "image_size"): "48",
+    ("decoders", "n_classes"): "3", ("equalizer", "stats_batch"): "4",
+    ("equalizer", "sigma_floor"): "0.1", ("equalizer", "equalize"): "off",
+    ("experiments", "audit_seeds"): "2", ("experiments", "audit_dataset"): "8",
+    ("train", "steps"): "5", ("train", "batch_size"): "4", ("train", "lr"): "0.1",
+    ("train", "dataset_size"): "16",
+}
+
+
+def _flag_fields(command):
+    """ExperimentConfig fields the command's own flags set."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[command]._actions
+            if a.option_strings and a.dest not in ("help", "config", "threads")}
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMAND_FIELDS))
+def test_command_reads_its_fields(tmp_path, monkeypatch, command):
+    """Census: a command's run reads exactly the fields of its table entry,
+    its subparser offers a flag for exactly the read fields that have one,
+    and an INI entry changes its config hash only when it names a field
+    the command reads."""
+    from scaleq import experiments as ex
+
+    names = {f.name for f in dataclasses.fields(ex.ExperimentConfig)}
+
+    class Recorder(ex.ExperimentConfig):
+        quiet = True                        # construction checks every field
+
+        def __post_init__(self):
+            super().__post_init__()
+            self.reads, self.quiet = set(), False
+
+        def __getattribute__(self, name):
+            if name in names and not object.__getattribute__(self, "quiet"):
+                object.__getattribute__(self, "reads").add(name)
+            return object.__getattribute__(self, name)
+
+    def quiet_asdict(config):               # hash() and the summary echo
+        config.quiet = True
+        try:
+            return dataclasses.asdict(config)
+        finally:
+            config.quiet = False
+
+    monkeypatch.setattr(ex, "asdict", quiet_asdict)
+    cfg = Recorder(seed=3, trials=1, shape=(2, 4, 8, 8), sigma_grid=(0.5,),
+                   ratios=(2,), align_corners="false", head="psphead",
+                   image_size=48, head_channels=8, encoder_widths=(4, 8, 8, 8, 8),
+                   dataset_size=8, stats_batch=4, audit_seeds=1, audit_dataset=8,
+                   train_steps=1, batch_size=4, out_dir=str(tmp_path))
+    cli._dispatch(command, cfg)
+    reads = {"seed", "out_dir", *cli.COMMAND_FIELDS[command]}
+    assert cfg.reads == reads
+    every_flag = set().union(*(_flag_fields(c) for c in cli.COMMAND_FIELDS))
+    assert _flag_fields(command) == reads & every_flag
+
+    plain = load_config(build_parser().parse_args([command])).hash()
+    for (section, key), value in OTHER_VALUES.items():
+        path = tmp_path / "one.ini"
+        path.write_text(f"[{section}]\n{key} = {value}\n")
+        args = build_parser().parse_args([command, "--config", str(path)])
+        moved = load_config(args).hash() != plain
+        fieldname = cli.CONFIG_SCHEMA[(section, key)][0]
+        assert moved == (fieldname in reads), key
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("fig2", "--head=psphead"), ("fig2", "--sigma-floor=0.1"),
+    ("fig2", "--equalize=off"), ("prop1", "--head=psphead"),
+    ("prop1", "--sigma-floor=0.1"), ("prop1", "--equalize=off"),
+    ("audit", "--equalize=off"), ("train", "--trials=2"),
+    ("calibrate", "--equalize=off"), ("calibrate", "--trials=2"),
+    ("check", "--head=psphead"), ("check", "--sigma-floor=0.1"),
+    ("check", "--equalize=off"), ("check", "--trials=2"),
+])
+def test_flag_of_an_unread_field_exits_2(command, flag):
+    with pytest.raises(SystemExit) as e:
+        main([command, flag])
+    assert e.value.code == 2
 
 
 @pytest.mark.parametrize("command,section,key,value", [
@@ -140,9 +228,11 @@ def test_fig2_section_applies_only_to_fig2(tmp_path):
     ("audit", "decoders", "head_channels", "0"),
     ("audit", "decoders", "image_size", "0"),
     ("fig2", "fig2", "sigma_grid", "0.2,-0.1"),
+    ("check", "experiments", "audit_seeds", "0"),  # checked though unread
 ])
 def test_bad_count_exits_1(tmp_path, capsys, command, section, key, value):
-    """A count below 1 or a negative sigma fails as a ConfigError."""
+    """A count below 1 or a negative sigma fails as a ConfigError, also in
+    an entry the command does not read."""
     if section is None:
         argv = [command, f"--{key}", value]
     else:
@@ -155,11 +245,16 @@ def test_bad_count_exits_1(tmp_path, capsys, command, section, key, value):
 
 
 def test_trials_flag_sets_audit_seeds(quick_ini):
-    args = build_parser().parse_args(["audit", "--config", quick_ini,
-                                      "--trials", "3"])
-    cfg = load_config(args)
-    assert cfg.trials == 3
-    assert cfg.audit_seeds == 3
+    """--trials sets trials on fig2 and audit_seeds on prop1 and audit, and
+    leaves the other at its default."""
+    for command, target, other in (("fig2", "trials", "audit_seeds"),
+                                   ("prop1", "audit_seeds", "trials"),
+                                   ("audit", "audit_seeds", "trials")):
+        args = build_parser().parse_args([command, "--config", quick_ini,
+                                          "--trials", "3"])
+        cfg = load_config(args)
+        assert getattr(cfg, target) == 3, command
+        assert getattr(cfg, other) == {"trials": 1, "audit_seeds": 32}[other]
 
 
 def test_fig2_command_writes_csv(tmp_path, quick_ini, capsys):
@@ -233,9 +328,75 @@ def test_check_command(tmp_path, capsys):
     assert (out / "check_summary.json").exists()
 
 
-def test_default_config_file_loads(tmp_path):
-    args = build_parser().parse_args(["check", "--config", "configs/default.ini"])
-    cfg = load_config(args)
-    assert cfg.seed == 42
-    assert cfg.shape == (16, 256, 128, 128)
-    assert cfg.train_steps == 500
+def test_default_config_file_loads():
+    """configs/default.ini restates the built-in defaults for every command."""
+    from scaleq.experiments import ExperimentConfig
+    for command in cli.COMMAND_FIELDS:
+        args = build_parser().parse_args([command, "--config", DEFAULT_INI])
+        assert load_config(args) == ExperimentConfig(), command
+
+
+@pytest.mark.parametrize("command,section,key,value", [
+    ("fig2", "fig2", "shape", "2,8,16"),
+    ("audit", "decoders", "encoder_widths", "4,8"),
+    ("fig2", "fig2", "ratios", ""),
+    ("fig2", "fig2", "align_corners", "maybe"),
+    ("train", "equalizer", "equalize", "injectd"),
+    ("fig2", "run", "seed", "5%"),              # no interpolation, no traceback
+])
+def test_bad_setting_exits_1_before_any_work(tmp_path, monkeypatch, capsys,
+                                             command, section, key, value):
+    """Each value fails as one error line and exit 1 before the command's
+    run starts, so an equalize typo costs no training step."""
+    from scaleq import experiments as ex
+    for name in ("run_fig2", "run_head_audit", "run_toy_train"):
+        monkeypatch.setattr(ex, name, lambda cfg: pytest.fail("the run started"))
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[{section}]\n{key} = {value}\n")
+    assert main([command, "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "Traceback" not in err
+
+
+def _first_reader(fieldname):
+    """The cheapest command that reads a field."""
+    for command in ("fig2", "prop1", "calibrate", "audit", "train"):
+        if fieldname in ("seed", "out_dir") + cli.COMMAND_FIELDS[command]:
+            return command
+
+
+def _bad_values(default):
+    """A wrong-arity value (one entry fewer for a list, two for a scalar)
+    and an empty value."""
+    parts = default.split(",")
+    return (",".join(parts[:-1]) if len(parts) > 1 else f"{default},{default}", "")
+
+
+DEFAULTS = configparser.ConfigParser()
+DEFAULTS.read(DEFAULT_INI)
+
+
+@pytest.mark.parametrize("section,key", [(section, key)
+                                         for section in DEFAULTS.sections()
+                                         for key in DEFAULTS[section]])
+def test_default_ini_key_with_bad_value(tmp_path, capsys, section, key):
+    """Every default.ini key, given a wrong-arity value and an empty value on
+    top of the quick config, ends in exit 1 with an error line or in a
+    complete run of a command that reads it, never in a traceback."""
+    command = _first_reader(cli.CONFIG_SCHEMA[(section, key)][0])
+    ini = configparser.ConfigParser()
+    ini.read_string(QUICK_INI)
+    if not ini.has_section(section):
+        ini.add_section(section)
+    path = tmp_path / "bad.ini"
+    for value in _bad_values(ini.get(section, key,
+                                     fallback=DEFAULTS[section][key])):
+        ini.set(section, key, value)
+        with open(path, "w") as f:
+            ini.write(f)
+        code = main([command, "--config", str(path)])
+        captured = capsys.readouterr()
+        if "error:" in captured.err:
+            assert code == 1 and captured.err.count("error:") == 1, value
+        else:
+            assert f"\n{command}" in "\n" + captured.out, value

@@ -201,9 +201,25 @@ def test_stats_bad_header(tmp_path):
         load_stats(path)
 
 
-@pytest.mark.parametrize("row", ["0,1.0,2.", "0,1.0,abc,8", "0,1.0,2.0,8,9"])
+@pytest.mark.parametrize("row", ["0,1.0,2.", "0,1.0,abc,8", "0,1.0,2.0,8,9",
+                                 "0,1.0,2.0,8", "2,1.0,2.0,8", "x,1.0,2.0,8"])
 def test_stats_malformed_row(tmp_path, row):
+    """A second row that is cut, non-numeric, too long or not branch 1."""
     path = tmp_path / "bad.csv"
     path.write_text(f"{STATS_HEADER}\nbranch,mu,sigma,count\n0,0.5,1.5,8\n{row}\n")
+    with pytest.raises(FileFormatError):
+        load_stats(path)
+
+
+@pytest.mark.parametrize("text", [
+    f"{STATS_HEADER}\n",                                      # cut after the header
+    f"{STATS_HEADER}\nbranch,mu,sigma,count\n",               # zero rows
+    f"{STATS_HEADER}\n0,0.5,1.5,8\n1,0.5,1.5,8\n",           # no column line
+    f"{STATS_HEADER}\nbranch,sigma,mu,count\n0,0.5,1.5,8\n", # wrong column line
+    f"{STATS_HEADER}\nbranch,mu,sigma,count\n1,0.5,1.5,8\n", # first branch not 0
+])
+def test_stats_bad_layout(tmp_path, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
     with pytest.raises(FileFormatError):
         load_stats(path)

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import importlib.util
 import json
@@ -10,7 +11,7 @@ import pytest
 from scaleq import autodiff as ad
 from scaleq import experiments as ex
 from scaleq.decoders import HEAD_KINDS
-from scaleq.errors import ContractError
+from scaleq.errors import ConfigError, ContractError
 from scaleq.experiments import ExperimentConfig
 from scaleq.tensor import Rng, randn
 
@@ -129,8 +130,8 @@ def test_head_audit_fcn_single_branch():
 
 
 def test_head_audit_needs_a_seed():
-    with pytest.raises(ContractError):
-        ex.run_head_audit(quick_config(audit_seeds=0), "fcnhead")
+    with pytest.raises(ConfigError):
+        ExperimentConfig(audit_seeds=0)
 
 
 def test_head_audit_grad_vars_match_full_backward():
@@ -273,6 +274,33 @@ def test_run_check_all_ok(tmp_path):
         "gradient_disequilibrium", "autodiff_finite_diff"}
     summary = json.loads((tmp_path / "check_summary.json").read_text())
     assert summary["checks"]["ok"] is True
+
+
+@pytest.mark.parametrize("change", [
+    {"trials": 0}, {"audit_seeds": 0}, {"dataset_size": 0}, {"audit_dataset": 0},
+    {"stats_batch": 0}, {"train_steps": 0}, {"batch_size": 0},
+    {"head_channels": 0}, {"image_size": -1},
+    {"shape": (2, 8, 16)}, {"shape": (2, 8, 16, 0)}, {"shape": ()},
+    {"encoder_widths": (4, 8)}, {"encoder_widths": (4, 8, 8, 8, 8, 8)},
+    {"encoder_widths": (4, 8, 0, 8, 8)},
+    {"sigma_grid": ()}, {"sigma_grid": (0.2, -0.1)}, {"ratios": ()},
+    {"align_corners": "maybe"}, {"equalize": "injectd"},
+])
+def test_config_value_rules(change):
+    """Construction and dataclasses.replace apply the same value rules."""
+    with pytest.raises(ConfigError):
+        ExperimentConfig(**change)
+    with pytest.raises(ConfigError):
+        dataclasses.replace(ExperimentConfig(), **change)
+
+
+def test_config_accepts_the_benchmark_references():
+    """bench/reference.json passes shape, sigma_grid and ratios as lists."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+    for entry in json.loads(path.read_text()).values():
+        ExperimentConfig(**entry["config"])
+    ExperimentConfig(sigma_grid=(0.0,), ratios=(1,), align_corners="true",
+                     equalize="off")
 
 
 def test_config_hash_stable_and_sensitive():
