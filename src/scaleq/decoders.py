@@ -16,10 +16,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, ContractError, ShapeError
-from .equalizer import GlobalStats, branch_pad_values, calibrate_weights
+from .equalizer import GlobalStats, calibrate_weights
 from .tensor import Rng, randn
 
 HEAD_KINDS = ("uperhead", "psphead", "aspphead", "sepaspphead", "fcnhead")
+OUTPUT_STRIDES = (8, 16)                  # of ToyEncoder's single-stage mode
 EQUALIZE_MODES = ("off", "injected", "calibrated")
 
 
@@ -137,8 +138,8 @@ class ToyEncoder(Module):
 
     def __init__(self, rng: Rng, widths=(8, 16, 16, 32, 32),
                  output_stride: int | None = None):
-        if output_stride is not None and output_stride not in (8, 16):
-            raise ConfigError(f"output stride must be 8 or 16, got {output_stride}")
+        if output_stride is not None and output_stride not in OUTPUT_STRIDES:
+            raise ConfigError(f"output stride must be in {OUTPUT_STRIDES}, got {output_stride}")
         n_down = 5 if output_stride is None else int(np.log2(output_stride))
         self.output_stride = output_stride
         self.widths = tuple(widths[:n_down])
@@ -198,6 +199,12 @@ class _HeadBase(Module):
         return len(self.branch_channels)
 
     def set_equalize(self, mode: str, stats: GlobalStats | None) -> None:
+        """Set the equalizer mode.  "calibrated" folds the equalizers into
+        the fusion weight and its padding once (the auxiliary
+        initialization), so a calibrated head refuses any further call."""
+        if self.equalize == "calibrated":
+            raise ContractError(f"{self.kind} is calibrated already; build a "
+                                f"fresh head for another mode")
         if mode not in EQUALIZE_MODES:
             raise ConfigError(f"unknown equalize mode {mode!r}")
         if mode != "off" and stats is None:
@@ -206,19 +213,11 @@ class _HeadBase(Module):
             raise ContractError(f"stats carry {stats.n_branches} branches, "
                                 f"{self.kind} fuses {self.n_branches}")
         if mode == "calibrated":
-            self.apply_calibration(stats)
+            fusion = self.fusion_block
+            fusion.weight.data, _, fusion.pad_value = calibrate_weights(
+                fusion.weight.data, None, stats, self.groups(), bias_skip=True)
         self.equalize = mode
         self.stats = stats
-
-    def apply_calibration(self, stats: GlobalStats) -> None:
-        """Algorithm-style auxiliary initialization: rescale the fusion
-        weight groups by 1/sigma_i and pad each branch's channels with its
-        global mean (the image of equalized zero padding)."""
-        fusion = self.fusion_block
-        new_w, _ = calibrate_weights(fusion.weight.data, None, stats,
-                                     self.groups(), bias_skip=True)
-        fusion.weight.data = new_w
-        fusion.pad_value = branch_pad_values(stats, self.groups())
 
     def branches(self, feats: dict):
         """Branch unit blocks and their upsampling, up to the concatenation.

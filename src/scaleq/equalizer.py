@@ -1,10 +1,10 @@
-"""Scale equalizer: global normalization per fusion branch, the dataset
-statistics pass, and the equivalent one-shot weight calibration.
+"""Scale equalizer: global normalization per fusion branch, in two steps.
 
 The equalizer replaces each concatenation subject x_i by (x_i - mu_i)/sigma_i
-using dataset-global scalars.  Folding the same affine map into the fusion
-convolution (w_i' = w_i / sigma_i plus a bias correction) gives an exactly
-equivalent network with zero cost in the training path.
+using dataset-global scalars.  `accumulate_stats` measures them in one pass
+over a statistics dataset.  `calibrate_weights` folds the same map into the
+fusion convolution once (w_i / sigma_i, a bias correction, mean padding):
+an exactly equivalent network with zero cost in the training path.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ContractError, DegenerateFeatureError, FileFormatError
 from .tensor import Moments, moments
 
-STATS_HEADER = "# scaleq global-stats v1"
+STATS_HEADER = "# scaleq global-stats v2"
 STATS_COLUMNS = "branch,mu,sigma,count"
 
 
@@ -29,7 +29,7 @@ def scale_equalize(x: np.ndarray, mu: float, sigma: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GlobalStats:
-    """Finalized per-branch global mean/std over a statistics dataset."""
+    """Per-branch global mean/std over a statistics dataset of count inputs."""
 
     mu: tuple
     sigma: tuple
@@ -40,53 +40,41 @@ class GlobalStats:
         return len(self.mu)
 
 
-class StatsAccumulator:
-    """Streaming per-branch moments over the dataset, one `add` per sample
-    or mini-batch.  Batches combine with Chan's parallel update weighted by
-    element count, so a short last batch counts only for what it holds."""
-
-    def __init__(self, n_branches: int):
-        if n_branches < 1:
-            raise ContractError("need at least one branch")
-        self.moments = [Moments(0.0, 0.0, 0)] * n_branches
-        self.count = 0                       # add() calls, as in GlobalStats
-
-    def add(self, taps) -> None:
-        if len(taps) != len(self.moments):
-            raise ContractError(
-                f"expected {len(self.moments)} branch taps, got {len(taps)}")
-        self.moments = [m.merge(moments(tap)) for m, tap in zip(self.moments, taps)]
-        self.count += 1
-
-    def finalize(self, sigma_floor: float | None = None) -> GlobalStats:
-        if self.count == 0:
-            raise ContractError("no samples accumulated")
-        mu = [m.mean for m in self.moments]
-        sigma = [float(np.sqrt(m.variance)) for m in self.moments]
-        for i, s in enumerate(sigma):
-            if s <= 0.0:
-                if sigma_floor is None:
-                    raise DegenerateFeatureError(
-                        f"branch {i} is constant over the stats dataset "
-                        f"(sigma == 0); use a sigma floor only if this is "
-                        f"intentional")
-                sigma[i] = sigma_floor
-        return GlobalStats(tuple(mu), tuple(sigma), self.count)
+def branch_moments(tap_batches, n_branches: int) -> list[Moments]:
+    """Per-branch moments of a sequence of per-batch tap lists.  Batches
+    combine with Chan's parallel update weighted by element count, so a
+    short last batch counts only for what it holds."""
+    if n_branches < 1:
+        raise ContractError("need at least one branch")
+    merged = [Moments(0.0, 0.0, 0)] * n_branches
+    for taps in tap_batches:
+        if len(taps) != n_branches:
+            raise ContractError(f"expected {n_branches} branch taps, got {len(taps)}")
+        merged = [m.merge(moments(tap)) for m, tap in zip(merged, taps)]
+    return merged
 
 
 def accumulate_stats(dataset, tap_fn, n_branches: int, batch_size: int = 8,
                      sigma_floor: float | None = None) -> GlobalStats:
     """One full pass over `dataset` (a sequence of input tensors), calling
     `tap_fn(batch) -> list of branch tensors` per mini-batch and merging the
-    per-batch moments by element count.  Model weights are untouched."""
+    per-batch moments by element count.  A branch that is constant over the
+    dataset takes sigma_floor, if given.  Model weights are untouched."""
     items = list(dataset)
     if not items:
         raise ContractError("stats dataset is empty")
-    acc = StatsAccumulator(n_branches)
-    for lo in range(0, len(items), batch_size):
-        batch = np.concatenate(items[lo:lo + batch_size], axis=0)
-        acc.add(tap_fn(batch))
-    return acc.finalize(sigma_floor)
+    batches = (np.concatenate(items[lo:lo + batch_size], axis=0)
+               for lo in range(0, len(items), batch_size))
+    merged = branch_moments(map(tap_fn, batches), n_branches)
+    sigma = [float(np.sqrt(m.variance)) for m in merged]
+    for i, s in enumerate(sigma):
+        if s <= 0.0:
+            if sigma_floor is None:
+                raise DegenerateFeatureError(
+                    f"branch {i} is constant over the stats dataset (sigma == 0); "
+                    f"use a sigma floor only if this is intentional")
+            sigma[i] = sigma_floor
+    return GlobalStats(tuple(m.mean for m in merged), tuple(sigma), len(items))
 
 
 def channel_spans(groups, channels: int) -> list[tuple[int, int]]:
@@ -109,37 +97,28 @@ def calibrate_weights(weight: np.ndarray, bias: np.ndarray | None,
     """Fold the equalizers of each branch into the fusion layer:
     w_i' = w_i / sigma_i per channel group, and (unless skipped because a
     batch normalization follows) b' = b - sum_i mu_i/sigma_i * sum(w_i)
-    aggregated over the group's channels and spatial kernel taps."""
+    aggregated over the group's channels and spatial kernel taps.  Returns
+    (w', b', pad), where pad gives each input channel its branch's mean, so
+    that mean padding of x_i is zero padding of the equalized x_i."""
     weight = np.asarray(weight, dtype=np.float64)
     spans = channel_spans(groups, weight.shape[1])
     if len(spans) != stats.n_branches:
-        raise ContractError(
-            f"{len(spans)} groups vs {stats.n_branches} branches in stats")
+        raise ContractError(f"{len(spans)} groups vs {stats.n_branches} branches in stats")
     new_w = weight.copy()
     correction = np.zeros(weight.shape[0])
+    pad = np.zeros(weight.shape[1])
     for (a, b), mu, sigma in zip(spans, stats.mu, stats.sigma):
         if sigma <= 0:
             raise DegenerateFeatureError(f"sigma <= 0 for group {(a, b)}")
         new_w[:, a:b] = weight[:, a:b] / sigma
         correction += (mu / sigma) * weight[:, a:b].sum(axis=tuple(range(1, weight.ndim)))
+        pad[a:b] = mu
     if bias_skip:
         new_b = None if bias is None else np.array(bias, dtype=np.float64)
     else:
         base = np.zeros(weight.shape[0]) if bias is None else np.asarray(bias, dtype=np.float64)
         new_b = base - correction
-    return new_w, new_b
-
-
-def branch_pad_values(stats: GlobalStats, groups) -> np.ndarray:
-    """Per-input-channel pad constants for the calibrated fusion conv: each
-    branch's channels pad with its global mean, so zero padding of the
-    equalized feature and mean padding of the raw feature coincide."""
-    spans = [(int(a), int(b)) for a, b in groups]
-    size = max(b for _, b in spans)
-    out = np.zeros(size)
-    for (a, b), mu in zip(spans, stats.mu):
-        out[a:b] = mu
-    return out
+    return new_w, new_b, pad
 
 
 def save_stats(path, stats: GlobalStats) -> None:
@@ -154,16 +133,18 @@ def load_stats(path) -> GlobalStats:
     with open(path) as f:
         lines = [ln.strip() for ln in f if ln.strip()]
     if lines[:2] != [STATS_HEADER, STATS_COLUMNS] or len(lines) < 3:
-        raise FileFormatError(f"{path} is not a scaleq stats file with branch rows")
-    mu, sigma, count = [], [], 0
+        raise FileFormatError(f"{path} is not a {STATS_HEADER!r} file with branch rows")
+    mu, sigma, counts = [], [], set()
     for i, ln in enumerate(lines[2:]):
         try:
             branch, m, s, c = ln.split(",")
             mu.append(float(m))
             sigma.append(float(s))
-            count = int(c)
+            counts.add(int(c))
         except ValueError:
             raise FileFormatError(f"{path}: malformed stats row {ln!r}") from None
         if branch != str(i):
             raise FileFormatError(f"{path}: row {ln!r} is not branch {i}")
-    return GlobalStats(tuple(mu), tuple(sigma), count)
+    if len(counts) != 1:
+        raise FileFormatError(f"{path}: rows give counts {sorted(counts)}")
+    return GlobalStats(tuple(mu), tuple(sigma), counts.pop())

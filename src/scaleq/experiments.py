@@ -16,8 +16,9 @@ import numpy as np
 
 from . import autodiff as ad
 from . import ops
-from .decoders import EQUALIZE_MODES, SegModel, ToyEncoder, build_head
-from .equalizer import StatsAccumulator, accumulate_stats, scale_equalize
+from .decoders import (EQUALIZE_MODES, HEAD_KINDS, OUTPUT_STRIDES, SegModel,
+                       ToyEncoder, build_head)
+from .equalizer import accumulate_stats, branch_moments, scale_equalize
 from .errors import ConfigError, ContractError
 from .ops import UpsampleMode
 from .tensor import Rng, moments, randn
@@ -71,6 +72,14 @@ class ExperimentConfig:
             raise ConfigError(f"unknown align_corners {self.align_corners!r}")
         if self.equalize not in EQUALIZE_MODES:
             raise ConfigError(f"unknown equalize mode {self.equalize!r}")
+        if self.head.lower() not in HEAD_KINDS:
+            raise ConfigError(f"unknown head kind {self.head!r}")
+        if self.output_stride not in OUTPUT_STRIDES:
+            raise ConfigError(f"output_stride {self.output_stride} is not in {OUTPUT_STRIDES}")
+        if not 2 <= self.n_classes <= len(_CLASS_COLORS):
+            raise ConfigError(f"n_classes {self.n_classes} is not in [2, {len(_CLASS_COLORS)}]")
+        if self.sigma_floor is not None and not self.sigma_floor > 0:
+            raise ConfigError(f"sigma_floor {self.sigma_floor} is not positive")
 
     def align_modes(self):
         return ALIGN_MODES[self.align_corners]
@@ -319,14 +328,6 @@ def head_input_size(config: ExperimentConfig, head_kind: str) -> int:
 # head audit
 # ---------------------------------------------------------------------------
 
-def _subject_is_broadcast(subject: np.ndarray) -> bool:
-    """True when every (n, c) map of the subject is spatially constant,
-    i.e. it was upsampled from a 1x1 source and carries no spatial
-    variation for bilinear interpolation to smooth."""
-    spatial_var = subject.var(axis=(2, 3))
-    return bool(np.max(spatial_var) < 1e-18)
-
-
 def _tail_grad_vars(head, subjects, target_hw, rng: Rng):
     """Run the head tail on constant subjects and return its output with the
     per-group variance of the fusion-weight gradient under a random
@@ -372,7 +373,9 @@ def run_head_audit(config: ExperimentConfig, head_kind: str | None = None) -> di
         subjects_raw, target_hw, ratios = model.branches(audit_batch)
         subjects = [ad.Var(s.data) for s in subjects_raw]
         subj_m = [moments(s.data) for s in subjects]
-        broadcast = [_subject_is_broadcast(s.data) for s in subjects]
+        # each subject is its source upsampled by its ratio, so a 1x1 source
+        # gives a spatially constant (broadcast) subject with nothing to smooth
+        broadcast = [s.data.shape[2] == r for s, r in zip(subjects, ratios)]
         # the Jacobian of the fused output w.r.t. the group-i fusion weight
         # is subject i itself, so the per-group gradient scale is the
         # subject's variance on the audit batch
@@ -385,11 +388,9 @@ def run_head_audit(config: ExperimentConfig, head_kind: str | None = None) -> di
         # as the equalized arm
         head.set_equalize("injected", stats)
         # dataset-level moments of the equalized subjects
-        acc = StatsAccumulator(head.n_branches)
-        for batch_taps in taps:
-            acc.add([scale_equalize(t, mu, sigma) for t, mu, sigma
-                     in zip(batch_taps, stats.mu, stats.sigma)])
-        acc_mom = acc.moments
+        eq_taps = ([scale_equalize(t, mu, sigma) for t, mu, sigma
+                    in zip(batch_taps, stats.mu, stats.sigma)] for batch_taps in taps)
+        acc_mom = branch_moments(eq_taps, head.n_branches)
         eq_out, eq_loss_grad_vars = _tail_grad_vars(
             head, subjects, target_hw, Rng(seed).split("audit-up"))
         eq_jac_vars = [moments(s.data).variance for s in eq_out.subjects]
@@ -551,7 +552,7 @@ def equivalence_trial(rng: Rng):
     injected-equalizer fusion and calibrated-weight fusion, before BN (with
     bias correction) and after batch-stats BN (with bias skip).
     """
-    from .equalizer import GlobalStats, branch_pad_values, calibrate_weights
+    from .equalizer import GlobalStats, calibrate_weights
 
     n_branches, shape, c, cout = 3, (4, 6, 10, 10), 6, 8
     gen = rng.generator()
@@ -572,18 +573,16 @@ def equivalence_trial(rng: Rng):
     x_eq = np.concatenate(eq, axis=1)
     x_raw = np.concatenate(raw, axis=1)
     y_inj = ops.conv2d(x_eq, ops.ConvParams(weight, bias))
-    w_cal, b_cal = calibrate_weights(weight, bias, stats, groups)
-    y_cal = ops.conv2d(x_raw, ops.ConvParams(
-        w_cal, b_cal, pad_value=branch_pad_values(stats, groups)))
+    w_cal, b_cal, pad = calibrate_weights(weight, bias, stats, groups)
+    y_cal = ops.conv2d(x_raw, ops.ConvParams(w_cal, b_cal, pad_value=pad))
     pre = float(np.max(np.abs(y_inj - y_cal)))
 
     gamma, beta = gen.uniform(0.5, 1.5, cout), gen.uniform(-0.5, 0.5, cout)
-    w_skip, b_skip = calibrate_weights(weight, bias, stats, groups, bias_skip=True)
+    w_skip, b_skip, _ = calibrate_weights(weight, bias, stats, groups, bias_skip=True)
     z_inj = ops.batchnorm(ops.conv2d(x_eq, ops.ConvParams(weight, bias)),
                           gamma, beta)
-    z_cal = ops.batchnorm(ops.conv2d(x_raw, ops.ConvParams(
-        w_skip, b_skip, pad_value=branch_pad_values(stats, groups))),
-        gamma, beta)
+    z_cal = ops.batchnorm(ops.conv2d(x_raw, ops.ConvParams(w_skip, b_skip, pad_value=pad)),
+                          gamma, beta)
     post = float(np.max(np.abs(z_inj - z_cal)))
     return pre, post
 

@@ -343,13 +343,18 @@ def test_default_config_file_loads():
     ("fig2", "fig2", "align_corners", "maybe"),
     ("train", "equalizer", "equalize", "injectd"),
     ("fig2", "run", "seed", "5%"),              # no interpolation, no traceback
+    ("check", "decoders", "head", "fcnheadd"),   # an entry check does not read
+    ("check", "decoders", "output_stride", "12"),
+    ("check", "decoders", "n_classes", "9"),
+    ("calibrate", "equalizer", "sigma_floor", "-1"),
 ])
 def test_bad_setting_exits_1_before_any_work(tmp_path, monkeypatch, capsys,
                                              command, section, key, value):
     """Each value fails as one error line and exit 1 before the command's
     run starts, so an equalize typo costs no training step."""
     from scaleq import experiments as ex
-    for name in ("run_fig2", "run_head_audit", "run_toy_train"):
+    for name in ("run_fig2", "run_head_audit", "run_toy_train", "run_calibrate",
+                 "run_check"):
         monkeypatch.setattr(ex, name, lambda cfg: pytest.fail("the run started"))
     path = tmp_path / "bad.ini"
     path.write_text(f"[{section}]\n{key} = {value}\n")

@@ -327,6 +327,14 @@ def test_set_equalize_validation():
     with pytest.raises(ContractError):
         model.head.set_equalize("injected",
                                 GlobalStats((0.0, 0.0), (1.0, 1.0), 4))
+    # the fold happens once: a calibrated head refuses any further mode
+    stats = GlobalStats((0.5,), (2.0,), 4)
+    model.head.set_equalize("calibrated", stats)
+    folded = model.head.fusion_block.weight.data.copy()
+    for mode in ("calibrated", "injected", "off"):
+        with pytest.raises(ContractError):
+            model.head.set_equalize(mode, stats)
+    assert np.array_equal(model.head.fusion_block.weight.data, folded)
 
 
 def test_training_reaches_logits_everywhere():

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from scaleq.equalizer import (GlobalStats, StatsAccumulator, accumulate_stats,
-                              branch_pad_values, calibrate_weights, load_stats,
-                              save_stats, scale_equalize, STATS_HEADER)
+from scaleq.equalizer import (GlobalStats, accumulate_stats, branch_moments,
+                              calibrate_weights, load_stats, save_stats,
+                              scale_equalize, STATS_HEADER)
 from scaleq.errors import ContractError, DegenerateFeatureError, FileFormatError
 from scaleq.experiments import equivalence_trial
 from scaleq.tensor import Rng, moments, randn
@@ -25,10 +25,8 @@ def test_scale_equalize_rejects_bad_sigma():
 
 
 def test_accumulator_two_samples():
-    acc = StatsAccumulator(1)
-    acc.add([np.full((1, 1, 2, 2), 1.0)])
-    acc.add([np.full((1, 1, 2, 2), 3.0)])
-    st = acc.finalize()
+    items = [np.full((1, 1, 2, 2), 1.0), np.full((1, 1, 2, 2), 3.0)]
+    st = accumulate_stats(items, lambda b: [b], 1, batch_size=1)
     assert st.mu == (2.0,)
     assert st.sigma == (1.0,)
     assert st.count == 2
@@ -39,35 +37,28 @@ def test_accumulator_merge_and_order():
     rng = Rng(1)
     taps = [[randn((1, 2, 4, 4), 0.1, 1.3, rng.split(f"{i}{j}"))
              for j in range(2)] for i in range(6)]
-    whole, backwards = StatsAccumulator(2), StatsAccumulator(2)
-    for t in taps:
-        whole.add(t)
-    for t in reversed(taps):
-        backwards.add(t)
-    merged = backwards.finalize()
-    ref = whole.finalize()
-    np.testing.assert_allclose(merged.mu, ref.mu, rtol=1e-12)
-    np.testing.assert_allclose(merged.sigma, ref.sigma, rtol=1e-12)
-    assert merged.count == ref.count == 6
+    ref = branch_moments(taps, 2)
+    merged = branch_moments(reversed(taps), 2)
+    for m, r in zip(merged, ref):
+        assert m.mean == pytest.approx(r.mean, rel=1e-12)
+        assert m.variance == pytest.approx(r.variance, rel=1e-12)
+        assert m.count == r.count == 6 * 32
 
 
 def test_accumulator_contracts():
     with pytest.raises(ContractError):
-        StatsAccumulator(0)
-    acc = StatsAccumulator(2)
+        branch_moments([], 0)
     with pytest.raises(ContractError):
-        acc.add([np.zeros((1, 1, 2, 2))])
+        branch_moments([[np.zeros((1, 1, 2, 2))]], 2)
     with pytest.raises(ContractError):
-        acc.finalize()
+        accumulate_stats([np.zeros((1, 1, 2, 2))], lambda b: [b], 2)
 
 
 def test_constant_branch_needs_floor():
-    acc = StatsAccumulator(1)
-    acc.add([np.full((1, 1, 2, 2), 5.0)])
-    acc.add([np.full((1, 1, 2, 2), 5.0)])
+    items = [np.full((1, 1, 2, 2), 5.0)] * 2
     with pytest.raises(DegenerateFeatureError):
-        acc.finalize()
-    st = acc.finalize(sigma_floor=1e-3)
+        accumulate_stats(items, lambda b: [b], 1, batch_size=1)
+    st = accumulate_stats(items, lambda b: [b], 1, batch_size=1, sigma_floor=1e-3)
     assert st.mu == (5.0,)
     assert st.sigma == (1e-3,)
 
@@ -80,19 +71,18 @@ def test_accumulate_stats_matches_manual():
         return [batch, 2.0 * batch]
 
     st = accumulate_stats(items, tap_fn, 2, batch_size=3)
-    # uneven batches of 3/3/1, added one by one; reproduce exactly
-    acc = StatsAccumulator(2)
-    for lo in (0, 3, 6):
-        b = np.concatenate(items[lo:lo + 3], axis=0)
-        acc.add([b, 2.0 * b])
-    ref = acc.finalize()
-    assert st == ref
+    # uneven batches of 3/3/1, merged one by one; reproduce exactly
+    batches = [np.concatenate(items[lo:lo + 3], axis=0) for lo in (0, 3, 6)]
+    ref = branch_moments([[b, 2.0 * b] for b in batches], 2)
+    assert st == GlobalStats(tuple(m.mean for m in ref),
+                             tuple(float(np.sqrt(m.variance)) for m in ref), 7)
 
 
 @pytest.mark.parametrize("batch_size", [1, 3, 8])
 def test_accumulate_stats_independent_of_batch_size(batch_size):
     """A short last batch counts by its element count: 10 items whose last
-    two are shifted by +5 give the whole-dataset moments at any batch size."""
+    two are shifted by +5 give the whole-dataset moments at any batch size,
+    and the count is the number of inputs."""
     rng = Rng(6)
     items = [randn((1, 2, 4, 4), 0.0, 1.0, rng.split(i)) + (5.0 if i >= 8 else 0.0)
              for i in range(10)]
@@ -101,7 +91,7 @@ def test_accumulate_stats_independent_of_batch_size(batch_size):
     np.testing.assert_allclose(st.mu, [ref.mean, 3.0 * ref.mean - 1.0], rtol=1e-12)
     sd = np.sqrt(ref.variance)
     np.testing.assert_allclose(st.sigma, [sd, 3.0 * sd], rtol=1e-12)
-    assert st.count == -(-10 // batch_size)
+    assert st.count == 10
 
 
 def test_accumulate_stats_large_offset():
@@ -124,15 +114,16 @@ def test_accumulate_stats_empty_dataset():
 def test_calibrate_identity_stats_is_noop():
     w = randn((4, 6, 1, 1), 0.0, 1.0, Rng(3))
     st = GlobalStats((0.0, 0.0), (1.0, 1.0), 8)
-    nw, nb = calibrate_weights(w, None, st, [(0, 3), (3, 6)])
+    nw, nb, pad = calibrate_weights(w, None, st, [(0, 3), (3, 6)])
     np.testing.assert_array_equal(nw, w)
     np.testing.assert_array_equal(nb, 0.0)
+    np.testing.assert_array_equal(pad, 0.0)
 
 
 def test_calibrate_scales_groups():
     w = np.full((1, 4, 1, 1), 4.0)
     st = GlobalStats((0.0, 0.0), (2.0, 4.0), 8)
-    nw, _ = calibrate_weights(w, None, st, [(0, 2), (2, 4)])
+    nw, _, _ = calibrate_weights(w, None, st, [(0, 2), (2, 4)])
     np.testing.assert_array_equal(nw[0, :, 0, 0], [2.0, 2.0, 1.0, 1.0])
 
 
@@ -143,12 +134,12 @@ def test_calibrate_bias_formula():
     b = randn((1, 3, 1, 1), 0.0, 1.0, rng.split("b"))[0, :, 0, 0]
     st = GlobalStats((0.5, -1.2), (1.7, 0.3), 8)
     groups = [(0, 2), (2, 5)]
-    nw, nb = calibrate_weights(w, b, st, groups)
+    nw, nb, _ = calibrate_weights(w, b, st, groups)
     expect = b.copy()
     for (a, c), mu, sigma in zip(groups, st.mu, st.sigma):
         expect -= (mu / sigma) * w[:, a:c].sum(axis=(1, 2, 3))
     np.testing.assert_allclose(nb, expect, rtol=1e-12)
-    nw2, nb2 = calibrate_weights(w, b, st, groups, bias_skip=True)
+    nw2, nb2, _ = calibrate_weights(w, b, st, groups, bias_skip=True)
     np.testing.assert_array_equal(nw2, nw)
     np.testing.assert_array_equal(nb2, b)
 
@@ -170,9 +161,14 @@ def test_calibrate_group_validation():
 
 
 def test_branch_pad_values():
+    """Each input channel pads with its branch's mean, and the pad spans
+    pass the same tiling check as the weight groups."""
+    w = np.zeros((2, 5, 3, 3))
     st = GlobalStats((0.25, -3.0), (1.0, 1.0), 8)
-    pv = branch_pad_values(st, [(0, 2), (2, 5)])
+    _, _, pv = calibrate_weights(w, None, st, [(0, 2), (2, 5)])
     np.testing.assert_array_equal(pv, [0.25, 0.25, -3.0, -3.0, -3.0])
+    with pytest.raises(ContractError):
+        calibrate_weights(w, None, st, [(0, 2), (3, 5)])    # gap
 
 
 def test_equivalence_trial_exact():
@@ -202,9 +198,11 @@ def test_stats_bad_header(tmp_path):
 
 
 @pytest.mark.parametrize("row", ["0,1.0,2.", "0,1.0,abc,8", "0,1.0,2.0,8,9",
-                                 "0,1.0,2.0,8", "2,1.0,2.0,8", "x,1.0,2.0,8"])
+                                 "0,1.0,2.0,8", "2,1.0,2.0,8", "x,1.0,2.0,8",
+                                 "1,1.0,2.0,7", "1,1.0,2.0,1"])
 def test_stats_malformed_row(tmp_path, row):
-    """A second row that is cut, non-numeric, too long or not branch 1."""
+    """A second row that is cut, non-numeric, too long, not branch 1, or
+    with another count than the first row."""
     path = tmp_path / "bad.csv"
     path.write_text(f"{STATS_HEADER}\nbranch,mu,sigma,count\n0,0.5,1.5,8\n{row}\n")
     with pytest.raises(FileFormatError):
@@ -212,12 +210,14 @@ def test_stats_malformed_row(tmp_path, row):
 
 
 @pytest.mark.parametrize("text", [
-    f"{STATS_HEADER}\n",                                      # cut after the header
-    f"{STATS_HEADER}\nbranch,mu,sigma,count\n",               # zero rows
-    f"{STATS_HEADER}\n0,0.5,1.5,8\n1,0.5,1.5,8\n",           # no column line
-    f"{STATS_HEADER}\nbranch,sigma,mu,count\n0,0.5,1.5,8\n", # wrong column line
-    f"{STATS_HEADER}\nbranch,mu,sigma,count\n1,0.5,1.5,8\n", # first branch not 0
-])
+    f"{STATS_HEADER}\n",
+    f"{STATS_HEADER}\nbranch,mu,sigma,count\n",
+    f"{STATS_HEADER}\n0,0.5,1.5,8\n1,0.5,1.5,8\n",
+    f"{STATS_HEADER}\nbranch,sigma,mu,count\n0,0.5,1.5,8\n",
+    f"{STATS_HEADER}\nbranch,mu,sigma,count\n1,0.5,1.5,8\n",
+    "# scaleq global-stats v1\nbranch,mu,sigma,count\n0,0.5,1.5,8\n",
+], ids=["cut-after-header", "zero-rows", "no-column-line", "wrong-column-line",
+        "first-branch-not-0", "v1-count-in-batches"])
 def test_stats_bad_layout(tmp_path, text):
     path = tmp_path / "bad.csv"
     path.write_text(text)

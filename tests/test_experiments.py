@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import importlib
 import importlib.util
@@ -285,6 +286,8 @@ def test_run_check_all_ok(tmp_path):
     {"encoder_widths": (4, 8, 0, 8, 8)},
     {"sigma_grid": ()}, {"sigma_grid": (0.2, -0.1)}, {"ratios": ()},
     {"align_corners": "maybe"}, {"equalize": "injectd"},
+    {"head": "fcnheadd"}, {"output_stride": 12}, {"n_classes": 1},
+    {"n_classes": 9}, {"sigma_floor": -1.0}, {"sigma_floor": 0.0},
 ])
 def test_config_value_rules(change):
     """Construction and dataclasses.replace apply the same value rules."""
@@ -301,6 +304,8 @@ def test_config_accepts_the_benchmark_references():
         ExperimentConfig(**entry["config"])
     ExperimentConfig(sigma_grid=(0.0,), ratios=(1,), align_corners="true",
                      equalize="off")
+    # build_head lower-cases the head kind
+    ExperimentConfig(head="PSPHead", output_stride=16, n_classes=6, sigma_floor=1e-3)
 
 
 def test_config_hash_stable_and_sensitive():
@@ -323,3 +328,25 @@ def test_bench_trace_targets_resolve():
         assert callable(owner), (mod_name, attr)
     for attr in spans.AUTODIFF_OPS:
         assert callable(getattr(ad, attr)), attr
+
+
+def test_bench_workloads_api_resolves():
+    """Every program attribute bench/workloads.py reads exists, and every
+    field it reads off its config is an ExperimentConfig field, so a rename
+    fails here and not only in `bench/run.py`."""
+    from scaleq import ops, tensor
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    modules = {"ex": ex, "ad": ad, "ops": ops, "tensor": tensor}
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    reads = {"modules": 0, "config": 0}
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.Attribute):
+            continue
+        owner = ast.unparse(node.value)
+        if owner in modules:
+            assert hasattr(modules[owner], node.attr), f"{owner}.{node.attr}"
+            reads["modules"] += 1
+        elif owner in ("cfg", "self.config"):
+            assert node.attr in fields, f"{owner}.{node.attr}"
+            reads["config"] += 1
+    assert reads["modules"] and reads["config"], reads
