@@ -118,8 +118,11 @@ def load_config(args) -> "ExperimentConfig":
             raise ConfigError(f"config file not found: {args.config}")
         ini = configparser.ConfigParser(interpolation=None)
         try:
-            ini.read(args.config)
-        except configparser.Error as exc:
+            with open(args.config) as f:
+                ini.read_file(f)
+        except OSError as exc:
+            raise ConfigError(f"cannot read {args.config}: {exc.strerror}") from None
+        except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot parse {args.config}: {exc}") from None
         for section in ini.sections():
             for key, raw in ini.items(section):
@@ -138,7 +141,10 @@ def load_config(args) -> "ExperimentConfig":
                   if getattr(args, name, None) is not None)
     cfg = ExperimentConfig(**{name: values[name] for name in fields if name in values})
     if cfg.out_dir:
-        os.makedirs(cfg.out_dir, exist_ok=True)
+        try:
+            os.makedirs(cfg.out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create {cfg.out_dir}: {exc.strerror}") from None
     return cfg
 
 

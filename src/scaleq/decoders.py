@@ -3,7 +3,8 @@
 Each head realizes the general fusion form: parallel branches ending in a
 convolutional unit block, optional bilinear upsampling to a shared size,
 channel concatenation, and a fusion unit block h, followed by a 1x1
-classifier convolution and a final upsampling back to image size.
+classifier convolution and a final upsampling back to the input size.  A
+head defines its branches; the base builds h and the classifier.
 
 All parameters are autodiff Vars so the same forwards serve the moment
 audits, the statistics pass, and the toy training loop; `Module` finds
@@ -40,28 +41,24 @@ class Module:
     torch.nn.Module: a unit's Vars are found by walking its Var, Module,
     list and dict attributes in definition order."""
 
-    def named_params(self, prefix: str = "", seen: set | None = None):
-        """Yield (dotted name, Var) pairs such as "head.fpn_units.8.weight".
-        A Var reachable under two names is yielded once, under the first."""
-        seen = set() if seen is None else seen
+    def named_params(self, prefix: str = ""):
+        """Yield (dotted name, Var) pairs such as "head.fpn_units.8.weight"."""
         for name, value in vars(self).items():
-            yield from _named(prefix + name, value, seen)
+            yield from _named(prefix + name, value)
 
     def params(self) -> list:
         return [p for _, p in self.named_params()]
 
 
-def _named(name: str, value, seen: set):
+def _named(name: str, value):
     if isinstance(value, ad.Var):
-        if id(value) not in seen:
-            seen.add(id(value))
-            yield name, value
+        yield name, value
     elif isinstance(value, Module):
-        yield from value.named_params(name + ".", seen)
+        yield from value.named_params(name + ".")
     elif isinstance(value, (list, dict)):
         items = value.items() if isinstance(value, dict) else enumerate(value)
         for key, item in items:
-            yield from _named(f"{name}.{key}", item, seen)
+            yield from _named(f"{name}.{key}", item)
 
 
 # ---------------------------------------------------------------------------
@@ -179,15 +176,20 @@ class ToyEncoder(Module):
 class _HeadBase(Module):
     """Every head has one fixed configuration.  `branch_channels` is the
     channel width of each concatenation subject, in order; the fusion
-    weight groups and the branch count follow from it.  All upsampling is
-    bilinear with align_corners=False."""
+    block's input width, its weight groups and the branch count follow
+    from it.  The base builds the fusion block and the classifier.  All
+    upsampling is bilinear with align_corners=False."""
 
     kind = None
+    fusion_stream = "fusion"            # rng stream of the fusion block
 
-    def __init__(self, branch_channels):
+    def __init__(self, rng: Rng, branch_channels, channels: int, n_classes: int):
         self.equalize = "off"               # off | injected | calibrated
         self.stats: GlobalStats | None = None
         self.branch_channels = tuple(branch_channels)
+        self.fusion_block = ConvUnit(rng.split(self.fusion_stream),
+                                     sum(self.branch_channels), channels, 3)
+        self.classifier = Classifier(rng.split("cls"), channels, n_classes)
 
     def groups(self):
         """(start, stop) channel spans of each branch in the concatenation."""
@@ -221,14 +223,15 @@ class _HeadBase(Module):
 
     def branches(self, feats: dict):
         """Branch unit blocks and their upsampling, up to the concatenation.
-        Returns (subjects_raw, target_hw, ratios): the post-upsample,
-        pre-equalizer subjects, the image size the logits are restored to,
-        and the realized upsampling ratio of each branch."""
+        Returns (subjects_raw, ratios): the post-upsample, pre-equalizer
+        subjects and the realized upsampling ratio of each branch."""
         raise NotImplementedError
 
     def forward(self, feats: dict) -> HeadOutput:
-        subjects_raw, target_hw, _ = self.branches(feats)
-        return self._finish(subjects_raw, target_hw)
+        subjects_raw, _ = self.branches(feats)
+        ratio, fmap = next(iter(feats.items()))     # input size = size * ratio
+        h, w = ad.as_var(fmap).data.shape[2:]
+        return self._finish(subjects_raw, (h * ratio, w * ratio))
 
     def _finish(self, subjects_raw, target_hw) -> HeadOutput:
         """The head tail: equalize (if injected), concat, fuse, classify,
@@ -252,7 +255,7 @@ class UPerHead(_HeadBase):
     ppm_bins = (1, 2)
 
     def __init__(self, rng: Rng, in_channels: dict, channels: int, n_classes: int):
-        super().__init__((channels,) * 4)
+        super().__init__(rng, (channels,) * 4, channels, n_classes)
         self.laterals = {r: ConvUnit(rng.split(f"lat{r}"), in_channels[r],
                                      channels, 1) for r in (4, 8, 16)}
         self.ppm_units = [ConvUnit(rng.split(f"ppm{b}"), in_channels[32], channels, 1)
@@ -262,8 +265,6 @@ class UPerHead(_HeadBase):
                                 channels, 3)
         self.fpn_units = {r: ConvUnit(rng.split(f"fpn{r}"), channels, channels, 3)
                           for r in (4, 8, 16, 32)}
-        self.fusion_block = ConvUnit(rng.split("fusion"), channels * 4, channels, 3)
-        self.classifier = Classifier(rng.split("cls"), channels, n_classes)
 
     def branches(self, feats: dict):
         if set(feats) != {4, 8, 16, 32}:
@@ -286,8 +287,7 @@ class UPerHead(_HeadBase):
         p = {r: self.fpn_units[r](merged[r]) for r in (4, 8, 16, 32)}
         target = p[4].data.shape[2:]
         subjects_raw = [p[4]] + [ad.upsample_to(p[r], target) for r in (8, 16, 32)]
-        h4, w4 = target
-        return subjects_raw, (h4 * 4, w4 * 4), (1, 2, 4, 8)
+        return subjects_raw, (1, 2, 4, 8)
 
 
 class PSPHead(_HeadBase):
@@ -300,14 +300,11 @@ class PSPHead(_HeadBase):
 
     def __init__(self, rng: Rng, in_channels: int, channels: int, n_classes: int,
                  stride: int):
-        super().__init__((in_channels,) + (channels,) * len(self.bins))
+        super().__init__(rng, (in_channels,) + (channels,) * len(self.bins),
+                         channels, n_classes)
         self.stride = stride
         self.units = [ConvUnit(rng.split(f"bin{b}"), in_channels, channels, 1)
                       for b in self.bins]
-        self.fusion_block = ConvUnit(rng.split("fusion"),
-                                     in_channels + channels * len(self.bins),
-                                     channels, 3)
-        self.classifier = Classifier(rng.split("cls"), channels, n_classes)
 
     def branches(self, feats: dict):
         c5 = ad.as_var(feats[self.stride])
@@ -318,8 +315,7 @@ class PSPHead(_HeadBase):
         for b, unit in zip(self.bins, self.units):
             branch = unit(ad.avgpool_to(c5, (b, b)))
             subjects_raw.append(ad.upsample_to(branch, (h5, w5)))
-        return (subjects_raw, (h5 * self.stride, w5 * self.stride),
-                (1,) + tuple(h5 / b for b in self.bins))
+        return subjects_raw, (1,) + tuple(h5 / b for b in self.bins)
 
 
 class ASPPHead(_HeadBase):
@@ -331,7 +327,7 @@ class ASPPHead(_HeadBase):
 
     def __init__(self, rng: Rng, in_channels: int, channels: int, n_classes: int,
                  stride: int):
-        super().__init__((channels,) * 5)
+        super().__init__(rng, (channels,) * 5, channels, n_classes)
         if 96 % stride:
             raise ConfigError(f"atrous rate 96/{stride} is not an integer")
         a = 96 // stride
@@ -349,8 +345,6 @@ class ASPPHead(_HeadBase):
             else:
                 self.rate_units.append(ConvUnit(sub, in_channels, channels, 3,
                                                 dilation=r))
-        self.fusion_block = ConvUnit(rng.split("fusion"), channels * 5, channels, 3)
-        self.classifier = Classifier(rng.split("cls"), channels, n_classes)
 
     def branches(self, feats: dict):
         c5 = ad.as_var(feats[self.stride])
@@ -358,7 +352,7 @@ class ASPPHead(_HeadBase):
         gap = self.gap_unit(ad.avgpool_to(c5, (1, 1)))
         subjects_raw = [ad.upsample_to(gap, (h5, w5))]
         subjects_raw += [unit(c5) for unit in self.rate_units]
-        return subjects_raw, (h5 * self.stride, w5 * self.stride), (h5, 1, 1, 1, 1)
+        return subjects_raw, (h5, 1, 1, 1, 1)
 
 
 class SepASPPHead(ASPPHead):
@@ -368,23 +362,19 @@ class SepASPPHead(ASPPHead):
 
 class FCNHead(_HeadBase):
     """No-fusion baseline: two unit blocks on C5, then the classifier.  The
-    second unit block plays the role of h over a single ratio-1 subject."""
+    second unit block is the fusion block, h over a single ratio-1 subject."""
 
     kind = "fcnhead"
+    fusion_stream = "blk1"
 
     def __init__(self, rng: Rng, in_channels: int, channels: int, n_classes: int,
                  stride: int):
-        super().__init__((channels,))
+        super().__init__(rng, (channels,), channels, n_classes)
         self.stride = stride
-        self.blocks = [ConvUnit(rng.split("blk0"), in_channels, channels, 3),
-                       ConvUnit(rng.split("blk1"), channels, channels, 3)]
-        self.fusion_block = self.blocks[-1]
-        self.classifier = Classifier(rng.split("cls"), channels, n_classes)
+        self.unit = ConvUnit(rng.split("blk0"), in_channels, channels, 3)
 
     def branches(self, feats: dict):
-        y = ad.as_var(feats[self.stride])
-        h5, w5 = y.data.shape[2:]
-        return [self.blocks[0](y)], (h5 * self.stride, w5 * self.stride), (1,)
+        return [self.unit(ad.as_var(feats[self.stride]))], (1,)
 
 
 class SegModel(Module):
@@ -398,8 +388,8 @@ class SegModel(Module):
         return self.head.forward(self.encoder.forward(images))
 
     def branches(self, images):
-        """Encoder plus the head's branches: (subjects_raw, target_hw,
-        ratios), without the fusion block, classifier or logits upsample."""
+        """Encoder plus the head's branches: (subjects_raw, ratios),
+        without the fusion block, classifier or logits upsample."""
         return self.head.branches(self.encoder.forward(images))
 
     def tap_fn(self, batch) -> list:
@@ -409,7 +399,6 @@ class SegModel(Module):
 
 def build_head(kind: str, rng: Rng, encoder: ToyEncoder, channels: int,
                n_classes: int):
-    kind = kind.lower()
     if kind == "uperhead":
         return UPerHead(rng, encoder.stage_channels(), channels, n_classes)
     stride = encoder.output_stride

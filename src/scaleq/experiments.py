@@ -18,10 +18,11 @@ from . import autodiff as ad
 from . import ops
 from .decoders import (EQUALIZE_MODES, HEAD_KINDS, OUTPUT_STRIDES, SegModel,
                        ToyEncoder, build_head)
-from .equalizer import accumulate_stats, branch_moments, scale_equalize
+from .equalizer import (GlobalStats, accumulate_stats, branch_moments,
+                        calibrate_weights, save_stats, scale_equalize)
 from .errors import ConfigError, ContractError
 from .ops import UpsampleMode
-from .tensor import Rng, moments, randn
+from .tensor import Rng, moments, randn, save_tensor
 
 RELU_BN_MEAN = 1.0 / math.sqrt(2.0 * math.pi)          # E[ReLU(BN(Wx))]
 RELU_BN_VAR = (math.pi - 1.0) / (2.0 * math.pi)        # Var[ReLU(BN(Wx))]
@@ -72,7 +73,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown align_corners {self.align_corners!r}")
         if self.equalize not in EQUALIZE_MODES:
             raise ConfigError(f"unknown equalize mode {self.equalize!r}")
-        if self.head.lower() not in HEAD_KINDS:
+        if self.head not in HEAD_KINDS:
             raise ConfigError(f"unknown head kind {self.head!r}")
         if self.output_stride not in OUTPUT_STRIDES:
             raise ConfigError(f"output_stride {self.output_stride} is not in {OUTPUT_STRIDES}")
@@ -102,11 +103,10 @@ def write_csv(path, rows) -> None:
 
 
 def write_summary(path, config: ExperimentConfig, checks: dict) -> None:
-    import numpy
     payload = {
         "config": asdict(config),
         "config_hash": config.hash(),
-        "versions": {"numpy": numpy.__version__},
+        "versions": {"numpy": np.__version__},
         "checks": checks,
     }
     with open(path, "w") as f:
@@ -300,7 +300,7 @@ def gen_synthetic_dataset(seed: int, n: int, n_classes: int = 4,
 
 def build_model(config: ExperimentConfig, seed: int, head_kind: str | None = None,
                 equalize: str = "off", stats=None) -> SegModel:
-    head_kind = (head_kind or config.head).lower()
+    head_kind = head_kind or config.head
     rng = Rng(seed).split("model")
     stride = None if head_kind == "uperhead" else config.output_stride
     enc = ToyEncoder(rng.split("enc"), config.encoder_widths, stride)
@@ -349,7 +349,7 @@ def run_head_audit(config: ExperimentConfig, head_kind: str | None = None) -> di
     The equalizers sit between the upsampling and the concatenation, so
     both arms share the encoder and branches: each seed computes them once
     and runs only the head tail (concat, fusion, classifier) per arm."""
-    head_kind = (head_kind or config.head).lower()
+    head_kind = head_kind or config.head
     chash = config.hash()
     size = head_input_size(config, head_kind)
     images = [s.image for s in
@@ -370,7 +370,7 @@ def run_head_audit(config: ExperimentConfig, head_kind: str | None = None) -> di
 
         stats = accumulate_stats(images, keep_taps, head.n_branches,
                                  config.stats_batch, config.sigma_floor)
-        subjects_raw, target_hw, ratios = model.branches(audit_batch)
+        subjects_raw, ratios = model.branches(audit_batch)
         subjects = [ad.Var(s.data) for s in subjects_raw]
         subj_m = [moments(s.data) for s in subjects]
         # each subject is its source upsampled by its ratio, so a 1x1 source
@@ -382,7 +382,7 @@ def run_head_audit(config: ExperimentConfig, head_kind: str | None = None) -> di
         jac_vars = [m.variance for m in subj_m]
         spread = max(jac_vars) / min(jac_vars)
         _, loss_grad_vars = _tail_grad_vars(
-            head, subjects, target_hw, Rng(seed).split("audit-up"))
+            head, subjects, audit_batch.shape[2:], Rng(seed).split("audit-up"))
 
         # "injected" leaves the weights alone, so the same model serves
         # as the equalized arm
@@ -392,7 +392,7 @@ def run_head_audit(config: ExperimentConfig, head_kind: str | None = None) -> di
                     in zip(batch_taps, stats.mu, stats.sigma)] for batch_taps in taps)
         acc_mom = branch_moments(eq_taps, head.n_branches)
         eq_out, eq_loss_grad_vars = _tail_grad_vars(
-            head, subjects, target_hw, Rng(seed).split("audit-up"))
+            head, subjects, audit_batch.shape[2:], Rng(seed).split("audit-up"))
         eq_jac_vars = [moments(s.data).variance for s in eq_out.subjects]
         eq_spread = max(eq_jac_vars) / min(eq_jac_vars)
 
@@ -514,8 +514,8 @@ def _train_arm(config: ExperimentConfig, samples, arm: str) -> list[dict]:
 
 
 def run_toy_train(config: ExperimentConfig) -> dict:
-    samples = gen_synthetic_dataset(config.seed, config.dataset_size,
-                                    config.n_classes, config.image_size)
+    samples = gen_synthetic_dataset(config.seed, config.dataset_size, config.n_classes,
+                                    head_input_size(config, config.head))
     arms = ("baseline",) if config.equalize == "off" else ("baseline", "equalized")
     rows = []
     for arm in arms:
@@ -552,8 +552,6 @@ def equivalence_trial(rng: Rng):
     injected-equalizer fusion and calibrated-weight fusion, before BN (with
     bias correction) and after batch-stats BN (with bias skip).
     """
-    from .equalizer import GlobalStats, calibrate_weights
-
     n_branches, shape, c, cout = 3, (4, 6, 10, 10), 6, 8
     gen = rng.generator()
     raw, eq, mus, sigmas = [], [], [], []
@@ -607,25 +605,20 @@ def run_calibrate(config: ExperimentConfig) -> dict:
     """Statistics pass over a synthetic dataset, fold the equalizers into
     the fusion weight, and verify the calibrated head matches the injected
     one on a held-out batch."""
-    from .equalizer import save_stats
-    from .tensor import save_tensor
-
-    head_kind = config.head.lower()
+    head_kind = config.head
     size = head_input_size(config, head_kind)
     images = [s.image for s in
               gen_synthetic_dataset(config.seed, config.dataset_size,
                                     config.n_classes, size)]
-    inj = build_model(config, config.seed, head_kind)
-    stats = model_stats(inj, images, config.stats_batch, config.sigma_floor)
-    # "injected" leaves the weights alone; calibration rescales them in
-    # place, so the calibrated arm is its own build
-    inj.head.set_equalize("injected", stats)
-    cal = build_model(config, config.seed, head_kind, "calibrated", stats)
+    model = build_model(config, config.seed, head_kind)
+    stats = model_stats(model, images, config.stats_batch, config.sigma_floor)
     batch = np.concatenate(images[:config.stats_batch], axis=0)
-    diff = float(np.max(np.abs(inj.forward(batch).logits.data
-                               - cal.forward(batch).logits.data)))
+    model.head.set_equalize("injected", stats)
+    injected = model.forward(batch).logits.data
+    model.head.set_equalize("calibrated", stats)
+    diff = float(np.max(np.abs(injected - model.forward(batch).logits.data)))
     out = {
-        "head": head_kind, "n_branches": cal.head.n_branches,
+        "head": head_kind, "n_branches": model.head.n_branches,
         "mu": list(stats.mu), "sigma": list(stats.sigma),
         "stats_count": stats.count,
         "all_sigma_positive": all(s > 0 for s in stats.sigma),
@@ -636,7 +629,7 @@ def run_calibrate(config: ExperimentConfig) -> dict:
         stats_path = f"{config.out_dir}/stats_{head_kind}.csv"
         ckpt_path = f"{config.out_dir}/fusion_weight_{head_kind}.seqt"
         save_stats(stats_path, stats)
-        save_tensor(ckpt_path, cal.head.fusion_block.weight.data)
+        save_tensor(ckpt_path, model.head.fusion_block.weight.data)
         out["stats_path"] = stats_path
         out["checkpoint_path"] = ckpt_path
         write_summary(f"{config.out_dir}/calibrate_summary.json", config, out)

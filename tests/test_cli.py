@@ -76,6 +76,24 @@ def test_missing_config_file_exits_1(capsys):
     assert "config file not found" in capsys.readouterr().err
 
 
+def test_unreadable_config_file_exits_1(tmp_path, capsys):
+    """A config path that exists but is not a readable text file (a
+    directory, binary bytes) is one error line, not a traceback."""
+    binary = tmp_path / "binary.ini"
+    binary.write_bytes(b"\xdb\xff\x00")
+    for path in (tmp_path, binary):
+        assert main(["check", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "Traceback" not in err
+
+
+def test_uncreatable_out_dir_exits_1(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    assert main(["check", "--out", str(tmp_path / "file" / "sub")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "Traceback" not in err
+
+
 def test_unknown_config_key_exits_1(tmp_path, capsys):
     path = tmp_path / "bad.ini"
     for entry in ("seeed = 1", "precision = f64"):     # a typo, a deleted key
@@ -344,6 +362,7 @@ def test_default_config_file_loads():
     ("train", "equalizer", "equalize", "injectd"),
     ("fig2", "run", "seed", "5%"),              # no interpolation, no traceback
     ("check", "decoders", "head", "fcnheadd"),   # an entry check does not read
+    ("check", "decoders", "head", "PSPHead"),    # one spelling, as --head takes
     ("check", "decoders", "output_stride", "12"),
     ("check", "decoders", "n_classes", "9"),
     ("calibrate", "equalizer", "sigma_floor", "-1"),

@@ -36,7 +36,7 @@ def test_uperhead_output_shape():
     out, x = forward(model, (2, 3, 64, 64))
     assert out.logits.data.shape == (2, 4, 64, 64)
     assert len(out.subjects_raw) == 4
-    assert model.branches(x)[2] == (1, 2, 4, 8)
+    assert model.branches(x)[1] == (1, 2, 4, 8)
     # all subjects live on the P2 grid (64/4 = 16)
     for s in out.subjects_raw:
         assert s.data.shape == (2, 16, 16, 16)
@@ -49,7 +49,7 @@ def test_psphead_output_shape():
     assert len(out.subjects_raw) == 5             # C5 + bins (1, 2, 3, 6)
     for s in out.subjects_raw:
         assert s.data.shape[2:] == (6, 6)
-    assert model.branches(x)[2] == (1, 6, 3, 2, 1)
+    assert model.branches(x)[1] == (1, 6, 3, 2, 1)
 
 
 def test_aspp_rates_follow_stride():
@@ -74,7 +74,7 @@ def test_fcnhead_single_branch():
     out, x = forward(model, (1, 3, 48, 48))
     assert out.logits.data.shape == (1, 4, 48, 48)
     assert len(out.subjects_raw) == 1
-    assert model.branches(x)[2] == (1,)
+    assert model.branches(x)[1] == (1,)
 
 
 def test_aspp_rejects_bad_stride():
@@ -110,7 +110,8 @@ def test_forward_is_finish_of_branches(kind):
     shape = (2, 3, 64, 64) if kind == "uperhead" else (2, 3, 48, 48)
     x = randn(shape, 0.0, 1.0, Rng(19))
     full = model.forward(x).logits.data
-    tail = model.head._finish(*model.branches(x)[:2]).logits.data
+    subjects, _ = model.branches(x)
+    tail = model.head._finish(subjects, x.shape[2:]).logits.data
     assert np.array_equal(full, tail)
 
 
@@ -152,8 +153,8 @@ def _reachable_vars(obj, found, visited):
 
 def test_named_params():
     """Unique dotted names, each trainable Var of the model exactly once
-    (FCNHead's fusion block is also its last unit block), at the parameter
-    counts of the default experiment configuration."""
+    and under one name, at the parameter counts of the default experiment
+    configuration."""
     counts = {"uperhead": 50, "psphead": 26, "aspphead": 29, "sepaspphead": 32,
               "fcnhead": 17}
     for kind, count in counts.items():
@@ -162,6 +163,7 @@ def test_named_params():
         names = [name for name, _ in named]
         assert len(names) == len(set(names)), kind
         assert [p for _, p in named] == model.params()
+        assert len({id(p) for _, p in named}) == len(named), kind
         found = {}
         _reachable_vars(model, found, set())
         assert ({id(p) for _, p in named}
@@ -173,7 +175,8 @@ def test_named_params():
     assert "head.fpn_units.8.weight" in names
     model = ex.build_model(ExperimentConfig(), 0, "fcnhead")
     fusion = model.head.fusion_block.weight
-    assert [n for n, p in model.named_params() if p is fusion] == ["head.blocks.1.weight"]
+    names = [n for n, p in model.named_params() if p is fusion]
+    assert names == ["head.fusion_block.weight"]
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +314,9 @@ def test_tail_fusion_grad_matches_full_backward(kind, mode):
     ad.backward(ad.dot_const(out.logits, upstream))
     full = weight.grad
 
-    subjects, target_hw, _ = model.branches(x)
+    subjects, _ = model.branches(x)
     weight.grad = None
-    out = model.head._finish([ad.Var(s.data) for s in subjects], target_hw)
+    out = model.head._finish([ad.Var(s.data) for s in subjects], x.shape[2:])
     ad.backward(ad.dot_const(out.logits, upstream))
     assert np.array_equal(weight.grad, full)
 

@@ -228,6 +228,18 @@ def test_toy_train_step_runs_both_conv_kernels(monkeypatch):
     assert set(calls) == {"_conv_taps", "_conv_taps_weight_grad", "_im2col"}
 
 
+def test_toy_train_at_the_head_input_size():
+    """At output stride 16 a 48x48 image gives PSPHead a 3x3 C5, below its
+    largest bin, so training runs at head_input_size (96x96), as audit and
+    calibrate do."""
+    cfg = quick_config(head="psphead", output_stride=16, train_steps=2,
+                       dataset_size=8)
+    assert ex.head_input_size(cfg, cfg.head) == 96
+    checks = ex.run_toy_train(cfg)["checks"]
+    assert all(c["all_finite"] for c in checks.values())
+    assert set(checks) == {"baseline", "equalized"}
+
+
 def test_toy_train_reference_final_loss():
     """The equalized-arm loss recorded as the benchmark's reference."""
     cfg = ExperimentConfig(seed=0, dataset_size=32, train_steps=3)
@@ -286,8 +298,8 @@ def test_run_check_all_ok(tmp_path):
     {"encoder_widths": (4, 8, 0, 8, 8)},
     {"sigma_grid": ()}, {"sigma_grid": (0.2, -0.1)}, {"ratios": ()},
     {"align_corners": "maybe"}, {"equalize": "injectd"},
-    {"head": "fcnheadd"}, {"output_stride": 12}, {"n_classes": 1},
-    {"n_classes": 9}, {"sigma_floor": -1.0}, {"sigma_floor": 0.0},
+    {"head": "fcnheadd"}, {"head": "PSPHead"}, {"output_stride": 12},
+    {"n_classes": 1}, {"n_classes": 9}, {"sigma_floor": -1.0}, {"sigma_floor": 0.0},
 ])
 def test_config_value_rules(change):
     """Construction and dataclasses.replace apply the same value rules."""
@@ -304,8 +316,6 @@ def test_config_accepts_the_benchmark_references():
         ExperimentConfig(**entry["config"])
     ExperimentConfig(sigma_grid=(0.0,), ratios=(1,), align_corners="true",
                      equalize="off")
-    # build_head lower-cases the head kind
-    ExperimentConfig(head="PSPHead", output_stride=16, n_classes=6, sigma_floor=1e-3)
 
 
 def test_config_hash_stable_and_sensitive():
