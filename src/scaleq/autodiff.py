@@ -2,8 +2,9 @@
 
 Define-by-run: every call records a node with its parents and a backward
 closure; `backward` replays them in reverse topological order.  The graph
-is rebuilt per forward pass.  A central finite-difference oracle is
-provided for verification.
+is rebuilt per forward pass, and backward runs once over it: a conv node
+drops the forward operand it keeps for its weight gradient.  A central
+finite-difference oracle is provided for verification.
 """
 
 from __future__ import annotations
@@ -175,19 +176,33 @@ def avgpool_to(x: Var, out_size) -> Var:
 
 def conv2d(x: Var, weight: Var, bias: Var | None = None, *, stride: int = 1,
            dilation: int = 1, groups: int = 1, pad_value=0.0) -> Var:
+    """Convolution node.  The operand the forward multiplies (the flat
+    frame or the im2col columns, see ops._conv_operand) is built once, and
+    the weight gradient takes it.  The node keeps it only while the weight
+    requires a gradient, and the backward drops it once used, so a second
+    backward through the node raises ContractError."""
     x, weight = as_var(x), as_var(weight)
     p = ops.ConvParams(weight.data, None if bias is None else bias.data,
                        stride, dilation, groups, pad_value)
     parents = (x, weight) if bias is None else (x, weight, bias)
+    operand = ops._conv_operand(x.data, p)
+    out = ops.conv2d(x.data, p, operand)
+    if not weight.requires_grad:
+        operand = None
 
     def bwd(g):
+        nonlocal operand
+        if weight.requires_grad and operand is None:
+            raise ContractError("backward already ran through this conv2d "
+                                "node and dropped its forward operand")
         if bias is not None:
             _accum(bias, g.sum(axis=(0, 2, 3)))
         if weight.requires_grad:
-            _accum(weight, ops._conv_weight_grad(x.data, p, g))
+            _accum(weight, ops._conv_weight_grad(operand, p, g))
+            operand = None      # freed before dX allocates its grid
         if x.requires_grad:
             _accum(x, ops._conv_input_grad(x.data.shape, p, g))
-    return _node(ops.conv2d(x.data, p), parents, bwd, "conv2d")
+    return _node(out, parents, bwd, "conv2d")
 
 
 def batchnorm(x: Var, gamma: Var, beta: Var) -> Var:

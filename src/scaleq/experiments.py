@@ -328,15 +328,14 @@ def head_input_size(config: ExperimentConfig, head_kind: str) -> int:
 # head audit
 # ---------------------------------------------------------------------------
 
-def _tail_grad_vars(head, subjects, target_hw, rng: Rng):
+def _tail_grad_vars(head, subjects, target_hw, upstream: np.ndarray):
     """Run the head tail on constant subjects and return its output with the
-    per-group variance of the fusion-weight gradient under a random
-    scalarization of the logits.  The subjects carry no tape, so backward
-    stops at the concatenation."""
+    per-group variance of the fusion-weight gradient under the
+    scalarization sum(logits * upstream).  The subjects carry no tape, so
+    backward stops at the concatenation."""
     weight = head.fusion_block.weight
     weight.grad = None
     out = head._finish(subjects, target_hw)
-    upstream = randn(out.logits.data.shape, 0.0, 1.0, rng)
     ad.backward(ad.dot_const(out.logits, upstream))
     return out, [m.variance for m in ad.grad_group_moments(weight.grad, head.groups())]
 
@@ -371,7 +370,10 @@ def run_head_audit(config: ExperimentConfig, head_kind: str | None = None) -> di
         stats = accumulate_stats(images, keep_taps, head.n_branches,
                                  config.stats_batch, config.sigma_floor)
         subjects_raw, ratios = model.branches(audit_batch)
+        # only the data is kept: the forward-only branch tape, and the conv
+        # operands its nodes hold for a backward, are freed here
         subjects = [ad.Var(s.data) for s in subjects_raw]
+        del subjects_raw
         subj_m = [moments(s.data) for s in subjects]
         # each subject is its source upsampled by its ratio, so a 1x1 source
         # gives a spatially constant (broadcast) subject with nothing to smooth
@@ -381,8 +383,12 @@ def run_head_audit(config: ExperimentConfig, head_kind: str | None = None) -> di
         # subject's variance on the audit batch
         jac_vars = [m.variance for m in subj_m]
         spread = max(jac_vars) / min(jac_vars)
+        # one random scalarization of the logits serves both arms
+        upstream = randn((len(audit_batch), config.n_classes,
+                          *audit_batch.shape[2:]), 0.0, 1.0,
+                         Rng(seed).split("audit-up"))
         _, loss_grad_vars = _tail_grad_vars(
-            head, subjects, audit_batch.shape[2:], Rng(seed).split("audit-up"))
+            head, subjects, audit_batch.shape[2:], upstream)
 
         # "injected" leaves the weights alone, so the same model serves
         # as the equalized arm
@@ -392,7 +398,7 @@ def run_head_audit(config: ExperimentConfig, head_kind: str | None = None) -> di
                     in zip(batch_taps, stats.mu, stats.sigma)] for batch_taps in taps)
         acc_mom = branch_moments(eq_taps, head.n_branches)
         eq_out, eq_loss_grad_vars = _tail_grad_vars(
-            head, subjects, audit_batch.shape[2:], Rng(seed).split("audit-up"))
+            head, subjects, audit_batch.shape[2:], upstream)
         eq_jac_vars = [moments(s.data).variance for s in eq_out.subjects]
         eq_spread = max(eq_jac_vars) / min(eq_jac_vars)
 
@@ -464,15 +470,23 @@ def audit_checks(head_kind: str, n_branches: int, seed_summaries) -> dict:
 # ---------------------------------------------------------------------------
 
 def _pixel_metrics(logits: np.ndarray, labels: np.ndarray, n_classes: int):
-    pred = logits.argmax(axis=1)
-    acc = float((pred == labels).mean())
-    ious = []
-    for c in range(n_classes):
-        inter = np.logical_and(pred == c, labels == c).sum()
-        union = np.logical_or(pred == c, labels == c).sum()
-        if union:
-            ious.append(inter / union)
-    return acc, float(np.mean(ious)) if ious else 0.0
+    """Pixel accuracy and the mean IoU over the classes in the prediction or
+    the labels, from one confusion count.  The prediction is the class
+    argmax by a strict `>` chain, so a tie keeps the lower class, as
+    `argmax` does."""
+    best = logits[:, 0]
+    pred = np.zeros(best.shape, dtype=np.intp)
+    for c in range(1, n_classes):
+        pred[logits[:, c] > best] = c
+        best = np.maximum(best, logits[:, c])
+    confusion = np.bincount((pred * n_classes + labels).ravel(),
+                            minlength=n_classes * n_classes)
+    confusion = confusion.reshape(n_classes, n_classes)
+    inter = np.diagonal(confusion)
+    union = confusion.sum(axis=0) + confusion.sum(axis=1) - inter
+    present = union > 0
+    acc = float(inter.sum() / labels.size)
+    return acc, float(np.mean(inter[present] / union[present])) if present.any() else 0.0
 
 
 def _train_arm(config: ExperimentConfig, samples, arm: str) -> list[dict]:

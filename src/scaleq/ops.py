@@ -13,12 +13,13 @@ widen the channels, such as the fusion conv over the concatenated
 branches, runs one (Cout, Cin) matmul per kernel tap on a contiguous
 slice of the flat padded frame (kn2row-aa, Anderson et al., 2017).  Every
 other conv multiplies the weight with an im2col column matrix
-(Chellapilla et al., 2006).  The weight gradient follows the same rule.
-dX is the transposed convolution (Dumoulin & Visin, 2016).  Same padding
-of an odd square kernel is symmetric, so at stride 1 dX is this forward
-convolution of G with the group-transposed, spatially flipped kernel; at
-a larger stride each kernel tap scatters W^T G onto its strided window of
-the padded grid.
+(Chellapilla et al., 2006).  `_conv_operand` builds that frame or column
+matrix, and the weight gradient takes the forward's operand rather than
+building it again.  dX is the transposed convolution (Dumoulin & Visin,
+2016).  Same padding of an odd square kernel is symmetric, so at stride 1
+dX is this forward convolution of G with the group-transposed, spatially
+flipped kernel; at a larger stride each kernel tap scatters W^T G onto its
+strided window of the padded grid.
 
 Upsampled moments never materialize the output.  Each row of an axis
 matrix reads at most two adjacent source pixels, so A^T A is tridiagonal
@@ -282,14 +283,12 @@ def _conv_taps_weight_grad(frame: np.ndarray, g: np.ndarray, kh: int, kw: int,
     return dw
 
 
-def conv2d(x: np.ndarray, p: ConvParams) -> np.ndarray:
-    """Cross-correlation with dilation and groups.  Where _use_taps holds it
-    is one matmul per kernel tap on the flat frame; otherwise one batched
-    matmul of the (1, G, Cout/G, K) weight view with the im2col column
-    matrix."""
+def _conv_plan(x: np.ndarray, p: ConvParams):
+    """(pad, Ho, Wo, taps) of conv2d(x, p), with taps whether _use_taps
+    holds; rejects an input, weight and group count that do not fit."""
     _check_nchw(x)
-    n, c, h, w = x.shape
-    cout, cin_g, kh, kw = p.weight.shape
+    c, w = x.shape[1], x.shape[3]
+    cout, cin_g = p.weight.shape[:2]
     if c != cin_g * p.groups:
         raise ShapeError(
             f"input channels {c} incompatible with weight {p.weight.shape} "
@@ -297,35 +296,57 @@ def conv2d(x: np.ndarray, p: ConvParams) -> np.ndarray:
     if cout % p.groups != 0:
         raise ShapeError("out channels must be divisible by groups")
     pad, ho, wo = _conv_geometry(x.shape, p.weight.shape, p.stride, p.dilation)
-    wp = w + 2 * pad
-    if _use_taps(p.weight.shape, p.stride, p.groups, wp, wo):
-        frame = _flat_frame(x, pad, p.pad_value, kw, p.dilation)
-        y = _conv_taps(frame, p.weight, ho, wo, wp, p.dilation)
+    return pad, ho, wo, _use_taps(p.weight.shape, p.stride, p.groups,
+                                  w + 2 * pad, wo)
+
+
+def _conv_operand(x: np.ndarray, p: ConvParams) -> np.ndarray:
+    """The lowered input that conv2d(x, p) multiplies with the weight, and
+    that its weight gradient reads: the flat padded frame where _use_taps
+    holds, the im2col column matrix otherwise."""
+    pad, ho, wo, taps = _conv_plan(x, p)
+    kh, kw = p.weight.shape[2:]
+    if taps:
+        return _flat_frame(x, pad, p.pad_value, kw, p.dilation)
+    return _im2col(_pad_input(x, pad, p.pad_value), p.groups, kh, kw, ho, wo,
+                   p.stride, p.dilation)
+
+
+def conv2d(x: np.ndarray, p: ConvParams,
+           operand: np.ndarray | None = None) -> np.ndarray:
+    """Cross-correlation with dilation and groups.  Where _use_taps holds it
+    is one matmul per kernel tap on the flat frame; otherwise one batched
+    matmul of the (1, G, Cout/G, K) weight view with the im2col column
+    matrix.  operand is _conv_operand(x, p) when the caller has built it
+    already; otherwise it is built here."""
+    pad, ho, wo, taps = _conv_plan(x, p)
+    if operand is None:
+        operand = _conv_operand(x, p)
+    n, w = x.shape[0], x.shape[3]
+    cout = p.weight.shape[0]
+    if taps:
+        y = _conv_taps(operand, p.weight, ho, wo, w + 2 * pad, p.dilation)
     else:
-        cols = _im2col(_pad_input(x, pad, p.pad_value), p.groups, kh, kw, ho, wo,
-                       p.stride, p.dilation)
-        y = p.weight.reshape(1, p.groups, cout // p.groups, -1) @ cols
+        y = p.weight.reshape(1, p.groups, cout // p.groups, -1) @ operand
     y = y.reshape(n, cout, ho, wo).astype(x.dtype, copy=False)
     if p.bias is not None:
         y += np.asarray(p.bias, dtype=y.dtype).reshape(1, cout, 1, 1)
     return y
 
 
-def _conv_weight_grad(x: np.ndarray, p: ConvParams, g: np.ndarray) -> np.ndarray:
-    """Weight gradient of conv2d(x, p) for the output gradient g, by the
-    kernel conv2d picks: per tap on the flat frame, or from the im2col
-    column matrix.  The columns live only here, so they are freed before
-    dX allocates its grid."""
-    n, _, _, w = x.shape
-    cout, _, kh, kw = p.weight.shape
-    pad, ho, wo = _conv_geometry(x.shape, p.weight.shape, p.stride, p.dilation)
-    if _use_taps(p.weight.shape, p.stride, p.groups, w + 2 * pad, wo):
-        frame = _flat_frame(x, pad, p.pad_value, kw, p.dilation)
-        return _conv_taps_weight_grad(frame, g, kh, kw, w + 2 * pad, p.dilation)
-    cols = _im2col(_pad_input(x, pad, p.pad_value), p.groups, kh, kw, ho, wo,
-                   p.stride, p.dilation)
+def _conv_weight_grad(operand: np.ndarray, p: ConvParams,
+                      g: np.ndarray) -> np.ndarray:
+    """Weight gradient of conv2d for the output gradient g, from the
+    operand the forward multiplied (_conv_operand): per tap on a 3-D flat
+    frame, whose rows are Wo + 2*pad wide because the taps run at stride 1,
+    or from a 4-D im2col column matrix."""
+    n, cout, ho, wo = g.shape
+    kh, kw = p.weight.shape[2:]
+    if operand.ndim == 3:
+        wp = wo + 2 * same_padding(kh, p.dilation)
+        return _conv_taps_weight_grad(operand, g, kh, kw, wp, p.dilation)
     gr = g.reshape(n, p.groups, cout // p.groups, ho * wo)
-    return (gr @ cols.swapaxes(2, 3)).sum(axis=0).reshape(p.weight.shape)
+    return (gr @ operand.swapaxes(2, 3)).sum(axis=0).reshape(p.weight.shape)
 
 
 def _conv_input_grad(x_shape, p: ConvParams, g: np.ndarray) -> np.ndarray:

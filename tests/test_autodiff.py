@@ -47,6 +47,19 @@ def test_backward_requires_scalar_loss():
         ad.backward(ad.relu(v))
 
 
+@pytest.mark.parametrize("cout", [2, 6])
+def test_second_backward_through_conv_raises(cout):
+    """The conv node drops its forward operand (the tap kernel's flat frame
+    for 4 -> 2, the im2col columns for 4 -> 6) in its first backward."""
+    rng = Rng(99)
+    x = ad.Var(randn((1, 4, 5, 5), 0.0, 1.0, rng.split("x")), requires_grad=True)
+    w = ad.Var(randn((cout, 4, 3, 3), 0.0, 1.0, rng.split("w")), requires_grad=True)
+    loss = ad.sum_sq(ad.conv2d(x, w))
+    ad.backward(loss)
+    with pytest.raises(ContractError):
+        ad.backward(loss)
+
+
 def test_grad_add():
     rng = Rng(100)
     y = randn((1, 2, 3, 3), 0.0, 1.0, rng.split("y"))

@@ -215,17 +215,74 @@ def test_toy_train_builds_one_model_per_arm(monkeypatch):
 def test_toy_train_step_runs_both_conv_kernels(monkeypatch):
     """One UPerHead step runs the tap loop (the channel-reducing fusion and
     FPN convs, forward and dW) and im2col (1x1 laterals, strided encoder
-    convs, the fusion conv's channel-expanding dX)."""
+    convs, the fusion conv's channel-expanding dX).  The weight gradient
+    builds no operand: it takes the one the forward built.  ops.conv2d runs
+    once per forward conv and once per stride-1 dX conv."""
     from scaleq import ops
     calls = {}
-    for name in ("_conv_taps", "_conv_taps_weight_grad", "_im2col"):
-        def counting(*args, _name=name, _real=getattr(ops, name)):
-            calls[_name] = calls.get(_name, 0) + 1
-            return _real(*args)
-        monkeypatch.setattr(ops, name, counting)
+    in_weight_grad = []
+
+    def counting(name, real):
+        def counted(*args):
+            calls[name] = calls.get(name, 0) + 1
+            if in_weight_grad:
+                calls[name + " in dW"] = calls.get(name + " in dW", 0) + 1
+            return real(*args)
+        return counted
+
+    for name in ("_conv_taps", "_conv_taps_weight_grad", "_im2col", "_flat_frame",
+                 "conv2d"):
+        monkeypatch.setattr(ops, name, counting(name, getattr(ops, name)))
+    real_weight_grad = ops._conv_weight_grad
+
+    def weight_grad(*args):
+        in_weight_grad.append(True)
+        try:
+            return real_weight_grad(*args)
+        finally:
+            in_weight_grad.pop()
+    monkeypatch.setattr(ops, "_conv_weight_grad", counting("dW", weight_grad))
+    conv_nodes = []
+    real_conv_node = ad.conv2d
+
+    def conv_node(x, *args, **kw):
+        conv_nodes.append((kw.get("stride", 1), ad.as_var(x).requires_grad))
+        return real_conv_node(x, *args, **kw)
+    monkeypatch.setattr(ad, "conv2d", conv_node)
     ex.run_toy_train(quick_config(head="uperhead", image_size=64, train_steps=1,
                                   equalize="off"))
-    assert set(calls) == {"_conv_taps", "_conv_taps_weight_grad", "_im2col"}
+    assert {"_conv_taps", "_conv_taps_weight_grad", "_im2col"} <= set(calls)
+    assert "_im2col in dW" not in calls and "_flat_frame in dW" not in calls
+    assert calls["dW"] == len(conv_nodes)
+    stride1_dx = sum(s == 1 and x_grad for s, x_grad in conv_nodes)
+    assert calls["conv2d"] == len(conv_nodes) + stride1_dx
+
+
+def _pixel_metrics_by_class(logits, labels, n_classes):
+    """The per-class-mask formula _pixel_metrics replaced."""
+    pred = logits.argmax(axis=1)
+    acc = float((pred == labels).mean())
+    ious = []
+    for c in range(n_classes):
+        inter = np.logical_and(pred == c, labels == c).sum()
+        union = np.logical_or(pred == c, labels == c).sum()
+        if union:
+            ious.append(inter / union)
+    return acc, float(np.mean(ious)) if ious else 0.0
+
+
+def test_pixel_metrics_match_the_per_class_formula():
+    """Rounded logits tie often, and argmax keeps the lower class; class 3
+    is neither predicted nor labelled, so it is left out of the mean."""
+    rng = np.random.default_rng(5)
+    logits = np.round(rng.standard_normal((2, 4, 9, 7)))
+    logits[:, 3] = -10.0
+    labels = rng.integers(0, 3, size=(2, 9, 7))
+    assert (logits[:, 0] == logits[:, 1]).any()
+    got = ex._pixel_metrics(logits, labels, 4)
+    assert got == _pixel_metrics_by_class(logits, labels, 4)
+    tied = np.zeros_like(logits)
+    assert ex._pixel_metrics(tied, labels, 4) == _pixel_metrics_by_class(tied, labels, 4)
 
 
 def test_toy_train_at_the_head_input_size():
