@@ -3,11 +3,14 @@
 Define-by-run: every call records a node with its parents and a backward
 closure; `backward` replays them in reverse topological order.  The graph
 is rebuilt per forward pass, and backward runs once over it: a conv node
-drops the forward operand it keeps for its weight gradient.  A central
+drops the forward operand it keeps for its weight gradient.  Forward-only
+passes run under `no_tape()` and record nothing.  A central
 finite-difference oracle is provided for verification.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -43,7 +46,26 @@ def as_var(x) -> Var:
     return x if isinstance(x, Var) else Var(x)
 
 
+_taping = True
+
+
+@contextmanager
+def no_tape():
+    """Run forward-only passes without a tape: while active, every op
+    returns a parentless leaf that requires no gradient, so no backward
+    closure, and no conv operand it holds, outlives the op.  The flag is
+    process-wide and restored on exit, also after an exception."""
+    global _taping
+    saved, _taping = _taping, False
+    try:
+        yield
+    finally:
+        _taping = saved
+
+
 def _node(data, parents, backward, op) -> Var:
+    if not _taping:
+        return Var(data)
     requires = any(p.requires_grad for p in parents)
     return Var(data, requires, parents, backward if requires else None, op)
 

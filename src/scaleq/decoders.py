@@ -393,8 +393,10 @@ class SegModel(Module):
         return self.head.branches(self.encoder.forward(images))
 
     def tap_fn(self, batch) -> list:
-        """Post-upsample, pre-concat branch features of one batch."""
-        return [s.data for s in self.branches(batch)[0]]
+        """Post-upsample, pre-concat branch features of one batch, from a
+        forward pass that records no tape."""
+        with ad.no_tape():
+            return [s.data for s in self.branches(batch)[0]]
 
 
 def build_head(kind: str, rng: Rng, encoder: ToyEncoder, channels: int,

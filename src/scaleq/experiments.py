@@ -138,6 +138,7 @@ def run_fig2(config: ExperimentConfig) -> list[dict]:
                     x = randn(config.shape, RELU_BN_MEAN, sigma, stream)
                     before.append(moments(x).variance)
                     after.append(ops.upsample_moments(x, (r * h, r * w), mode).variance)
+                    del x       # freed before the next draw, so one tensor is live
                 rows.append({
                     "sigma": float(sigma), "r": r,
                     "mode": "align_true" if align else "align_false",
@@ -369,11 +370,8 @@ def run_head_audit(config: ExperimentConfig, head_kind: str | None = None) -> di
 
         stats = accumulate_stats(images, keep_taps, head.n_branches,
                                  config.stats_batch, config.sigma_floor)
-        subjects_raw, ratios = model.branches(audit_batch)
-        # only the data is kept: the forward-only branch tape, and the conv
-        # operands its nodes hold for a backward, are freed here
-        subjects = [ad.Var(s.data) for s in subjects_raw]
-        del subjects_raw
+        with ad.no_tape():
+            subjects, ratios = model.branches(audit_batch)
         subj_m = [moments(s.data) for s in subjects]
         # each subject is its source upsampled by its ratio, so a 1x1 source
         # gives a spatially constant (broadcast) subject with nothing to smooth

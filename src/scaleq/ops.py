@@ -24,7 +24,10 @@ strided window of the padded grid.
 Upsampled moments never materialize the output.  Each row of an axis
 matrix reads at most two adjacent source pixels, so A^T A is tridiagonal
 (diagonal for nearest), and the sum of squares of the centered output is
-a weighted sum of five neighbour products of the centered input.
+a weighted sum of five neighbour products of the centered input.  No
+centred copy of the input is made either: a few rows of every map are
+centred at a time in one reused buffer, and each pixel's sum over the maps
+runs in the order numpy's einsum gives it over the whole tensor.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .errors import InvalidRatioError, ShapeError
 from .tensor import Moments, _check_nchw
 
 BN_EPS = 1e-5
+_BLOCK_ROWS = 4           # rows of every map centred at a time by upsample_moments
 
 
 # ---------------------------------------------------------------------------
@@ -131,21 +135,39 @@ def upsample_moments(x: np.ndarray, out_hw, mode: UpsampleMode = UpsampleMode())
     matrices G = A^T A.  That sum is five neighbour products of Z (the pixel
     with itself, its w- and h-neighbour and its two diagonal neighbours),
     each weighted by the diagonal d or off-diagonal e of the two axes.
-    Centering first keeps the variance exact under large offsets.
+    Centering first keeps the variance exact under large offsets.  Z is
+    centred _BLOCK_ROWS rows at a time, plus the next row for the
+    h-neighbours, so no full-size copy is made.
     """
     h, w, oh, ow = _upsample_hw(x, out_hw)
+    if x.size == 0:
+        raise ShapeError(f"moments of an empty tensor of shape {x.shape}")
     n, c = x.shape[:2]
     sh, dh, eh = _axis_bands(h, oh, mode.kernel, mode.align_corners)
     sw, dw, ew = _axis_bands(w, ow, mode.kernel, mode.align_corners)
     maps = np.asarray(x, dtype=np.float64).reshape(n * c, h, w)
     count = n * c * oh * ow
     mean = float(sh @ maps.sum(axis=0) @ sw) / count
-    z = maps - mean
-    sumsq = (dh @ _map_dot(z, z) @ dw
-             + 2.0 * (dh @ _map_dot(z[:, :, :-1], z[:, :, 1:]) @ ew)
-             + 2.0 * (eh @ _map_dot(z[:, :-1], z[:, 1:]) @ dw)
-             + 2.0 * (eh @ (_map_dot(z[:, :-1, :-1], z[:, 1:, 1:])
-                            + _map_dot(z[:, :-1, 1:], z[:, 1:, :-1])) @ ew))
+    # per-pixel sums over the maps of z*z and of the w-, h- and diagonal
+    # neighbour products
+    zz, zw = np.empty((h, w)), np.empty((h, w - 1))
+    zh, zd = np.empty((h - 1, w)), np.empty((h - 1, w - 1))
+    buf = np.empty((n * c, min(h, _BLOCK_ROWS + 1), w))
+    for r0 in range(0, h, _BLOCK_ROWS):
+        r1 = min(r0 + _BLOCK_ROWS, h)
+        z = buf[:, :min(r1 + 1, h) - r0]
+        np.subtract(maps[:, r0:r0 + z.shape[1]], mean, out=z)
+        zb = z[:, :r1 - r0]
+        zz[r0:r1] = _map_dot(zb, zb)
+        zw[r0:r1] = _map_dot(zb[:, :, :-1], zb[:, :, 1:])
+        k = z.shape[1] - 1
+        zh[r0:r0 + k] = _map_dot(z[:, :k], z[:, 1:])
+        zd[r0:r0 + k] = (_map_dot(z[:, :k, :-1], z[:, 1:, 1:])
+                         + _map_dot(z[:, :k, 1:], z[:, 1:, :-1]))
+    sumsq = (dh @ zz @ dw
+             + 2.0 * (dh @ zw @ ew)
+             + 2.0 * (eh @ zh @ dw)
+             + 2.0 * (eh @ zd @ ew))
     return Moments(mean, float(sumsq) / count, count)
 
 

@@ -60,6 +60,23 @@ def test_second_backward_through_conv_raises(cout):
         ad.backward(loss)
 
 
+def test_no_tape_records_nothing_and_restores_after_an_exception():
+    x = ad.Var(np.array([[-1.0, 2.0]]), requires_grad=True)
+    with ad.no_tape():
+        y = ad.relu(x)
+        with ad.no_tape():
+            pass
+        z = ad.relu(y)                 # still off after a nested exit
+    assert np.array_equal(z.data, [[0.0, 2.0]])
+    assert (y.op, y.requires_grad, y._parents, y._backward) == ("leaf", False, (), None)
+    assert (z.op, z._parents) == ("leaf", ())
+    with pytest.raises(RuntimeError, match="inside"):
+        with ad.no_tape():
+            raise RuntimeError("inside")
+    taped = ad.relu(x)
+    assert taped.requires_grad and taped._parents == (x,)
+
+
 def test_grad_add():
     rng = Rng(100)
     y = randn((1, 2, 3, 3), 0.0, 1.0, rng.split("y"))

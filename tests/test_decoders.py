@@ -115,6 +115,19 @@ def test_forward_is_finish_of_branches(kind):
     assert np.array_equal(full, tail)
 
 
+@pytest.mark.parametrize("kind", decoders.HEAD_KINDS)
+def test_taps_without_tape_equal_taped_forward(kind):
+    model = make_model(kind, stride=8)
+    shape = (2, 3, 64, 64) if kind == "uperhead" else (2, 3, 48, 48)
+    x = randn(shape, 0.0, 1.0, Rng(20))
+    taped, _ = model.branches(x)
+    assert any(s._parents for s in taped)
+    taps = model.tap_fn(x)
+    assert len(taps) == len(taped)
+    for tap, s in zip(taps, taped):
+        assert np.array_equal(tap, s.data)
+
+
 def test_uperhead_needs_all_stages():
     model = make_model("uperhead")
     feats = {8: ad.Var(np.zeros((1, 16, 8, 8)))}

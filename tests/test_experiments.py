@@ -4,6 +4,7 @@ import importlib
 import importlib.util
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +82,21 @@ def test_fig2_rows_and_decrease(tmp_path):
     assert len(csv) == len(rows) + 1
     summary = json.loads((tmp_path / "fig2_summary.json").read_text())
     assert summary["checks"]["all_decreased"] is True
+
+
+def test_fig2_holds_one_tensor_at_a_time():
+    """Each trial's tensor is freed before the next draw, and the moments
+    make no centred copy, so the peak stays well under two tensors."""
+    cfg = quick_config(shape=(2, 16, 64, 64), sigma_grid=(0.5,), ratios=(2,),
+                       trials=3)
+    ex.run_fig2(cfg)                       # lazy imports and cached maps
+    tracemalloc.start()
+    try:
+        ex.run_fig2(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * math.prod(cfg.shape) * 8
 
 
 def test_fig2_reference_sigma_is_relu_bn_variance():

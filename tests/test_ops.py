@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -83,6 +84,64 @@ def test_upsample_moments_large_offset():
         ref = moments(ops.upsample_to(x, (64, 64), mode))
         assert fast.variance == pytest.approx(ref.variance, rel=1e-6)
         assert fast.mean == pytest.approx(ref.mean, rel=1e-12)
+
+
+def centred_copy_upsample_moments(x, out_hw, mode=UpsampleMode()):
+    """The full-size centred-copy formula upsample_moments() used before it
+    centred in row blocks, verbatim."""
+    h, w, oh, ow = ops._upsample_hw(x, out_hw)
+    n, c = x.shape[:2]
+    sh, dh, eh = ops._axis_bands(h, oh, mode.kernel, mode.align_corners)
+    sw, dw, ew = ops._axis_bands(w, ow, mode.kernel, mode.align_corners)
+    maps = np.asarray(x, dtype=np.float64).reshape(n * c, h, w)
+    count = n * c * oh * ow
+    mean = float(sh @ maps.sum(axis=0) @ sw) / count
+    z = maps - mean
+    dot = ops._map_dot
+    sumsq = (dh @ dot(z, z) @ dw
+             + 2.0 * (dh @ dot(z[:, :, :-1], z[:, :, 1:]) @ ew)
+             + 2.0 * (eh @ dot(z[:, :-1], z[:, 1:]) @ dw)
+             + 2.0 * (eh @ (dot(z[:, :-1, :-1], z[:, 1:, 1:])
+                            + dot(z[:, :-1, 1:], z[:, 1:, :-1])) @ ew))
+    return ops.Moments(mean, float(sumsq) / count, count)
+
+
+@pytest.mark.parametrize("h,w", [(1, 7), (6, 1), (1, 1), (4, 9), (5, 1),
+                                 (6, 2), (9, 5), (11, 13)])
+def test_upsample_moments_matches_centred_copy_formula(h, w):
+    """Row-block centring keeps each pixel's sum over the maps, so the
+    moments equal the full-size centred copy's to the bit: one-pixel axes,
+    heights that are and are not a multiple of the block, both kernels,
+    both align modes and ratios 1-5."""
+    x = randn((2, 5, h, w), 0.4, 0.6, Rng(23).split((h, w)))
+    for kernel, align, r in itertools.product(("bilinear", "nearest"),
+                                              (False, True), range(1, 6)):
+        mode = UpsampleMode(kernel, align)
+        assert (ops.upsample_moments(x, (r * h, r * w), mode)
+                == centred_copy_upsample_moments(x, (r * h, r * w), mode))
+    big = randn((2, 5, h, w), 1e6, 1.0, Rng(23).split("offset"))
+    assert (ops.upsample_moments(big, (3 * h, 2 * w))
+            == centred_copy_upsample_moments(big, (3 * h, 2 * w)))
+
+
+def test_upsample_moments_empty_is_shape_error():
+    with pytest.raises(ShapeError, match="empty"):
+        ops.upsample_moments(np.zeros((0, 2, 3, 3)), (6, 6))
+
+
+@pytest.mark.parametrize("fn", [moments, lambda x: ops.upsample_moments(x, (256, 256))],
+                         ids=["moments", "upsample_moments"])
+def test_moments_peak_memory_is_a_fraction_of_the_input(fn):
+    """Neither call makes a full-size centred copy of its input."""
+    x = randn((2, 32, 128, 128), 0.4, 0.6, Rng(9))
+    assert x.nbytes >= 8 << 20
+    tracemalloc.start()
+    try:
+        fn(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes / 4
 
 
 def test_axis_matrix_rows():

@@ -60,6 +60,44 @@ def test_moments_leaves_input_unchanged():
     assert m.variance > 0.0
 
 
+def centred_copy_moments(x):
+    """The full-size centred-copy formula moments() used before its second
+    pass streamed, verbatim."""
+    x = np.asarray(x)
+    n = x.size
+    mean = float(np.mean(x, dtype=np.float64))
+    d = (x - mean).astype(np.float64, copy=False)
+    np.square(d, out=d)          # one full-size temporary, not two
+    return Moments(mean, float(np.mean(d, dtype=np.float64)), n)
+
+
+def _moments_cases():
+    rng = Rng(31)
+    leaf = 1 << 14
+    for n in (1, leaf - 1, leaf, leaf + 1, 2 * leaf + 8):
+        yield pytest.param(randn((1, 1, 1, n), 0.4, 0.6, rng.split(n)), id=f"size{n}")
+    for shape in ((3, 5, 7, 11), (1, 3, 1, 1), (5, 7, 13, 3), (2, 9, 129, 65)):
+        yield pytest.param(randn(shape, -0.2, 1.3, rng.split(shape)),
+                           id="x".join(map(str, shape)))
+    yield pytest.param(randn((2, 5, 41, 37), 1e6, 1.0, rng.split("off")), id="offset1e6")
+    x = randn((2, 8, 63, 65), 0.4, 0.6, rng.split("slice"))
+    yield pytest.param(x[:, 2:5], id="channel-slice")
+    yield pytest.param(randn((3, 4, 65, 67), 0.4, 0.6, rng.split("f32")).astype(np.float32),
+                       id="float32")
+
+
+@pytest.mark.parametrize("x", list(_moments_cases()))
+def test_moments_matches_centred_copy_formula(x):
+    """The streamed second pass sums in numpy's own pairwise order, so it
+    equals the full-size centred copy to the bit."""
+    assert moments(x) == centred_copy_moments(x)
+
+
+def test_moments_empty_is_shape_error():
+    with pytest.raises(ShapeError, match="empty"):
+        moments(np.zeros((2, 0, 3, 3)))
+
+
 def test_moments_constant():
     m = moments(np.full((3, 3), 4.25))
     assert m.mean == 4.25
