@@ -120,7 +120,10 @@ def zero_grad(params) -> None:
 
 def add(x: Var, y: Var) -> Var:
     x, y = as_var(x), as_var(y)
-    out = ops.add(x.data, y.data)
+    if x.data.shape != y.data.shape:
+        raise ShapeError(f"add needs identical shapes, got {x.data.shape} "
+                         f"vs {y.data.shape}")
+    out = x.data + y.data
 
     def bwd(g):
         _accum(x, g, shared=True)

@@ -3,8 +3,16 @@
 Each head realizes the general fusion form: parallel branches ending in a
 convolutional unit block, optional bilinear upsampling to a shared size,
 channel concatenation, and a fusion unit block h, followed by a 1x1
-classifier convolution and a final upsampling back to the input size.  A
-head defines its branches; the base builds h and the classifier.
+classifier convolution and a final upsampling back to the input size.
+
+The encoder returns every stage as a dict keyed by its downsampling ratio,
+described once by `ToyEncoder.stage_channels()`.  Every head takes that
+stage map in one constructor, `(rng, in_channels, channels, n_classes)`;
+the single-stage heads read the deepest stage as C5.  A head defines its
+branches, and the base builds h and the classifier.  `pooled_branches` is
+the one pool -> unit block -> upsample routine, shared by UPerHead's PPM,
+PSPHead's pyramid and ASPPHead's image pool.  `SegModel.forward` hands the
+input size to the head tail, which restores the logits to it.
 
 All parameters are autodiff Vars so the same forwards serve the moment
 audits, the statistics pass, and the toy training loop; `Module` finds
@@ -20,7 +28,6 @@ from .errors import ConfigError, ContractError, ShapeError
 from .equalizer import GlobalStats, calibrate_weights
 from .tensor import Rng, randn
 
-HEAD_KINDS = ("uperhead", "psphead", "aspphead", "sepaspphead", "fcnhead")
 OUTPUT_STRIDES = (8, 16)                  # of ToyEncoder's single-stage mode
 EQUALIZE_MODES = ("off", "injected", "calibrated")
 
@@ -77,15 +84,17 @@ class ConvUnit(Module):
         self.dilation = dilation
         self.pad_value = 0.0
 
+    def conv(self, x: ad.Var) -> ad.Var:
+        return ad.conv2d(x, self.weight, stride=self.stride, dilation=self.dilation,
+                         pad_value=self.pad_value)
+
     def __call__(self, x: ad.Var) -> ad.Var:
-        y = ad.conv2d(x, self.weight, stride=self.stride, dilation=self.dilation,
-                      pad_value=self.pad_value)
-        return ad.relu(ad.batchnorm(y, self.gamma, self.beta))
+        return ad.relu(ad.batchnorm(self.conv(x), self.gamma, self.beta))
 
 
-class SepConvUnit(Module):
-    """Depthwise-separable unit block: depthwise conv, pointwise conv,
-    then one BatchNorm + ReLU."""
+class SepConvUnit(ConvUnit):
+    """Depthwise-separable unit block: its convolution is a depthwise conv
+    then a pointwise conv, followed by ConvUnit's one BatchNorm + ReLU."""
 
     def __init__(self, rng: Rng, cin: int, cout: int, k: int = 3, *,
                  dilation: int = 1):
@@ -98,10 +107,9 @@ class SepConvUnit(Module):
         self.cin = cin
         self.dilation = dilation
 
-    def __call__(self, x: ad.Var) -> ad.Var:
+    def conv(self, x: ad.Var) -> ad.Var:
         y = ad.conv2d(x, self.dw_weight, dilation=self.dilation, groups=self.cin)
-        y = ad.conv2d(y, self.pw_weight)
-        return ad.relu(ad.batchnorm(y, self.gamma, self.beta))
+        return ad.conv2d(y, self.pw_weight)
 
 
 class Classifier(Module):
@@ -130,15 +138,16 @@ class HeadOutput:
 
 class ToyEncoder(Module):
     """Randomly initialized strided unit blocks standing in for a pretrained
-    backbone on RGB input.  Multi-stage mode emits {C2..C5} at ratios
-    {4, 8, 16, 32}; output-stride mode emits only C5 at ratio s in {8, 16}."""
+    backbone on RGB input.  Block i halves the size, so the forward returns
+    every stage keyed by its ratio 2^(i+1), as `stage_channels` describes:
+    five stages up to ratio 32 in multi-stage mode, and up to ratio s in
+    output-stride mode."""
 
     def __init__(self, rng: Rng, widths=(8, 16, 16, 32, 32),
                  output_stride: int | None = None):
         if output_stride is not None and output_stride not in OUTPUT_STRIDES:
             raise ConfigError(f"output stride must be in {OUTPUT_STRIDES}, got {output_stride}")
         n_down = 5 if output_stride is None else int(np.log2(output_stride))
-        self.output_stride = output_stride
         self.widths = tuple(widths[:n_down])
         self.blocks = []
         cin = 3
@@ -153,17 +162,10 @@ class ToyEncoder(Module):
         if h % down or w % down:
             raise ShapeError(f"input {h}x{w} not divisible by {down}")
         feats = {}
-        y = x
-        for i, blk in enumerate(self.blocks):
-            y = blk(y)
-            feats[2 ** (i + 1)] = y
-        if self.output_stride is not None:
-            return {self.output_stride: y}
-        return {r: feats[r] for r in (4, 8, 16, 32)}
-
-    @property
-    def out_channels(self):
-        return self.widths[-1]
+        for ratio, blk in zip(self.stage_channels(), self.blocks):
+            x = blk(x)
+            feats[ratio] = x
+        return feats
 
     def stage_channels(self) -> dict:
         return {2 ** (i + 1): w for i, w in enumerate(self.widths)}
@@ -174,8 +176,10 @@ class ToyEncoder(Module):
 # ---------------------------------------------------------------------------
 
 class _HeadBase(Module):
-    """Every head has one fixed configuration.  `branch_channels` is the
-    channel width of each concatenation subject, in order; the fusion
+    """Every head has one fixed configuration, built by one constructor
+    `(rng, in_channels, channels, n_classes)` from the encoder's stage map;
+    the single-stage heads read C5 as its deepest stage.  `branch_channels`
+    is the channel width of each concatenation subject, in order; the fusion
     block's input width, its weight groups and the branch count follow
     from it.  The base builds the fusion block and the classifier.  All
     upsampling is bilinear with align_corners=False."""
@@ -227,15 +231,9 @@ class _HeadBase(Module):
         subjects and the realized upsampling ratio of each branch."""
         raise NotImplementedError
 
-    def forward(self, feats: dict) -> HeadOutput:
-        subjects_raw, _ = self.branches(feats)
-        ratio, fmap = next(iter(feats.items()))     # input size = size * ratio
-        h, w = ad.as_var(fmap).data.shape[2:]
-        return self._finish(subjects_raw, (h * ratio, w * ratio))
-
     def _finish(self, subjects_raw, target_hw) -> HeadOutput:
         """The head tail: equalize (if injected), concat, fuse, classify,
-        restore size."""
+        and upsample the logits to the input size target_hw."""
         if self.equalize == "injected":
             subjects = [ad.scale_equalize(s, mu, sigma)
                         for s, mu, sigma in zip(subjects_raw, self.stats.mu,
@@ -245,6 +243,17 @@ class _HeadBase(Module):
         z = self.fusion_block(ad.concat_channels(subjects))
         logits = ad.upsample_to(self.classifier(z), target_hw)
         return HeadOutput(logits, subjects_raw, subjects)
+
+
+def pooled_branches(c5: ad.Var, bins, units) -> list:
+    """The pyramid pooling module of PSPNet (Zhao et al., 2017), also
+    UPerHead's PPM and ASPP's image pool: per bin b, adaptive average
+    pooling of C5 to b x b, its unit block, and upsampling to C5's size."""
+    size = c5.data.shape[2:]
+    if max(bins) > min(size):
+        raise ShapeError(f"pooling bin {max(bins)} exceeds C5 size {size}")
+    return [ad.upsample_to(unit(ad.avgpool_to(c5, (b, b))), size)
+            for b, unit in zip(bins, units)]
 
 
 class UPerHead(_HeadBase):
@@ -267,19 +276,14 @@ class UPerHead(_HeadBase):
                           for r in (4, 8, 16, 32)}
 
     def branches(self, feats: dict):
-        if set(feats) != {4, 8, 16, 32}:
+        if not {4, 8, 16, 32} <= set(feats):
             raise ShapeError(f"uperhead needs features at ratios 4/8/16/32, "
                              f"got {sorted(feats)}")
-        c5 = ad.as_var(feats[32])
-        size5 = c5.data.shape[2:]
-        for b in self.ppm_bins:
-            if b > min(size5):
-                raise ShapeError(f"PPM bin {b} exceeds C5 size {size5}")
-        ppm = [c5] + [ad.upsample_to(unit(ad.avgpool_to(c5, (b, b))), size5)
-                      for b, unit in zip(self.ppm_bins, self.ppm_units)]
+        c5 = feats[32]
+        ppm = [c5] + pooled_branches(c5, self.ppm_bins, self.ppm_units)
         laterals = {32: self.ppm_out(ad.concat_channels(ppm))}
         for r in (16, 8, 4):
-            laterals[r] = self.laterals[r](ad.as_var(feats[r]))
+            laterals[r] = self.laterals[r](feats[r])
         merged = {32: laterals[32]}
         for r in (16, 8, 4):
             up = ad.upsample_to(merged[r * 2], laterals[r].data.shape[2:])
@@ -298,61 +302,50 @@ class PSPHead(_HeadBase):
     kind = "psphead"
     bins = (1, 2, 3, 6)
 
-    def __init__(self, rng: Rng, in_channels: int, channels: int, n_classes: int,
-                 stride: int):
-        super().__init__(rng, (in_channels,) + (channels,) * len(self.bins),
+    def __init__(self, rng: Rng, in_channels: dict, channels: int, n_classes: int):
+        self.stride = max(in_channels)            # C5 is the deepest stage
+        cin = in_channels[self.stride]
+        super().__init__(rng, (cin,) + (channels,) * len(self.bins),
                          channels, n_classes)
-        self.stride = stride
-        self.units = [ConvUnit(rng.split(f"bin{b}"), in_channels, channels, 1)
+        self.units = [ConvUnit(rng.split(f"bin{b}"), cin, channels, 1)
                       for b in self.bins]
 
     def branches(self, feats: dict):
-        c5 = ad.as_var(feats[self.stride])
-        h5, w5 = c5.data.shape[2:]
-        if h5 < max(self.bins) or w5 < max(self.bins):
-            raise ShapeError(f"C5 {h5}x{w5} smaller than largest bin {max(self.bins)}")
-        subjects_raw = [c5]
-        for b, unit in zip(self.bins, self.units):
-            branch = unit(ad.avgpool_to(c5, (b, b)))
-            subjects_raw.append(ad.upsample_to(branch, (h5, w5)))
-        return subjects_raw, (1,) + tuple(h5 / b for b in self.bins)
+        c5 = feats[self.stride]
+        h5 = c5.data.shape[2]
+        return ([c5] + pooled_branches(c5, self.bins, self.units),
+                (1,) + tuple(h5 / b for b in self.bins))
 
 
 class ASPPHead(_HeadBase):
     """Atrous spatial pyramid pooling: a global-average branch plus four
-    unit blocks with atrous rates {1, a, 2a, 3a}, a = 96/s."""
+    unit blocks with atrous rates {1, a, 2a, 3a}, a = 96/s, s the ratio of
+    C5."""
 
     kind = "aspphead"
     separable = False                 # depthwise-separable atrous units
 
-    def __init__(self, rng: Rng, in_channels: int, channels: int, n_classes: int,
-                 stride: int):
+    def __init__(self, rng: Rng, in_channels: dict, channels: int, n_classes: int):
         super().__init__(rng, (channels,) * 5, channels, n_classes)
-        if 96 % stride:
-            raise ConfigError(f"atrous rate 96/{stride} is not an integer")
-        a = 96 // stride
-        self.stride = stride
+        self.stride = max(in_channels)            # C5 is the deepest stage
+        cin = in_channels[self.stride]
+        if 96 % self.stride:
+            raise ConfigError(f"atrous rate 96/{self.stride} is not an integer")
+        a = 96 // self.stride
         self.rates = (1, a, 2 * a, 3 * a)
-        self.gap_unit = ConvUnit(rng.split("gap"), in_channels, channels, 1)
+        self.gap_unit = ConvUnit(rng.split("gap"), cin, channels, 1)
+        atrous = SepConvUnit if self.separable else ConvUnit
         self.rate_units = []
         for r in self.rates:
             sub = rng.split(f"rate{r}")
-            if r == 1:
-                self.rate_units.append(ConvUnit(sub, in_channels, channels, 1))
-            elif self.separable:
-                self.rate_units.append(SepConvUnit(sub, in_channels, channels, 3,
-                                                   dilation=r))
-            else:
-                self.rate_units.append(ConvUnit(sub, in_channels, channels, 3,
-                                                dilation=r))
+            self.rate_units.append(ConvUnit(sub, cin, channels, 1) if r == 1 else
+                                   atrous(sub, cin, channels, 3, dilation=r))
 
     def branches(self, feats: dict):
-        c5 = ad.as_var(feats[self.stride])
-        h5, w5 = c5.data.shape[2:]
-        gap = self.gap_unit(ad.avgpool_to(c5, (1, 1)))
-        subjects_raw = [ad.upsample_to(gap, (h5, w5))]
+        c5 = feats[self.stride]
+        subjects_raw = pooled_branches(c5, (1,), [self.gap_unit])
         subjects_raw += [unit(c5) for unit in self.rate_units]
-        return subjects_raw, (h5, 1, 1, 1, 1)
+        return subjects_raw, (c5.data.shape[2], 1, 1, 1, 1)
 
 
 class SepASPPHead(ASPPHead):
@@ -367,14 +360,19 @@ class FCNHead(_HeadBase):
     kind = "fcnhead"
     fusion_stream = "blk1"
 
-    def __init__(self, rng: Rng, in_channels: int, channels: int, n_classes: int,
-                 stride: int):
+    def __init__(self, rng: Rng, in_channels: dict, channels: int, n_classes: int):
         super().__init__(rng, (channels,), channels, n_classes)
-        self.stride = stride
-        self.unit = ConvUnit(rng.split("blk0"), in_channels, channels, 3)
+        self.stride = max(in_channels)            # C5 is the deepest stage
+        cin = in_channels[self.stride]
+        self.unit = ConvUnit(rng.split("blk0"), cin, channels, 3)
 
     def branches(self, feats: dict):
-        return [self.unit(ad.as_var(feats[self.stride]))], (1,)
+        return [self.unit(feats[self.stride])], (1,)
+
+
+HEADS = {"uperhead": UPerHead, "psphead": PSPHead, "aspphead": ASPPHead,
+         "sepaspphead": SepASPPHead, "fcnhead": FCNHead}
+HEAD_KINDS = tuple(HEADS)
 
 
 class SegModel(Module):
@@ -385,7 +383,8 @@ class SegModel(Module):
         self.head = head
 
     def forward(self, images) -> HeadOutput:
-        return self.head.forward(self.encoder.forward(images))
+        subjects_raw, _ = self.branches(images)
+        return self.head._finish(subjects_raw, images.shape[2:])
 
     def branches(self, images):
         """Encoder plus the head's branches: (subjects_raw, ratios),
@@ -401,13 +400,6 @@ class SegModel(Module):
 
 def build_head(kind: str, rng: Rng, encoder: ToyEncoder, channels: int,
                n_classes: int):
-    if kind == "uperhead":
-        return UPerHead(rng, encoder.stage_channels(), channels, n_classes)
-    stride = encoder.output_stride
-    if stride is None:
-        raise ConfigError(f"{kind} needs an output-stride encoder")
-    heads = {"psphead": PSPHead, "aspphead": ASPPHead,
-             "sepaspphead": SepASPPHead, "fcnhead": FCNHead}
-    if kind not in heads:
+    if kind not in HEADS:
         raise ConfigError(f"unknown head kind {kind!r}")
-    return heads[kind](rng, encoder.out_channels, channels, n_classes, stride)
+    return HEADS[kind](rng, encoder.stage_channels(), channels, n_classes)

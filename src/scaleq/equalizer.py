@@ -58,13 +58,18 @@ def accumulate_stats(dataset, tap_fn, n_branches: int, batch_size: int = 8,
                      sigma_floor: float | None = None) -> GlobalStats:
     """One full pass over `dataset` (a sequence of input tensors), calling
     `tap_fn(batch) -> list of branch tensors` per mini-batch and merging the
-    per-batch moments by element count.  A branch that is constant over the
-    dataset takes sigma_floor, if given.  Model weights are untouched."""
+    per-batch moments by element count.  A last batch of one input joins
+    the batch before it, since batchnorm cannot normalize a 1x1 pooled map
+    over one image.  A branch that is constant over the dataset takes
+    sigma_floor, if given.  Model weights are untouched."""
     items = list(dataset)
     if not items:
         raise ContractError("stats dataset is empty")
-    batches = (np.concatenate(items[lo:lo + batch_size], axis=0)
-               for lo in range(0, len(items), batch_size))
+    starts = list(range(0, len(items), batch_size))
+    if len(starts) > 1 and starts[-1] == len(items) - 1:
+        starts.pop()
+    batches = (np.concatenate(items[lo:hi], axis=0)
+               for lo, hi in zip(starts, starts[1:] + [len(items)]))
     merged = branch_moments(map(tap_fn, batches), n_branches)
     sigma = [float(np.sqrt(m.variance)) for m in merged]
     for i, s in enumerate(sigma):

@@ -27,9 +27,11 @@ from .tensor import Rng, moments, randn, save_tensor
 RELU_BN_MEAN = 1.0 / math.sqrt(2.0 * math.pi)          # E[ReLU(BN(Wx))]
 RELU_BN_VAR = (math.pi - 1.0) / (2.0 * math.pi)        # Var[ReLU(BN(Wx))]
 ALIGN_MODES = {"false": (False,), "true": (True,), "both": (False, True)}
-COUNT_FIELDS = ("trials", "audit_seeds", "dataset_size", "audit_dataset",
-                "stats_batch", "train_steps", "batch_size", "head_channels",
-                "image_size")
+# the least value of each count; the dataset and batch sizes start at 2,
+# since a batch of one image pooled to 1x1 leaves batchnorm one value
+COUNT_MINIMA = {"trials": 1, "audit_seeds": 1, "dataset_size": 2, "audit_dataset": 2,
+                "stats_batch": 2, "train_steps": 1, "batch_size": 2,
+                "head_channels": 1, "image_size": 1}
 
 
 @dataclass
@@ -58,9 +60,9 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
-        for name in COUNT_FIELDS:
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} = {getattr(self, name)} is below 1")
+        for name, least in COUNT_MINIMA.items():
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} = {getattr(self, name)} is below {least}")
         if len(self.shape) != 4 or min(self.shape) < 1:
             raise ConfigError(f"shape {self.shape} is not 4 positive sizes")
         if len(self.encoder_widths) != 5 or min(self.encoder_widths) < 1:
@@ -496,6 +498,7 @@ def _train_arm(config: ExperimentConfig, samples, arm: str) -> list[dict]:
         stats = model_stats(model, images, config.stats_batch, config.sigma_floor)
         model.head.set_equalize(config.equalize, stats)
     params = model.params()
+    chash = config.hash()
     order_rng = Rng(config.seed).split("batches").generator()
     idx = np.arange(len(samples))
     rows = []
@@ -521,7 +524,7 @@ def _train_arm(config: ExperimentConfig, samples, arm: str) -> list[dict]:
         acc, miou = _pixel_metrics(out.logits.data, labels, config.n_classes)
         rows.append({"arm": arm, "step": step, "loss": float(loss.data),
                      "pixel_acc": acc, "miou": miou,
-                     "config_hash": config.hash()})
+                     "config_hash": chash})
     return rows
 
 

@@ -3,7 +3,7 @@ linear ones beside them.
 
 Bilinear/nearest upsampling, 2-D convolution (dense, atrous, grouped; odd
 square kernels at "same" padding), batch normalization over the batch's
-own statistics, ReLU, adaptive average pooling, elementwise add.
+own statistics, ReLU and adaptive average pooling.
 Everything is float64-friendly pure numpy built on batched matmuls.
 Upsampling and adaptive pooling are separable per-axis maps, A_h X A_w^T
 and P_h X P_w^T with cached read-only matrices, whose adjoints are
@@ -429,7 +429,7 @@ def conv2d_reference(x: np.ndarray, p: ConvParams) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# batch normalization / activation / pooling / add
+# batch normalization / activation / pooling
 # ---------------------------------------------------------------------------
 
 def batch_stats(x: np.ndarray):
@@ -488,9 +488,3 @@ def avgpool_to(x: np.ndarray, out_size) -> np.ndarray:
     if (oh, ow) == (h, w):
         return x
     return _pool_matrix(h, oh) @ x @ _pool_matrix(w, ow).T
-
-
-def add(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    if x.shape != y.shape:
-        raise ShapeError(f"add needs identical shapes, got {x.shape} vs {y.shape}")
-    return x + y

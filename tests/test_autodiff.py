@@ -6,7 +6,7 @@ import pytest
 
 from scaleq import autodiff as ad
 from scaleq import ops
-from scaleq.errors import ContractError
+from scaleq.errors import ContractError, ShapeError
 from scaleq.ops import UpsampleMode
 from scaleq.tensor import Rng, randn
 
@@ -82,6 +82,15 @@ def test_grad_add():
     y = randn((1, 2, 3, 3), 0.0, 1.0, rng.split("y"))
     check_grad(lambda v: ad.sum_sq(ad.add(v, ad.Var(y))),
                randn((1, 2, 3, 3), 0.0, 1.0, rng.split("x")))
+
+
+def test_add():
+    x = np.array([[[[1.0, 2.0]]]])
+    y = np.array([[[[3.0, 4.0]]]])
+    np.testing.assert_array_equal(ad.add(x, y).data, [[[[4.0, 6.0]]]])
+    np.testing.assert_array_equal(ad.add(x, -x).data, np.zeros_like(x))
+    with pytest.raises(ShapeError):
+        ad.add(x, np.zeros((1, 1, 1, 3)))
 
 
 def test_grad_relu():

@@ -241,6 +241,7 @@ def test_flag_of_an_unread_field_exits_2(command, flag):
     ("audit", "experiments", "audit_dataset", "0"),
     ("train", "train", "dataset_size", "0"),
     ("calibrate", "equalizer", "stats_batch", "0"),
+    ("calibrate", "equalizer", "stats_batch", "1"),   # a batch of one image
     ("train", "train", "steps", "0"),
     ("train", "train", "batch_size", "0"),
     ("audit", "decoders", "head_channels", "0"),
@@ -248,9 +249,16 @@ def test_flag_of_an_unread_field_exits_2(command, flag):
     ("fig2", "fig2", "sigma_grid", "0.2,-0.1"),
     ("check", "experiments", "audit_seeds", "0"),  # checked though unread
 ])
-def test_bad_count_exits_1(tmp_path, capsys, command, section, key, value):
-    """A count below 1 or a negative sigma fails as a ConfigError, also in
-    an entry the command does not read."""
+def test_bad_count_exits_1(tmp_path, capsys, monkeypatch, command, section, key,
+                           value):
+    """A count below its least value or a negative sigma fails as a
+    ConfigError before any work, also in an entry the command does not
+    read."""
+    from scaleq import experiments
+
+    work = []
+    monkeypatch.setattr(experiments, "gen_synthetic_dataset",
+                        lambda *args, **kwargs: work.append(args))
     if section is None:
         argv = [command, f"--{key}", value]
     else:
@@ -260,6 +268,7 @@ def test_bad_count_exits_1(tmp_path, capsys, command, section, key, value):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
+    assert not work
 
 
 def test_trials_flag_sets_audit_seeds(quick_ini):

@@ -80,7 +80,7 @@ def test_fcnhead_single_branch():
 def test_aspp_rejects_bad_stride():
     rng = Rng(0)
     with pytest.raises(ConfigError):
-        decoders.ASPPHead(rng, 32, 16, 4, stride=7)
+        decoders.ASPPHead(rng, {7: 32}, 16, 4)
 
 
 def test_psp_rejects_small_c5():
@@ -95,13 +95,50 @@ def test_encoder_divisibility():
         forward(model, (1, 3, 60, 60))
 
 
-def test_single_stage_head_needs_stride_encoder():
+def test_encoder_returns_every_stage():
+    rng = Rng(0)
+    for stride, ratios in ((None, (2, 4, 8, 16, 32)), (8, (2, 4, 8)),
+                           (16, (2, 4, 8, 16))):
+        enc = ToyEncoder(rng.split("enc"), output_stride=stride)
+        feats = enc.forward(np.zeros((1, 3, 64, 64)))
+        assert tuple(feats) == tuple(enc.stage_channels()) == ratios
+        for r, width in enc.stage_channels().items():
+            assert feats[r].data.shape == (1, width, 64 // r, 64 // r)
+
+
+def test_single_stage_head_reads_the_deepest_stage():
+    """On a five-stage encoder a single-stage head takes the ratio-32 stage
+    as C5; an unknown kind is a ConfigError."""
     rng = Rng(0)
     enc = ToyEncoder(rng.split("enc"))            # multi-stage
-    with pytest.raises(ConfigError):
-        build_head("psphead", rng.split("head"), enc, 8, 4)
+    model = SegModel(enc, build_head("psphead", rng.split("head"), enc, 8, 4))
+    assert model.head.stride == 32
+    x = randn((2, 3, 192, 192), 0.0, 1.0, Rng(1))  # C5 is 6x6
+    c5 = enc.forward(x)[32].data
+    subjects, _ = model.branches(x)
+    assert np.array_equal(subjects[0].data, c5)
+    assert model.forward(x).logits.data.shape == (2, 4, 192, 192)
     with pytest.raises(ConfigError):
         build_head("sharpnet", rng.split("head"), enc, 8, 4)
+
+
+@pytest.mark.parametrize("kind", decoders.HEAD_KINDS)
+def test_pooled_branches_once_per_forward(kind, monkeypatch):
+    """UPerHead's PPM, the PSP pyramid and the ASPP image pool all run
+    through one pooling routine, once per forward; FCNHead pools nothing."""
+    calls = []
+    pooled = decoders.pooled_branches
+
+    def counted(c5, bins, units):
+        calls.append(bins)
+        return pooled(c5, bins, units)
+
+    monkeypatch.setattr(decoders, "pooled_branches", counted)
+    model = make_model(kind, stride=8)
+    forward(model, (2, 3, 64, 64) if kind == "uperhead" else (2, 3, 48, 48))
+    expected = {"uperhead": [(1, 2)], "psphead": [(1, 2, 3, 6)],
+                "aspphead": [(1,)], "sepaspphead": [(1,)], "fcnhead": []}
+    assert calls == expected[kind]
 
 
 @pytest.mark.parametrize("kind", decoders.HEAD_KINDS)
@@ -132,7 +169,7 @@ def test_uperhead_needs_all_stages():
     model = make_model("uperhead")
     feats = {8: ad.Var(np.zeros((1, 16, 8, 8)))}
     with pytest.raises(ShapeError):
-        model.head.forward(feats)
+        model.head.branches(feats)
 
 
 def test_head_groups_tile_concat_width():

@@ -67,12 +67,17 @@ def test_accumulate_stats_matches_manual():
     rng = Rng(2)
     items = [randn((1, 3, 6, 6), 0.2, 0.9, rng.split(i)) for i in range(7)]
 
+    sizes = []
+
     def tap_fn(batch):
+        sizes.append(len(batch))
         return [batch, 2.0 * batch]
 
     st = accumulate_stats(items, tap_fn, 2, batch_size=3)
-    # uneven batches of 3/3/1, merged one by one; reproduce exactly
-    batches = [np.concatenate(items[lo:lo + 3], axis=0) for lo in (0, 3, 6)]
+    # the one-input tail joins the batch before it: batches of 3/4, merged
+    # one by one; reproduce exactly
+    assert sizes == [3, 4]
+    batches = [np.concatenate(items[lo:hi], axis=0) for lo, hi in ((0, 3), (3, 7))]
     ref = branch_moments([[b, 2.0 * b] for b in batches], 2)
     assert st == GlobalStats(tuple(m.mean for m in ref),
                              tuple(float(np.sqrt(m.variance)) for m in ref), 7)

@@ -195,6 +195,16 @@ def test_head_audit_short_last_batch_keeps_unit_moments(head):
     assert res["summary"]["equalized_unit_moments_ok"]
 
 
+@pytest.mark.parametrize("head", HEAD_KINDS)
+def test_head_audit_one_image_tail(head):
+    """17 images in batches of 8: the last image joins the batch before it,
+    where alone its bin-1 pooled branch would leave batchnorm one value per
+    channel."""
+    cfg = quick_config(image_size=64, audit_seeds=1, audit_dataset=17, stats_batch=8)
+    res = ex.run_head_audit(cfg, head)
+    assert res["summary"]["equalized_unit_moments_ok"]
+
+
 # ---------------------------------------------------------------------------
 # training
 # ---------------------------------------------------------------------------
@@ -340,6 +350,15 @@ def test_run_equivalence():
     assert res["max_post_bn_diff"] <= 1e-10
 
 
+@pytest.mark.parametrize("head", ["uperhead", "psphead"])
+def test_run_calibrate_one_image_tail(head):
+    """9 images in batches of 8 run as one batch of 9."""
+    cfg = quick_config(head=head, image_size=64, dataset_size=9, stats_batch=8)
+    res = ex.run_calibrate(cfg)
+    assert res["stats_count"] == 9
+    assert res["equivalence_pass"]
+
+
 def test_run_calibrate_psphead(tmp_path):
     cfg = quick_config(head="psphead", out_dir=str(tmp_path))
     res = ex.run_calibrate(cfg)
@@ -373,6 +392,7 @@ def test_run_check_all_ok(tmp_path):
     {"align_corners": "maybe"}, {"equalize": "injectd"},
     {"head": "fcnheadd"}, {"head": "PSPHead"}, {"output_stride": 12},
     {"n_classes": 1}, {"n_classes": 9}, {"sigma_floor": -1.0}, {"sigma_floor": 0.0},
+    {"dataset_size": 1}, {"audit_dataset": 1}, {"stats_batch": 1}, {"batch_size": 1},
 ])
 def test_config_value_rules(change):
     """Construction and dataclasses.replace apply the same value rules."""

@@ -382,12 +382,3 @@ def test_avgpool_uneven_bins():
 def test_avgpool_rejects_upsizing():
     with pytest.raises(ShapeError):
         ops.avgpool_to(np.zeros((1, 1, 2, 2)), (3, 3))
-
-
-def test_add():
-    x = np.array([[[[1.0, 2.0]]]])
-    y = np.array([[[[3.0, 4.0]]]])
-    np.testing.assert_array_equal(ops.add(x, y), [[[[4.0, 6.0]]]])
-    np.testing.assert_array_equal(ops.add(x, -x), np.zeros_like(x))
-    with pytest.raises(ShapeError):
-        ops.add(x, np.zeros((1, 1, 1, 3)))
