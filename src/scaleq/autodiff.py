@@ -2,9 +2,13 @@
 
 Define-by-run: every call records a node with its parents and a backward
 closure; `backward` replays them in reverse topological order.  The graph
-is rebuilt per forward pass, and backward runs once over it: a conv node
-drops the forward operand it keeps for its weight gradient.  Forward-only
-passes run under `no_tape()` and record nothing.  A central
+is rebuilt per forward pass and backpropagated once: as soon as a node's
+closure has run, `backward` releases the closure, with every array it saved
+(a conv operand, batchnorm's xhat, a ReLU mask), and the node's gradient.
+Only leaves keep their gradients, and a second backward through a spent
+graph is a ContractError.  `unit_block` records a [Conv - BatchNorm - ReLU]
+unit as one node that keeps neither the conv nor the batchnorm output.
+Forward-only passes run under `no_tape()` and record nothing.  A central
 finite-difference oracle is provided for verification.
 """
 
@@ -82,14 +86,12 @@ def _accum(v: Var, g: np.ndarray, shared: bool = False) -> None:
         v.grad += g
 
 
-def backward(loss: Var) -> dict[int, np.ndarray]:
-    """Backpropagate from a scalar loss; returns a map id(Var) -> gradient
-    for every node that requires grad."""
-    if loss.data.size != 1:
-        raise ContractError(f"loss must be scalar, got shape {loss.data.shape}")
+def _topo(root: Var, stop: Var | None = None) -> list[Var]:
+    """The nodes reachable from root, parents before children; the walk
+    does not go past `stop`."""
     order: list[Var] = []
     seen: set[int] = set()
-    stack = [(loss, False)]
+    stack = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -99,14 +101,45 @@ def backward(loss: Var) -> dict[int, np.ndarray]:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
-            if id(p) not in seen:
-                stack.append((p, False))
-    loss.grad = np.ones_like(loss.data, dtype=np.float64)
+        if node is not stop:
+            for p in node._parents:
+                if id(p) not in seen:
+                    stack.append((p, False))
+    return order
+
+
+def _spent(g):
+    """Stands in for the closure of a node whose backward has run."""
+    raise ContractError("backward already ran through this node")
+
+
+def _replay(order: list[Var]) -> None:
+    """Run the closures of `order` (parents first) in reverse.  Once a
+    non-leaf node's closure has run, the node drops it, and with it every
+    array it saved, and drops its gradient."""
     for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
+        if node._backward is None:
+            continue
+        if node.grad is not None:
             node._backward(node.grad)
-    return {id(n): n.grad for n in order if n.requires_grad and n.grad is not None}
+        node._backward = _spent
+        node.grad = None
+
+
+def backward(loss: Var) -> dict[int, np.ndarray]:
+    """Backpropagate from a scalar loss, once: each node's closure and
+    gradient are released as soon as its closure has run, so only the
+    leaves keep their gradients.  Returns a map id(Var) -> gradient for
+    every leaf that received one.  A second backward through any node of
+    a spent graph raises ContractError before any gradient moves."""
+    if loss.data.size != 1:
+        raise ContractError(f"loss must be scalar, got shape {loss.data.shape}")
+    order = _topo(loss)
+    if any(node._backward is _spent for node in order):
+        raise ContractError("backward already ran through this graph")
+    loss.grad = np.ones_like(loss.data, dtype=np.float64)
+    _replay(order)
+    return {id(n): n.grad for n in order if not n._parents and n.grad is not None}
 
 
 def zero_grad(params) -> None:
@@ -204,12 +237,13 @@ def conv2d(x: Var, weight: Var, bias: Var | None = None, *, stride: int = 1,
     """Convolution node.  The operand the forward multiplies (the flat
     frame or the im2col columns, see ops._conv_operand) is built once, and
     the weight gradient takes it.  The node keeps it only while the weight
-    requires a gradient, and the backward drops it once used, so a second
-    backward through the node raises ContractError."""
+    requires a gradient, and the backward drops it once used.  The closure
+    records x's shape, not x's data."""
     x, weight = as_var(x), as_var(weight)
     p = ops.ConvParams(weight.data, None if bias is None else bias.data,
                        stride, dilation, groups, pad_value)
     parents = (x, weight) if bias is None else (x, weight, bias)
+    x_shape = x.data.shape
     operand = ops._conv_operand(x.data, p)
     out = ops.conv2d(x.data, p, operand)
     if not weight.requires_grad:
@@ -217,16 +251,13 @@ def conv2d(x: Var, weight: Var, bias: Var | None = None, *, stride: int = 1,
 
     def bwd(g):
         nonlocal operand
-        if weight.requires_grad and operand is None:
-            raise ContractError("backward already ran through this conv2d "
-                                "node and dropped its forward operand")
         if bias is not None:
             _accum(bias, g.sum(axis=(0, 2, 3)))
         if weight.requires_grad:
             _accum(weight, ops._conv_weight_grad(operand, p, g))
             operand = None      # freed before dX allocates its grid
         if x.requires_grad:
-            _accum(x, ops._conv_input_grad(x.data.shape, p, g))
+            _accum(x, ops._conv_input_grad(x_shape, p, g))
     return _node(out, parents, bwd, "conv2d")
 
 
@@ -253,6 +284,30 @@ def batchnorm(x: Var, gamma: Var, beta: Var) -> Var:
             gx *= (gamma.data * inv).reshape(1, c, 1, 1)
             _accum(x, gx)
     return _node(out, (x, gamma, beta), bwd, "batchnorm")
+
+
+def unit_block(conv, x: Var, gamma: Var, beta: Var) -> Var:
+    """One [Conv - BatchNorm - ReLU] unit block as one tape node.  `conv(x)`
+    builds the unit's conv node(s); `batchnorm` and `relu` follow, so every
+    gradient formula stays in its own node function.  The returned node has
+    x and the unit's parameters as parents, and its backward replays the
+    inner closures in reverse.  No inner closure reads the conv or the
+    batchnorm output, so both are released at once.  Under `no_tape` this
+    is just the ReLU output."""
+    x = as_var(x)
+    y = relu(batchnorm(conv(x), gamma, beta))
+    if not y.requires_grad:
+        return y
+    inner = [n for n in _topo(y, stop=x) if n is not x and n._parents]
+    params = dict.fromkeys(p for n in inner for p in n._parents
+                           if p is not x and not p._parents)
+    for node in inner[:-1]:
+        node.data = None
+
+    def bwd(g):
+        y.grad = g
+        _replay(inner)
+    return _node(y.data, (x, *params), bwd, "unit_block")
 
 
 def vmean(x: Var) -> Var:

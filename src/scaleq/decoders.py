@@ -73,7 +73,9 @@ def _named(name: str, value):
 # ---------------------------------------------------------------------------
 
 class ConvUnit(Module):
-    """One [Conv - BatchNorm - ReLU] unit block (gamma=1, beta=0 at init)."""
+    """One [Conv - BatchNorm - ReLU] unit block (gamma=1, beta=0 at init).
+    `ad.unit_block` records it as one tape node that keeps neither the conv
+    nor the batchnorm output; a subclass supplies only its `conv`."""
 
     def __init__(self, rng: Rng, cin: int, cout: int, k: int = 3, *,
                  stride: int = 1, dilation: int = 1):
@@ -89,7 +91,7 @@ class ConvUnit(Module):
                          pad_value=self.pad_value)
 
     def __call__(self, x: ad.Var) -> ad.Var:
-        return ad.relu(ad.batchnorm(self.conv(x), self.gamma, self.beta))
+        return ad.unit_block(self.conv, x, self.gamma, self.beta)
 
 
 class SepConvUnit(ConvUnit):

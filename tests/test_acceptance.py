@@ -31,7 +31,8 @@ def test_criterion_1_unit_block_moments():
     w = randn((256, 256, 1, 1), 0.0, math.sqrt(2.0 / 256), rng.split("w"))
     y = ops.conv2d(x, ConvParams(w))
     del x
-    y = ops.relu(ops.batchnorm(y, np.ones(256), np.zeros(256)))
+    y = ops.batchnorm(y, np.ones(256), np.zeros(256))
+    y = ops.relu(y)
     m = moments(y)
     del y
     elapsed = time.time() - t0

@@ -47,17 +47,106 @@ def test_backward_requires_scalar_loss():
         ad.backward(ad.relu(v))
 
 
-@pytest.mark.parametrize("cout", [2, 6])
-def test_second_backward_through_conv_raises(cout):
-    """The conv node drops its forward operand (the tap kernel's flat frame
-    for 4 -> 2, the im2col columns for 4 -> 6) in its first backward."""
-    rng = Rng(99)
-    x = ad.Var(randn((1, 4, 5, 5), 0.0, 1.0, rng.split("x")), requires_grad=True)
-    w = ad.Var(randn((cout, 4, 3, 3), 0.0, 1.0, rng.split("w")), requires_grad=True)
-    loss = ad.sum_sq(ad.conv2d(x, w))
+def _spent_graphs():
+    """name -> build: build(rng) returns a scalar loss and the leaves it
+    reads.  The conv cases keep the tap kernel (4 -> 2, its flat frame)
+    and im2col (4 -> 6, its columns) as the forward operand."""
+    def leaf(rng, name, shape):
+        return ad.Var(safe_randn(shape, rng.split(name)), requires_grad=True)
+
+    def relu_sum_sq(rng):
+        v = ad.Var(np.array([1.0, -1.0, 3.0]), requires_grad=True)
+        return ad.sum_sq(ad.relu(v)), [v]
+
+    def batchnorm(rng):
+        x, g, b = (leaf(rng, k, s) for k, s in
+                   (("x", (2, 3, 4, 4)), ("g", (3,)), ("b", (3,))))
+        return ad.sum_sq(ad.batchnorm(x, g, b)), [x, g, b]
+
+    def add(rng):
+        x, y = leaf(rng, "x", (1, 2, 3, 3)), leaf(rng, "y", (1, 2, 3, 3))
+        return ad.sum_sq(ad.add(x, y)), [x, y]
+
+    def concat_channels(rng):
+        x, y = leaf(rng, "x", (1, 2, 3, 3)), leaf(rng, "y", (1, 1, 3, 3))
+        return ad.sum_sq(ad.concat_channels([x, y])), [x, y]
+
+    def upsample_to(rng):
+        x = leaf(rng, "x", (1, 2, 3, 4))
+        return ad.sum_sq(ad.upsample_to(x, (6, 8))), [x]
+
+    def softmax_cross_entropy(rng):
+        x = leaf(rng, "x", (2, 3, 4, 4))
+        labels = rng.split("lbl").generator().integers(0, 3, size=(2, 4, 4))
+        return ad.softmax_cross_entropy(x, labels), [x]
+
+    def conv2d(cout):
+        def build(rng):
+            x, w = leaf(rng, "x", (1, 4, 5, 5)), leaf(rng, "w", (cout, 4, 3, 3))
+            return ad.sum_sq(ad.conv2d(x, w)), [x, w]
+        return build
+
+    def unit_block(rng):
+        x, w = leaf(rng, "x", (2, 4, 5, 5)), leaf(rng, "w", (3, 4, 3, 3))
+        g, b = leaf(rng, "g", (3,)), leaf(rng, "b", (3,))
+        y = ad.unit_block(lambda v: ad.conv2d(v, w), x, g, b)
+        return ad.sum_sq(y), [x, w, g, b]
+
+    return {"relu": relu_sum_sq, "batchnorm": batchnorm, "add": add,
+            "concat_channels": concat_channels, "upsample_to": upsample_to,
+            "softmax_cross_entropy": softmax_cross_entropy,
+            "conv2d-cout2": conv2d(2), "conv2d-cout6": conv2d(6),
+            "unit_block": unit_block}
+
+
+SPENT_GRAPHS = _spent_graphs()
+
+
+@pytest.mark.parametrize("case", list(SPENT_GRAPHS))
+def test_second_backward_raises(case):
+    """A graph is backpropagated once: a second backward through it, from
+    the same loss or from a new node on top of it, raises before any leaf
+    gradient moves."""
+    loss, leaves = SPENT_GRAPHS[case](Rng(99))
     ad.backward(loss)
+    grads = [v.grad.copy() for v in leaves]
     with pytest.raises(ContractError):
         ad.backward(loss)
+    fresh = ad.Var(np.ones(()), requires_grad=True)
+    with pytest.raises(ContractError):
+        ad.backward(ad.add(ad.sum_sq(fresh), loss))
+    assert fresh.grad is None
+    for v, g in zip(leaves, grads):
+        assert np.array_equal(v.grad, g)
+
+
+def test_backward_releases_every_node():
+    """After backward no non-leaf node holds a gradient or a closure, and
+    the returned map holds exactly the leaves' gradients."""
+    rng = Rng(98)
+    x = ad.Var(safe_randn((2, 4, 5, 5), rng.split("x")), requires_grad=True)
+    w1 = ad.Var(safe_randn((3, 4, 3, 3), rng.split("w1")), requires_grad=True)
+    w2 = ad.Var(safe_randn((2, 3, 1, 1), rng.split("w2")), requires_grad=True)
+    c = ad.Var(safe_randn((2, 2, 5, 5), rng.split("c")), requires_grad=True)
+    g, b = ad.Var(np.ones(3), requires_grad=True), ad.Var(np.zeros(3), requires_grad=True)
+    y = ad.unit_block(lambda v: ad.conv2d(v, w1, stride=2), x, g, b)
+    z = ad.conv2d(ad.upsample_to(y, (5, 5)), w2)
+    loss = ad.softmax_cross_entropy(ad.concat_channels([z, ad.add(z, c)]),
+                                    np.zeros((2, 5, 5), dtype=int))
+    nodes, stack = {}, [loss]
+    while stack:
+        v = stack.pop()
+        if id(v) not in nodes:
+            nodes[id(v)] = v
+            stack.extend(v._parents)
+    grads = ad.backward(loss)
+    inner = [v for v in nodes.values() if v._parents]
+    assert len(inner) == 6
+    for v in inner:
+        assert v.grad is None and v._backward in (None, ad._spent), v.op
+    assert set(grads) == {id(v) for v in (x, w1, w2, c, g, b)}
+    for v in (x, w1, w2, c, g, b):
+        assert grads[id(v)] is v.grad
 
 
 def test_no_tape_records_nothing_and_restores_after_an_exception():
@@ -378,6 +467,19 @@ def test_gradient_accumulates_over_reuse():
     assert_no_shared_grads(grads)
     ad.zero_grad([v])
     assert v.grad is None
+
+    # add and concat hand their gradients straight to leaves, which own them
+    rng = Rng(115)
+    a, b, c = (ad.Var(randn((1, k, 3, 3), 0.0, 1.0, rng.split(name)), requires_grad=True)
+               for name, k in (("a", 2), ("b", 2), ("c", 1)))
+    u = randn((1, 3, 3, 3), 0.0, 1.0, rng.split("u"))
+    grads = ad.backward(ad.dot_const(ad.concat_channels([ad.add(a, b), c]), u))
+    assert set(grads) == {id(a), id(b), id(c)}
+    assert_no_shared_grads(grads)
+    assert all(g.base is None for g in grads.values())
+    np.testing.assert_array_equal(a.grad, u[:, :2])
+    np.testing.assert_array_equal(b.grad, u[:, :2])
+    np.testing.assert_array_equal(c.grad, u[:, 2:])
 
     # x feeds two convs (the channel-reducing tap kernel) and a concat
     rng = Rng(116)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -258,6 +260,64 @@ def test_unit_block_output_moments():
     m = moments(unit(x).data)
     assert abs(m.mean - 0.3989) < 0.05 * 0.3989
     assert abs(m.variance - 0.3408) < 0.05 * 0.3408
+
+
+UNIT_CASES = {                       # (cin, cout, ConvUnit keywords)
+    "stride1-im2col": (4, 6, {}),
+    "stride1-taps": (6, 4, {}),
+    "stride2": (4, 6, {"stride": 2}),
+    "dilation2": (6, 4, {"dilation": 2}),
+    "pad_value": (6, 4, {}),
+    "separable": (4, 6, {"dilation": 2}),
+}
+
+
+@pytest.mark.parametrize("case", list(UNIT_CASES))
+def test_unit_block_node_matches_the_three_node_chain(case):
+    """A unit block is one tape node whose parents are x and the unit's
+    parameters, and it gives == outputs and == gradients for x and every
+    parameter against conv -> batchnorm -> relu as three nodes."""
+    cin, cout, kw = UNIT_CASES[case]
+    rng = Rng(22)
+    cls = decoders.SepConvUnit if case == "separable" else decoders.ConvUnit
+    unit = cls(rng.split("unit"), cin, cout, 3, **kw)
+    if case == "pad_value":
+        unit.pad_value = randn((cin,), 0.0, 1.0, rng.split("pad"))
+    x0 = randn((2, cin, 8, 10), 0.0, 1.0, rng.split("x"))
+    with ad.no_tape():
+        shape = unit(x0).data.shape
+    u = randn(shape, 0.0, 1.0, rng.split("u"))
+
+    def run(one_node):
+        ad.zero_grad(unit.params())
+        x = ad.Var(x0, requires_grad=True)
+        if one_node:
+            y = unit(x)
+            assert y.op == "unit_block"
+            assert [id(p) for p in y._parents] == [id(x)] + [id(p) for p in unit.params()]
+        else:
+            y = ad.relu(ad.batchnorm(unit.conv(x), unit.gamma, unit.beta))
+        ad.backward(ad.dot_const(y, u))
+        return [y.data, x.grad] + [p.grad for p in unit.params()]
+
+    for a, b in zip(run(True), run(False), strict=True):
+        assert np.array_equal(a, b)
+
+
+def test_unit_block_keeps_only_what_backward_reads():
+    """A 1x1 unit keeps its output, batchnorm's xhat and the ReLU mask
+    (its conv operand is x itself): about 2.1 output sizes, where the
+    conv and batchnorm outputs would add 2 more."""
+    unit = decoders.ConvUnit(Rng(23), 8, 8, 1)
+    x = ad.Var(randn((2, 8, 32, 32), 0.0, 1.0, Rng(24)), requires_grad=True)
+    unit(x)                                # warm-up: cached maps
+    tracemalloc.start()
+    try:
+        y = unit(x)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 3 * y.data.nbytes, held / y.data.nbytes
 
 
 def test_all_zero_input_gives_constant_logits():
