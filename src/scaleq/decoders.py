@@ -28,7 +28,6 @@ from .errors import ConfigError, ContractError, ShapeError
 from .equalizer import GlobalStats, calibrate_weights
 from .tensor import Rng, randn
 
-OUTPUT_STRIDES = (8, 16)                  # of ToyEncoder's single-stage mode
 EQUALIZE_MODES = ("off", "injected", "calibrated")
 
 
@@ -140,17 +139,13 @@ class HeadOutput:
 
 class ToyEncoder(Module):
     """Randomly initialized strided unit blocks standing in for a pretrained
-    backbone on RGB input.  Block i halves the size, so the forward returns
-    every stage keyed by its ratio 2^(i+1), as `stage_channels` describes:
-    five stages up to ratio 32 in multi-stage mode, and up to ratio s in
-    output-stride mode."""
+    backbone on RGB input: one stride-2 block per width.  Block i halves the
+    size, so the forward returns every stage keyed by its ratio 2^(i+1), as
+    `stage_channels` describes; the caller picks the depth (five stages for
+    a multi-stage head, log2 of the output stride for a single-stage one)."""
 
-    def __init__(self, rng: Rng, widths=(8, 16, 16, 32, 32),
-                 output_stride: int | None = None):
-        if output_stride is not None and output_stride not in OUTPUT_STRIDES:
-            raise ConfigError(f"output stride must be in {OUTPUT_STRIDES}, got {output_stride}")
-        n_down = 5 if output_stride is None else int(np.log2(output_stride))
-        self.widths = tuple(widths[:n_down])
+    def __init__(self, rng: Rng, widths=(8, 16, 16, 32, 32)):
+        self.widths = tuple(widths)
         self.blocks = []
         cin = 3
         for i, w in enumerate(self.widths):

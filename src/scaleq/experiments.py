@@ -7,17 +7,17 @@ every CSV row carries the config hash.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import autodiff as ad
 from . import ops
-from .decoders import (EQUALIZE_MODES, HEAD_KINDS, OUTPUT_STRIDES, SegModel,
-                       ToyEncoder, build_head)
+from .decoders import EQUALIZE_MODES, HEAD_KINDS, SegModel, ToyEncoder, build_head
 from .equalizer import (GlobalStats, accumulate_stats, branch_moments,
                         calibrate_weights, save_stats, scale_equalize)
 from .errors import ConfigError, ContractError
@@ -27,6 +27,7 @@ from .tensor import Rng, moments, randn, save_tensor
 RELU_BN_MEAN = 1.0 / math.sqrt(2.0 * math.pi)          # E[ReLU(BN(Wx))]
 RELU_BN_VAR = (math.pi - 1.0) / (2.0 * math.pi)        # Var[ReLU(BN(Wx))]
 ALIGN_MODES = {"false": (False,), "true": (True,), "both": (False, True)}
+OUTPUT_STRIDES = (8, 16)                # of the single-stage heads' encoder
 # the least value of each count; the dataset and batch sizes start at 2,
 # since a batch of one image pooled to 1x1 leaves batchnorm one value
 COUNT_MINIMA = {"trials": 1, "audit_seeds": 1, "dataset_size": 2, "audit_dataset": 2,
@@ -67,10 +68,12 @@ class ExperimentConfig:
             raise ConfigError(f"shape {self.shape} is not 4 positive sizes")
         if len(self.encoder_widths) != 5 or min(self.encoder_widths) < 1:
             raise ConfigError(f"{self.encoder_widths} is not 5 positive encoder_widths")
-        if not self.sigma_grid or min(self.sigma_grid) < 0:
-            raise ConfigError(f"sigma_grid {self.sigma_grid} is empty or negative")
-        if not self.ratios:
-            raise ConfigError("ratios must not be empty")
+        if not self.sigma_grid or not all(0 <= s < math.inf for s in self.sigma_grid):
+            raise ConfigError(f"sigma_grid {self.sigma_grid} is empty or not finite and >= 0")
+        if not self.ratios or min(self.ratios) < 1:
+            raise ConfigError(f"ratios {self.ratios} are empty or below 1")
+        if not 0 < self.lr < math.inf:
+            raise ConfigError(f"lr {self.lr} is not finite and positive")
         if self.align_corners not in ALIGN_MODES:
             raise ConfigError(f"unknown align_corners {self.align_corners!r}")
         if self.equalize not in EQUALIZE_MODES:
@@ -84,34 +87,32 @@ class ExperimentConfig:
         if self.sigma_floor is not None and not self.sigma_floor > 0:
             raise ConfigError(f"sigma_floor {self.sigma_floor} is not positive")
 
-    def align_modes(self):
-        return ALIGN_MODES[self.align_corners]
-
     def hash(self) -> str:
         blob = json.dumps({k: v for k, v in asdict(self).items() if k != "out_dir"},
                           sort_keys=True, default=str)
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def write_csv(path, rows) -> None:
-    """Row dicts as CSV lines, floats as repr, under a header of the keys of
-    the first row; every row has the same keys in the same order."""
-    with open(path, "w", newline="") as f:
-        if rows:
-            f.write(",".join(rows[0]) + "\n")
-        for row in rows:
-            f.write(",".join(repr(v) if isinstance(v, float) else str(v)
-                             for v in row.values()) + "\n")
-
-
-def write_summary(path, config: ExperimentConfig, checks: dict) -> None:
+def write_outputs(config: ExperimentConfig, stem: str, checks: dict, rows=None) -> None:
+    """A driver's files in its output directory, if it has one: `<stem>.csv`
+    when rows are given, the row dicts under a header of the first row's
+    keys (a float's str is its repr), and `<stem>_summary.json`."""
+    if not config.out_dir:
+        return
+    path = f"{config.out_dir}/{stem}"
+    if rows is not None:
+        with open(f"{path}.csv", "w", newline="") as f:
+            if rows:
+                writer = csv.DictWriter(f, list(rows[0]), lineterminator="\n")
+                writer.writeheader()
+                writer.writerows(rows)
     payload = {
         "config": asdict(config),
         "config_hash": config.hash(),
         "versions": {"numpy": np.__version__},
         "checks": checks,
     }
-    with open(path, "w") as f:
+    with open(f"{path}_summary.json", "w") as f:
         json.dump(payload, f, indent=2, default=str, sort_keys=True)
         f.write("\n")
 
@@ -131,7 +132,7 @@ def run_fig2(config: ExperimentConfig) -> list[dict]:
     rows = []
     for sigma in sigmas:
         for r in config.ratios:
-            for align in config.align_modes():
+            for align in ALIGN_MODES[config.align_corners]:
                 mode = UpsampleMode("bilinear", align)
                 before = []
                 after = []
@@ -149,10 +150,7 @@ def run_fig2(config: ExperimentConfig) -> list[dict]:
                     "is_reference": int(sigma not in config.sigma_grid),
                     "config_hash": chash,
                 })
-    if config.out_dir:
-        write_csv(f"{config.out_dir}/fig2.csv", rows)
-        checks = fig2_checks(rows)
-        write_summary(f"{config.out_dir}/fig2_summary.json", config, checks)
+    write_outputs(config, "fig2", fig2_checks(rows), rows)
     return rows
 
 
@@ -213,10 +211,7 @@ def run_prop1(config: ExperimentConfig) -> list[dict]:
                 rows.append({"trial": trial, "construct_ratio": var_ratio,
                              "equalized": int(equalized),
                              "grad_var_ratio": float(r), "config_hash": chash})
-    if config.out_dir:
-        write_csv(f"{config.out_dir}/prop1.csv", rows)
-        write_summary(f"{config.out_dir}/prop1_summary.json", config,
-                      prop1_checks(rows))
+    write_outputs(config, "prop1", prop1_checks(rows), rows)
     return rows
 
 
@@ -305,8 +300,7 @@ def build_model(config: ExperimentConfig, seed: int, head_kind: str | None = Non
                 equalize: str = "off", stats=None) -> SegModel:
     head_kind = head_kind or config.head
     rng = Rng(seed).split("model")
-    stride = None if head_kind == "uperhead" else config.output_stride
-    enc = ToyEncoder(rng.split("enc"), config.encoder_widths, stride)
+    enc = ToyEncoder(rng.split("enc"), stage_widths(config, head_kind))
     head = build_head(head_kind, rng.split("head"), enc,
                       config.head_channels, config.n_classes)
     head.set_equalize(equalize, stats)
@@ -320,11 +314,25 @@ def model_stats(model: SegModel, images, batch_size: int, sigma_floor=None):
                             batch_size, sigma_floor)
 
 
-def head_input_size(config: ExperimentConfig, head_kind: str) -> int:
-    # single-stage heads need C5 >= 6x6 for the (1,2,3,6) pyramid bins
+def stage_widths(config: ExperimentConfig, head_kind: str) -> tuple:
+    """The encoder's widths, one stride-2 stage each: all five for uperhead,
+    which fuses every stage, the first log2(output_stride) for the others."""
     if head_kind == "uperhead":
-        return config.image_size
-    return max(config.image_size, 6 * config.output_stride)
+        return config.encoder_widths
+    return config.encoder_widths[:int(math.log2(config.output_stride))]
+
+
+def head_input_size(config: ExperimentConfig, head_kind: str) -> int:
+    """A single-stage head needs C5 >= 6x6 for the (1,2,3,6) pyramid bins.
+    A size the encoder cannot halve at every stage fails before any data."""
+    stride = 2 ** len(stage_widths(config, head_kind))
+    size = config.image_size
+    if head_kind != "uperhead":
+        size = max(size, 6 * stride)
+    if size % stride:
+        raise ConfigError(f"image_size {size} is not divisible by {stride}, "
+                          f"the stride of the {head_kind} encoder")
+    return size
 
 
 # ---------------------------------------------------------------------------
@@ -428,10 +436,7 @@ def run_head_audit(config: ExperimentConfig, head_kind: str | None = None) -> di
                 "config_hash": chash,
             })
     summary = audit_checks(head_kind, head.n_branches, seed_summaries)
-    if config.out_dir:
-        write_csv(f"{config.out_dir}/head_audit_{head_kind}.csv", rows)
-        write_summary(f"{config.out_dir}/head_audit_{head_kind}_summary.json",
-                      config, summary)
+    write_outputs(config, f"head_audit_{head_kind}", summary, rows)
     return {"rows": rows, "seeds": seed_summaries, "summary": summary}
 
 
@@ -536,9 +541,7 @@ def run_toy_train(config: ExperimentConfig) -> dict:
     for arm in arms:
         rows += _train_arm(config, samples, arm)
     checks = train_checks(rows)
-    if config.out_dir:
-        write_csv(f"{config.out_dir}/train.csv", rows)
-        write_summary(f"{config.out_dir}/train_summary.json", config, checks)
+    write_outputs(config, "train", checks, rows)
     return {"rows": rows, "checks": checks}
 
 
@@ -648,7 +651,7 @@ def run_calibrate(config: ExperimentConfig) -> dict:
         save_tensor(ckpt_path, model.head.fusion_block.weight.data)
         out["stats_path"] = stats_path
         out["checkpoint_path"] = ckpt_path
-        write_summary(f"{config.out_dir}/calibrate_summary.json", config, out)
+    write_outputs(config, "calibrate", out)
     return out
 
 
@@ -725,6 +728,5 @@ def run_check(config: ExperimentConfig) -> dict:
 
     ok = all(c["ok"] for c in checks.values())
     result = {"ok": ok, "checks": checks}
-    if config.out_dir:
-        write_summary(f"{config.out_dir}/check_summary.json", config, result)
+    write_outputs(config, "check", result)
     return result

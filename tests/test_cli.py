@@ -292,9 +292,39 @@ def test_fig2_command_writes_csv(tmp_path, quick_ini, capsys):
     lines = (out / "fig2.csv").read_text().strip().splitlines()
     assert lines[0].startswith("sigma,r,mode,")
     assert len(lines) == 1 + 3 * 2 * 1          # (grid+ref) x ratios x modes
-    first = (out / "fig2.csv").read_bytes()
-    assert main(argv) == 0                      # byte-identical rerun
-    assert (out / "fig2.csv").read_bytes() == first
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMAND_FIELDS))
+def test_rerun_is_byte_identical(tmp_path, quick_ini, capsys, command):
+    """Runs of a command at one seed write the same files with the same
+    bytes, once the echoed output directory is masked, and print the same
+    lines: into a fresh directory, and again over the first run's files."""
+    runs = []
+    for name in ("a", "b", "a"):
+        out = tmp_path / name
+        code = main([command, "--config", quick_ini, "--out", str(out)])
+        files = {p.name: p.read_bytes().replace(str(out).encode(), b"OUT")
+                 for p in out.iterdir()}
+        runs.append((code, files, capsys.readouterr().out))
+    assert runs[0][1] and runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("command,head,stride,size", [
+    ("audit", "uperhead", 8, 60), ("calibrate", "psphead", 8, 52),
+    ("train", "fcnhead", 16, 100), ("train", "uperhead", 8, 48),
+])
+def test_size_the_encoder_cannot_halve_exits_1_before_any_data(
+        tmp_path, monkeypatch, capsys, command, head, stride, size):
+    """An image size that the head's encoder cannot halve at every stage is
+    an error before the dataset is generated."""
+    from scaleq import experiments
+    monkeypatch.setattr(experiments, "gen_synthetic_dataset",
+                        lambda *args, **kwargs: pytest.fail("data was generated"))
+    path = tmp_path / "size.ini"
+    path.write_text(f"[decoders]\nimage_size = {size}\noutput_stride = {stride}\n")
+    assert main([command, "--config", str(path), "--head", head]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "not divisible by" in err
 
 
 def test_prop1_command(tmp_path, quick_ini, capsys):
@@ -375,6 +405,11 @@ def test_default_config_file_loads():
     ("check", "decoders", "output_stride", "12"),
     ("check", "decoders", "n_classes", "9"),
     ("calibrate", "equalizer", "sigma_floor", "-1"),
+    ("fig2", "fig2", "ratios", "0,2"),
+    ("fig2", "fig2", "ratios", "-2"),
+    ("train", "train", "lr", "nan"),
+    ("train", "train", "lr", "-0.05"),
+    ("fig2", "fig2", "sigma_grid", "nan,0.5"),
 ])
 def test_bad_setting_exits_1_before_any_work(tmp_path, monkeypatch, capsys,
                                              command, section, key, value):

@@ -16,10 +16,8 @@ from scaleq.tensor import Rng, moments, randn
 def make_model(head_kind, seed=0, image=None, widths=(8, 16, 16, 32, 32),
                channels=16, n_classes=4, stride=8):
     rng = Rng(seed)
-    if head_kind == "uperhead":
-        enc = ToyEncoder(rng.split("enc"), widths=widths)
-    else:
-        enc = ToyEncoder(rng.split("enc"), widths=widths, output_stride=stride)
+    depth = 5 if head_kind == "uperhead" else int(np.log2(stride))
+    enc = ToyEncoder(rng.split("enc"), widths=widths[:depth])
     head = build_head(head_kind, rng.split("head"), enc, channels, n_classes)
     return SegModel(enc, head)
 
@@ -99,9 +97,9 @@ def test_encoder_divisibility():
 
 def test_encoder_returns_every_stage():
     rng = Rng(0)
-    for stride, ratios in ((None, (2, 4, 8, 16, 32)), (8, (2, 4, 8)),
-                           (16, (2, 4, 8, 16))):
-        enc = ToyEncoder(rng.split("enc"), output_stride=stride)
+    widths = (8, 16, 16, 32, 32)
+    for depth, ratios in ((5, (2, 4, 8, 16, 32)), (3, (2, 4, 8)), (4, (2, 4, 8, 16))):
+        enc = ToyEncoder(rng.split("enc"), widths[:depth])
         feats = enc.forward(np.zeros((1, 3, 64, 64)))
         assert tuple(feats) == tuple(enc.stage_channels()) == ratios
         for r, width in enc.stage_channels().items():

@@ -323,6 +323,23 @@ def test_toy_train_at_the_head_input_size():
     assert set(checks) == {"baseline", "equalized"}
 
 
+@pytest.mark.parametrize("head", HEAD_KINDS)
+def test_build_model_picks_the_encoder_depth(head):
+    """uperhead gets all five encoder widths, a single-stage head the first
+    log2(output_stride); head_input_size checks its size against that
+    depth."""
+    for stride, depth in ((8, 3), (16, 4)):
+        cfg = quick_config(output_stride=stride, encoder_widths=(3, 4, 5, 6, 7))
+        enc = ex.build_model(cfg, 0, head).encoder
+        want = 5 if head == "uperhead" else depth
+        assert enc.widths == (3, 4, 5, 6, 7)[:want]
+        assert list(enc.stage_channels()) == [2 ** (i + 1) for i in range(want)]
+        assert ex.head_input_size(dataclasses.replace(cfg, image_size=224), head) == 224
+        bad = dataclasses.replace(cfg, image_size=2 ** want * 7 + 4)
+        with pytest.raises(ConfigError, match="not divisible by"):
+            ex.head_input_size(bad, head)
+
+
 def test_toy_train_reference_final_loss():
     """The equalized-arm loss recorded as the benchmark's reference."""
     cfg = ExperimentConfig(seed=0, dataset_size=32, train_steps=3)
@@ -444,6 +461,33 @@ def test_run_check_all_ok(tmp_path):
     assert summary["checks"]["ok"] is True
 
 
+def test_write_outputs_bytes(tmp_path):
+    """Floats as repr, ints and strings as str, the header from the first
+    row's keys, no rows as an empty CSV, no rows argument as no CSV, and
+    the summary as sorted JSON with a trailing newline."""
+    cfg = ExperimentConfig(seed=3, out_dir=str(tmp_path))
+    rows = [{"x": 0.1, "n": 1, "s": "a"}, {"x": 1e-17, "n": -2, "s": "b_c"},
+            {"x": -0.0, "n": 0, "s": "3"}, {"x": math.nan, "n": 10, "s": ""}]
+    ex.write_outputs(cfg, "full", {"zeta": 1, "alpha": [0.5, True]}, rows)
+    assert (tmp_path / "full.csv").read_bytes() == (
+        b"x,n,s\n0.1,1,a\n1e-17,-2,b_c\n-0.0,0,3\nnan,10,\n")
+    text = (tmp_path / "full_summary.json").read_text()
+    summary = json.loads(text)
+    assert text == json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    assert summary["checks"] == {"zeta": 1, "alpha": [0.5, True]}
+    assert summary["config"]["seed"] == 3
+    assert summary["config"]["out_dir"] == str(tmp_path)
+    assert summary["config_hash"] == cfg.hash()
+    assert summary["versions"] == {"numpy": np.__version__}
+    ex.write_outputs(cfg, "empty", {}, [])
+    assert (tmp_path / "empty.csv").read_bytes() == b""
+    ex.write_outputs(cfg, "summary_only", {})
+    assert not (tmp_path / "summary_only.csv").exists()
+    assert (tmp_path / "summary_only_summary.json").exists()
+    ex.write_outputs(dataclasses.replace(cfg, out_dir=None), "nowhere", {}, rows)
+    assert not list(tmp_path.glob("nowhere*"))
+
+
 @pytest.mark.parametrize("change", [
     {"trials": 0}, {"audit_seeds": 0}, {"dataset_size": 0}, {"audit_dataset": 0},
     {"stats_batch": 0}, {"train_steps": 0}, {"batch_size": 0},
@@ -456,6 +500,8 @@ def test_run_check_all_ok(tmp_path):
     {"head": "fcnheadd"}, {"head": "PSPHead"}, {"output_stride": 12},
     {"n_classes": 1}, {"n_classes": 9}, {"sigma_floor": -1.0}, {"sigma_floor": 0.0},
     {"dataset_size": 1}, {"audit_dataset": 1}, {"stats_batch": 1}, {"batch_size": 1},
+    {"ratios": (0, 2)}, {"ratios": (-2,)}, {"lr": math.nan}, {"lr": -0.05}, {"lr": 0.0},
+    {"lr": math.inf}, {"sigma_grid": (math.nan, 0.5)}, {"sigma_grid": (0.2, math.inf)},
 ])
 def test_config_value_rules(change):
     """Construction and dataclasses.replace apply the same value rules."""
