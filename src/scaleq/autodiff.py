@@ -387,12 +387,12 @@ def finite_diff_grad(f, x: np.ndarray) -> np.ndarray:
     return grad
 
 
-def grad_group_moments(grads: np.ndarray, groups) -> list[Moments]:
+def grad_group_moments(grads: np.ndarray, widths) -> list[Moments]:
     """Per-group Moments of a fusion-weight gradient, partitioned along the
-    input-channel axis (axis 1).  Groups are (start, stop) ranges that must
-    tile the axis exactly once."""
+    input-channel axis (axis 1) into groups of the given widths, which must
+    sum to the axis."""
     grads = np.asarray(grads)
     if grads.ndim < 2:
         raise ContractError("expected a weight-shaped gradient (Cout, Cin, ...)")
-    spans = channel_spans(groups, grads.shape[1])
+    spans = channel_spans(widths, grads.shape[1])
     return [moments(grads[:, a:b]) for a, b in spans]

@@ -25,6 +25,12 @@ def _tuple_of(cast):
     return parse
 
 
+def _thread_count(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"thread count {text} is below 1")
+    return int(text)
+
+
 # (section, key) in the config file -> (ExperimentConfig field, parser)
 CONFIG_SCHEMA = {
     ("run", "seed"): ("seed", int),
@@ -91,8 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", metavar="PATH", help="INI config file")
     common.add_argument("--seed", type=int, help="root random seed (default 42)")
     common.add_argument("--out", dest="out_dir", metavar="DIR", help="output directory")
-    common.add_argument("--threads", type=int,
-                        help="cap BLAS/OpenMP thread count")
+    common.add_argument("--threads", type=_thread_count, metavar="N",
+                        help="cap BLAS/OpenMP thread count (N >= 1)")
 
     parser = argparse.ArgumentParser(
         prog="scaleq",

@@ -10,8 +10,9 @@ described once by `ToyEncoder.stage_channels()`.  Every head takes that
 stage map in one constructor, `(rng, in_channels, channels, n_classes)`;
 the single-stage heads read the deepest stage as C5.  A head defines its
 branches, and the base builds h and the classifier.  `pooled_branches` is
-the one pool -> unit block -> upsample routine, shared by UPerHead's PPM,
-PSPHead's pyramid and ASPPHead's image pool.  `SegModel.forward` hands the
+the one pool -> unit block routine of UPerHead's PPM, PSPHead's pyramid
+and ASPPHead's image pool; `to_shared_size` upsamples the branches of every
+concatenation and measures their ratios.  `SegModel.forward` hands the
 input size to the head tail, which restores the logits to it.
 
 All parameters are autodiff Vars so the same forwards serve the moment
@@ -176,10 +177,11 @@ class _HeadBase(Module):
     """Every head has one fixed configuration, built by one constructor
     `(rng, in_channels, channels, n_classes)` from the encoder's stage map;
     the single-stage heads read C5 as its deepest stage.  `branch_channels`
-    is the channel width of each concatenation subject, in order; the fusion
-    block's input width, its weight groups and the branch count follow
-    from it.  The base builds the fusion block and the classifier.  All
-    upsampling is bilinear with align_corners=False."""
+    is the width of each concatenation subject, in order: the fusion groups,
+    whose count and sum are the branch count and the fusion block's input
+    width.  `branches` measures the ratios by `to_shared_size`.  The base
+    builds the fusion block and the classifier.  All upsampling is bilinear
+    with align_corners=False."""
 
     kind = None
     fusion_stream = "fusion"            # rng stream of the fusion block
@@ -191,11 +193,6 @@ class _HeadBase(Module):
         self.fusion_block = ConvUnit(rng.split(self.fusion_stream),
                                      sum(self.branch_channels), channels, 3)
         self.classifier = Classifier(rng.split("cls"), channels, n_classes)
-
-    def groups(self):
-        """(start, stop) channel spans of each branch in the concatenation."""
-        edges = np.cumsum((0,) + self.branch_channels)
-        return [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:])]
 
     @property
     def n_branches(self) -> int:
@@ -217,15 +214,15 @@ class _HeadBase(Module):
                                 f"{self.kind} fuses {self.n_branches}")
         if mode == "calibrated":
             fusion = self.fusion_block
+            # a batchnorm follows the fusion conv, so the bias correction goes
             fusion.weight.data, _, fusion.pad_value = calibrate_weights(
-                fusion.weight.data, None, stats, self.groups(), bias_skip=True)
+                fusion.weight.data, stats, self.branch_channels)
         self.equalize = mode
         self.stats = stats
 
     def branches(self, feats: dict):
-        """Branch unit blocks and their upsampling, up to the concatenation.
-        Returns (subjects_raw, ratios): the post-upsample, pre-equalizer
-        subjects and the realized upsampling ratio of each branch."""
+        """Branch unit blocks and their upsampling, up to the concatenation:
+        `to_shared_size` of the branches."""
         raise NotImplementedError
 
     def _finish(self, subjects_raw, target_hw) -> HeadOutput:
@@ -242,15 +239,24 @@ class _HeadBase(Module):
         return HeadOutput(logits, subjects_raw, subjects)
 
 
+def to_shared_size(branches) -> tuple:
+    """Upsample every branch to the largest branch's size.  Returns
+    (subjects_raw, ratios): the post-upsample, pre-equalizer subjects and
+    each branch's ratio, shared height over the branch's height."""
+    size = max(b.data.shape[2:] for b in branches)
+    subjects = [b if b.data.shape[2:] == size else ad.upsample_to(b, size)
+                for b in branches]
+    return subjects, tuple(size[0] / b.data.shape[2] for b in branches)
+
+
 def pooled_branches(c5: ad.Var, bins, units) -> list:
     """The pyramid pooling module of PSPNet (Zhao et al., 2017), also
     UPerHead's PPM and ASPP's image pool: per bin b, adaptive average
-    pooling of C5 to b x b, its unit block, and upsampling to C5's size."""
+    pooling of C5 to b x b and its unit block."""
     size = c5.data.shape[2:]
     if max(bins) > min(size):
         raise ShapeError(f"pooling bin {max(bins)} exceeds C5 size {size}")
-    return [ad.upsample_to(unit(ad.avgpool_to(c5, (b, b))), size)
-            for b, unit in zip(bins, units)]
+    return [unit(ad.avgpool_to(c5, (b, b))) for b, unit in zip(bins, units)]
 
 
 class UPerHead(_HeadBase):
@@ -277,7 +283,8 @@ class UPerHead(_HeadBase):
             raise ShapeError(f"uperhead needs features at ratios 4/8/16/32, "
                              f"got {sorted(feats)}")
         c5 = feats[32]
-        ppm = [c5] + pooled_branches(c5, self.ppm_bins, self.ppm_units)
+        ppm, _ = to_shared_size([c5] + pooled_branches(c5, self.ppm_bins,
+                                                       self.ppm_units))
         laterals = {32: self.ppm_out(ad.concat_channels(ppm))}
         for r in (16, 8, 4):
             laterals[r] = self.laterals[r](feats[r])
@@ -285,10 +292,7 @@ class UPerHead(_HeadBase):
         for r in (16, 8, 4):
             up = ad.upsample_to(merged[r * 2], laterals[r].data.shape[2:])
             merged[r] = ad.add(laterals[r], up)
-        p = {r: self.fpn_units[r](merged[r]) for r in (4, 8, 16, 32)}
-        target = p[4].data.shape[2:]
-        subjects_raw = [p[4]] + [ad.upsample_to(p[r], target) for r in (8, 16, 32)]
-        return subjects_raw, (1, 2, 4, 8)
+        return to_shared_size([self.fpn_units[r](merged[r]) for r in (4, 8, 16, 32)])
 
 
 class PSPHead(_HeadBase):
@@ -309,9 +313,7 @@ class PSPHead(_HeadBase):
 
     def branches(self, feats: dict):
         c5 = feats[self.stride]
-        h5 = c5.data.shape[2]
-        return ([c5] + pooled_branches(c5, self.bins, self.units),
-                (1,) + tuple(h5 / b for b in self.bins))
+        return to_shared_size([c5] + pooled_branches(c5, self.bins, self.units))
 
 
 class ASPPHead(_HeadBase):
@@ -340,9 +342,8 @@ class ASPPHead(_HeadBase):
 
     def branches(self, feats: dict):
         c5 = feats[self.stride]
-        subjects_raw = pooled_branches(c5, (1,), [self.gap_unit])
-        subjects_raw += [unit(c5) for unit in self.rate_units]
-        return subjects_raw, (c5.data.shape[2], 1, 1, 1, 1)
+        return to_shared_size(pooled_branches(c5, (1,), [self.gap_unit])
+                              + [unit(c5) for unit in self.rate_units])
 
 
 class SepASPPHead(ASPPHead):
@@ -364,7 +365,7 @@ class FCNHead(_HeadBase):
         self.unit = ConvUnit(rng.split("blk0"), cin, channels, 3)
 
     def branches(self, feats: dict):
-        return [self.unit(feats[self.stride])], (1,)
+        return to_shared_size([self.unit(feats[self.stride])])
 
 
 HEADS = {"uperhead": UPerHead, "psphead": PSPHead, "aspphead": ASPPHead,

@@ -40,21 +40,25 @@ class GlobalStats:
         return len(self.mu)
 
 
-def branch_moments(tap_batches, n_branches: int) -> list[Moments]:
-    """Per-branch moments of a sequence of per-batch tap lists.  Batches
-    combine with Chan's parallel update weighted by element count, so a
-    short last batch counts only for what it holds."""
-    if n_branches < 1:
-        raise ContractError("need at least one branch")
-    merged = [Moments(0.0, 0.0, 0)] * n_branches
+def branch_moments(tap_batches) -> list[Moments]:
+    """Per-branch moments of a sequence of per-batch tap lists, whose
+    first batch fixes the branch count.  Batches combine with Chan's
+    parallel update weighted by element count, so a short last batch counts
+    only for what it holds."""
+    merged = []
     for taps in tap_batches:
-        if len(taps) != n_branches:
-            raise ContractError(f"expected {n_branches} branch taps, got {len(taps)}")
+        if not taps:
+            raise ContractError("a batch has no branch taps")
+        merged = merged or [Moments(0.0, 0.0, 0)] * len(taps)
+        if len(taps) != len(merged):
+            raise ContractError(f"expected {len(merged)} branch taps, got {len(taps)}")
         merged = [m.merge(moments(tap)) for m, tap in zip(merged, taps)]
+    if not merged:
+        raise ContractError("no tap batches")
     return merged
 
 
-def accumulate_stats(dataset, tap_fn, n_branches: int, batch_size: int = 8,
+def accumulate_stats(dataset, tap_fn, batch_size: int = 8,
                      sigma_floor: float | None = None) -> GlobalStats:
     """One full pass over `dataset` (a sequence of input tensors), calling
     `tap_fn(batch) -> list of branch tensors` per mini-batch and merging the
@@ -70,7 +74,7 @@ def accumulate_stats(dataset, tap_fn, n_branches: int, batch_size: int = 8,
         starts.pop()
     batches = (np.concatenate(items[lo:hi], axis=0)
                for lo, hi in zip(starts, starts[1:] + [len(items)]))
-    merged = branch_moments(map(tap_fn, batches), n_branches)
+    merged = branch_moments(map(tap_fn, batches))
     sigma = [float(np.sqrt(m.variance)) for m in merged]
     for i, s in enumerate(sigma):
         if s <= 0.0:
@@ -82,31 +86,25 @@ def accumulate_stats(dataset, tap_fn, n_branches: int, batch_size: int = 8,
     return GlobalStats(tuple(m.mean for m in merged), tuple(sigma), len(items))
 
 
-def channel_spans(groups, channels: int) -> list[tuple[int, int]]:
-    """The (start, stop) groups as int pairs in their given order, checked
-    to tile [0, channels) exactly once."""
-    spans = [(int(a), int(b)) for a, b in groups]
-    error = ContractError(f"groups {spans} do not tile [0, {channels}) exactly")
-    cursor = 0
-    for a, b in sorted(spans):
-        if a != cursor or b <= a:
-            raise error
-        cursor = b
-    if cursor != channels:
-        raise error
-    return spans
+def channel_spans(widths, channels: int) -> list[tuple[int, int]]:
+    """The (start, stop) span of each channel group of the given widths,
+    in order; every width is at least 1 and they sum to `channels`."""
+    widths = [int(w) for w in widths]
+    if not widths or min(widths) < 1 or sum(widths) != channels:
+        raise ContractError(f"group widths {widths} do not split {channels} channels")
+    edges = np.cumsum([0] + widths).tolist()
+    return list(zip(edges[:-1], edges[1:]))
 
 
-def calibrate_weights(weight: np.ndarray, bias: np.ndarray | None,
-                      stats: GlobalStats, groups, *, bias_skip: bool = False):
+def calibrate_weights(weight: np.ndarray, stats: GlobalStats, widths):
     """Fold the equalizers of each branch into the fusion layer:
-    w_i' = w_i / sigma_i per channel group, and (unless skipped because a
-    batch normalization follows) b' = b - sum_i mu_i/sigma_i * sum(w_i)
-    aggregated over the group's channels and spatial kernel taps.  Returns
-    (w', b', pad), where pad gives each input channel its branch's mean, so
-    that mean padding of x_i is zero padding of the equalized x_i."""
+    w_i' = w_i / sigma_i per channel group of the given widths.  Returns
+    (w', correction, pad): b' = b - correction, where correction = sum_i
+    mu_i/sigma_i * sum(w_i) over the group's channels and kernel taps (b' = b
+    under a following batchnorm); pad gives each input channel its branch's
+    mean, so that mean padding of x_i is zero padding of the equalized x_i."""
     weight = np.asarray(weight, dtype=np.float64)
-    spans = channel_spans(groups, weight.shape[1])
+    spans = channel_spans(widths, weight.shape[1])
     if len(spans) != stats.n_branches:
         raise ContractError(f"{len(spans)} groups vs {stats.n_branches} branches in stats")
     new_w = weight.copy()
@@ -118,12 +116,7 @@ def calibrate_weights(weight: np.ndarray, bias: np.ndarray | None,
         new_w[:, a:b] = weight[:, a:b] / sigma
         correction += (mu / sigma) * weight[:, a:b].sum(axis=tuple(range(1, weight.ndim)))
         pad[a:b] = mu
-    if bias_skip:
-        new_b = None if bias is None else np.array(bias, dtype=np.float64)
-    else:
-        base = np.zeros(weight.shape[0]) if bias is None else np.asarray(bias, dtype=np.float64)
-        new_b = base - correction
-    return new_w, new_b, pad
+    return new_w, correction, pad
 
 
 def save_stats(path, stats: GlobalStats) -> None:

@@ -113,7 +113,7 @@ def write_outputs(config: ExperimentConfig, stem: str, checks: dict, rows=None) 
         "checks": checks,
     }
     with open(f"{path}_summary.json", "w") as f:
-        json.dump(payload, f, indent=2, default=str, sort_keys=True)
+        json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
 
 
@@ -195,7 +195,7 @@ def _prop1_trial(rng: Rng, var_ratio: float, equalized: bool) -> float:
     y = ad.conv2d(x, weight, bias)
     upstream = randn(y.data.shape, 0.0, 1.0, rng.split("u"))
     ad.backward(ad.dot_const(y, upstream))
-    g1, g2 = ad.grad_group_moments(weight.grad, [(0, c), (c, 2 * c)])
+    g1, g2 = ad.grad_group_moments(weight.grad, (c, c))
     return g1.variance / g2.variance
 
 
@@ -310,8 +310,7 @@ def build_model(config: ExperimentConfig, seed: int, head_kind: str | None = Non
 def model_stats(model: SegModel, images, batch_size: int, sigma_floor=None):
     """Algorithm-style statistics pass over the dataset; taps are the
     post-upsample, pre-concat branch features."""
-    return accumulate_stats(images, model.tap_fn, model.head.n_branches,
-                            batch_size, sigma_floor)
+    return accumulate_stats(images, model.tap_fn, batch_size, sigma_floor)
 
 
 def stage_widths(config: ExperimentConfig, head_kind: str) -> tuple:
@@ -348,7 +347,8 @@ def _tail_grad_vars(head, subjects, target_hw, upstream: np.ndarray):
     weight.grad = None
     out = head._finish(subjects, target_hw)
     ad.backward(ad.dot_const(out.logits, upstream))
-    return out, [m.variance for m in ad.grad_group_moments(weight.grad, head.groups())]
+    group_moments = ad.grad_group_moments(weight.grad, head.branch_channels)
+    return out, [m.variance for m in group_moments]
 
 
 def run_head_audit(config: ExperimentConfig, head_kind: str | None = None) -> dict:
@@ -378,8 +378,8 @@ def run_head_audit(config: ExperimentConfig, head_kind: str | None = None) -> di
             taps.append(model.tap_fn(batch))
             return taps[-1]
 
-        stats = accumulate_stats(images, keep_taps, head.n_branches,
-                                 config.stats_batch, config.sigma_floor)
+        stats = accumulate_stats(images, keep_taps, config.stats_batch,
+                                 config.sigma_floor)
         with ad.no_tape():
             subjects, ratios = model.branches(audit_batch)
         subj_m = [moments(s.data) for s in subjects]
@@ -404,7 +404,7 @@ def run_head_audit(config: ExperimentConfig, head_kind: str | None = None) -> di
         # dataset-level moments of the equalized subjects
         eq_taps = ([scale_equalize(t, mu, sigma) for t, mu, sigma
                     in zip(batch_taps, stats.mu, stats.sigma)] for batch_taps in taps)
-        acc_mom = branch_moments(eq_taps, head.n_branches)
+        acc_mom = branch_moments(eq_taps)
         eq_out, eq_loss_grad_vars = _tail_grad_vars(
             head, subjects, audit_batch.shape[2:], upstream)
         eq_jac_vars = [moments(s.data).variance for s in eq_out.subjects]
@@ -567,8 +567,8 @@ def equivalence_trial(rng: Rng):
     conv to 8 channels, evaluated both ways.
 
     Returns (pre_bn_diff, post_bn_diff): max elementwise difference between
-    injected-equalizer fusion and calibrated-weight fusion, before BN (with
-    bias correction) and after batch-stats BN (with bias skip).
+    injected-equalizer fusion and calibrated-weight fusion, before BN (bias
+    minus the fold's correction) and after batch-stats BN (bias unchanged).
     """
     n_branches, shape, c, cout = 3, (4, 6, 10, 10), 6, 8
     gen = rng.generator()
@@ -582,22 +582,20 @@ def equivalence_trial(rng: Rng):
         mus.append(mu)
         sigmas.append(sigma)
     stats = GlobalStats(tuple(mus), tuple(sigmas), shape[0])
-    groups = [(i * c, (i + 1) * c) for i in range(n_branches)]
     weight = randn((cout, n_branches * c, 3, 3), 0.0, 0.5, rng.split("w"))
     bias = randn((1, cout, 1, 1), 0.0, 0.5, rng.split("b"))[0, :, 0, 0]
 
     x_eq = np.concatenate(eq, axis=1)
     x_raw = np.concatenate(raw, axis=1)
     y_inj = ops.conv2d(x_eq, ops.ConvParams(weight, bias))
-    w_cal, b_cal, pad = calibrate_weights(weight, bias, stats, groups)
-    y_cal = ops.conv2d(x_raw, ops.ConvParams(w_cal, b_cal, pad_value=pad))
+    w_cal, correction, pad = calibrate_weights(weight, stats, (c,) * n_branches)
+    y_cal = ops.conv2d(x_raw, ops.ConvParams(w_cal, bias - correction, pad_value=pad))
     pre = float(np.max(np.abs(y_inj - y_cal)))
 
     gamma, beta = gen.uniform(0.5, 1.5, cout), gen.uniform(-0.5, 0.5, cout)
-    w_skip, b_skip, _ = calibrate_weights(weight, bias, stats, groups, bias_skip=True)
     z_inj = ops.batchnorm(ops.conv2d(x_eq, ops.ConvParams(weight, bias)),
                           gamma, beta)
-    z_cal = ops.batchnorm(ops.conv2d(x_raw, ops.ConvParams(w_skip, b_skip, pad_value=pad)),
+    z_cal = ops.batchnorm(ops.conv2d(x_raw, ops.ConvParams(w_cal, bias, pad_value=pad)),
                           gamma, beta)
     post = float(np.max(np.abs(z_inj - z_cal)))
     return pre, post
@@ -706,8 +704,8 @@ def run_check(config: ExperimentConfig) -> dict:
     checks["gradient_disequilibrium"] = {
         "mean_ratio": float(np.mean(ratios)),
         "mean_ratio_equalized": float(np.mean(eq_ratios)),
-        "ok": (abs(np.mean(ratios) - 10.0) <= 0.5
-               and abs(np.mean(eq_ratios) - 1.0) <= 0.05)}
+        "ok": bool(abs(np.mean(ratios) - 10.0) <= 0.5
+                   and abs(np.mean(eq_ratios) - 1.0) <= 0.05)}
 
     # autodiff vs central finite differences on a composite network
     xs = randn((2, 3, 8, 8), 0.0, 1.0, rng.split("fd/x"))

@@ -440,14 +440,16 @@ def test_fusion_weight_gradient_is_subject():
 
 def test_grad_group_moments_contract():
     g = np.zeros((4, 6, 1, 1))
-    ms = ad.grad_group_moments(g, [(0, 3), (3, 6)])
+    ms = ad.grad_group_moments(g, (3, 3))
     assert len(ms) == 2 and ms[0].count == 12
     with pytest.raises(ContractError):
-        ad.grad_group_moments(g, [(0, 3), (2, 6)])       # overlap
+        ad.grad_group_moments(g, (3, 0, 3))              # a zero width
     with pytest.raises(ContractError):
-        ad.grad_group_moments(g, [(0, 3)])               # incomplete
+        ad.grad_group_moments(g, (3, 4))                 # more than the axis
     with pytest.raises(ContractError):
-        ad.grad_group_moments(np.zeros(4), [(0, 4)])
+        ad.grad_group_moments(g, (3,))                   # less than the axis
+    with pytest.raises(ContractError):
+        ad.grad_group_moments(np.zeros(4), (4,))
 
 
 def assert_no_shared_grads(grads):

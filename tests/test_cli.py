@@ -69,6 +69,10 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as e:          # fig2-only flag
         main(["train", "--align-corners", "true"])
     assert e.value.code == 2
+    for count in ("0", "-2"):                     # a thread count below 1
+        with pytest.raises(SystemExit) as e:
+            main(["check", "--threads", count])
+        assert e.value.code == 2
 
 
 def test_missing_config_file_exits_1(capsys):
@@ -382,7 +386,10 @@ def test_check_command(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "check[unit_block_moments]: ok" in text
     assert "FAIL" not in text
-    assert (out / "check_summary.json").exists()
+    summary = json.loads((out / "check_summary.json").read_text())
+    oks = [summary["checks"]["ok"]] + [c["ok"] for c in
+                                       summary["checks"]["checks"].values()]
+    assert len(oks) == 7 and all(ok is True for ok in oks)
 
 
 def test_default_config_file_loads():

@@ -7,7 +7,7 @@ from scaleq import autodiff as ad
 from scaleq import decoders
 from scaleq import experiments as ex
 from scaleq.decoders import SegModel, ToyEncoder, build_head, he_normal
-from scaleq.equalizer import GlobalStats, accumulate_stats
+from scaleq.equalizer import GlobalStats, accumulate_stats, channel_spans
 from scaleq.errors import ConfigError, ContractError, ShapeError
 from scaleq.experiments import ExperimentConfig
 from scaleq.tensor import Rng, moments, randn
@@ -125,20 +125,50 @@ def test_single_stage_head_reads_the_deepest_stage():
 @pytest.mark.parametrize("kind", decoders.HEAD_KINDS)
 def test_pooled_branches_once_per_forward(kind, monkeypatch):
     """UPerHead's PPM, the PSP pyramid and the ASPP image pool all run
-    through one pooling routine, once per forward; FCNHead pools nothing."""
+    through one pooling routine, once per forward; FCNHead pools nothing.
+    Every concatenation takes its subjects from one upsampling routine:
+    UPerHead's PPM and fusion, and each other head's fusion once."""
     calls = []
-    pooled = decoders.pooled_branches
+    pooled, shared = decoders.pooled_branches, decoders.to_shared_size
 
-    def counted(c5, bins, units):
+    def counted_pool(c5, bins, units):
         calls.append(bins)
         return pooled(c5, bins, units)
 
-    monkeypatch.setattr(decoders, "pooled_branches", counted)
+    def counted_shared(branches):
+        calls.append(len(branches))
+        return shared(branches)
+
+    monkeypatch.setattr(decoders, "pooled_branches", counted_pool)
+    monkeypatch.setattr(decoders, "to_shared_size", counted_shared)
     model = make_model(kind, stride=8)
     forward(model, (2, 3, 64, 64) if kind == "uperhead" else (2, 3, 48, 48))
-    expected = {"uperhead": [(1, 2)], "psphead": [(1, 2, 3, 6)],
-                "aspphead": [(1,)], "sepaspphead": [(1,)], "fcnhead": []}
+    expected = {"uperhead": [(1, 2), 3, 4], "psphead": [(1, 2, 3, 6), 5],
+                "aspphead": [(1,), 5], "sepaspphead": [(1,), 5], "fcnhead": [1]}
     assert calls == expected[kind]
+
+
+@pytest.mark.parametrize("stride", [8, 16])
+@pytest.mark.parametrize("kind", decoders.HEAD_KINDS)
+def test_branches_measure_the_declared_ratios(kind, stride):
+    """At the default configuration each head's measured ratios, shared
+    height over branch height, are the ratios the heads used to declare
+    (C5 is 8x8 at stride 8 and 6x6 at stride 16), and every subject has
+    the shared size."""
+    cfg = ExperimentConfig(output_stride=stride)
+    size = ex.head_input_size(cfg, kind)
+    model = ex.build_model(cfg, cfg.seed, kind)
+    with ad.no_tape():
+        subjects, ratios = model.branches(randn((2, 3, size, size), 0.0, 1.0, Rng(5)))
+    declared = {
+        8: {"uperhead": (1, 2, 4, 8), "psphead": (1, 8, 4, 8 / 3, 4 / 3),
+            "aspphead": (8, 1, 1, 1, 1), "sepaspphead": (8, 1, 1, 1, 1),
+            "fcnhead": (1,)},
+        16: {"uperhead": (1, 2, 4, 8), "psphead": (1, 6, 3, 2, 1),
+             "aspphead": (6, 1, 1, 1, 1), "sepaspphead": (6, 1, 1, 1, 1),
+             "fcnhead": (1,)}}
+    assert ratios == declared[stride][kind]
+    assert len({s.data.shape[2:] for s in subjects}) == 1
 
 
 @pytest.mark.parametrize("kind", decoders.HEAD_KINDS)
@@ -175,7 +205,8 @@ def test_uperhead_needs_all_stages():
 def test_head_groups_tile_concat_width():
     for kind in decoders.HEAD_KINDS:
         model = make_model(kind)
-        spans = model.head.groups()
+        spans = channel_spans(model.head.branch_channels,
+                              model.head.fusion_block.weight.data.shape[1])
         assert spans[0][0] == 0
         assert all(a == b0 for (_, b0), (a, _) in zip(spans, spans[1:]))
         assert spans[-1][1] == model.head.fusion_block.weight.data.shape[1]
@@ -330,8 +361,7 @@ def test_all_zero_input_gives_constant_logits():
 # ---------------------------------------------------------------------------
 
 def _stats_for(model, dataset):
-    return accumulate_stats(dataset, model.tap_fn, model.head.n_branches,
-                            batch_size=4)
+    return accumulate_stats(dataset, model.tap_fn, batch_size=4)
 
 
 def test_injected_vs_calibrated_logits_match():

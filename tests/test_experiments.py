@@ -172,7 +172,7 @@ def test_head_audit_grad_vars_match_full_backward():
                              Rng(cfg.seed).split("audit-up"))
             ad.backward(ad.dot_const(out.logits, upstream))
             gm = ad.grad_group_moments(model.head.fusion_block.weight.grad,
-                                       model.head.groups())
+                                       model.head.branch_channels)
             assert ([m.variance for m in gm]
                     == [r[key] for r in res["rows"]]), (head, mode)
 
