@@ -4,10 +4,11 @@ Define-by-run: every call records a node with its parents and a backward
 closure; `backward` replays them in reverse topological order.  The graph
 is rebuilt per forward pass and backpropagated once: as soon as a node's
 closure has run, `backward` releases the closure, with every array it saved
-(a conv operand, batchnorm's xhat, a ReLU mask), and the node's gradient.
-Only leaves keep their gradients, and a second backward through a spent
-graph is a ContractError.  `unit_block` records a [Conv - BatchNorm - ReLU]
-unit as one node that keeps neither the conv nor the batchnorm output.
+(a conv operand, batchnorm's xhat, a ReLU mask), the node's gradient and
+its parents, so a spent node pins no activation behind it.  Only leaves
+keep their gradients, and a second backward through a spent graph is a
+ContractError.  `unit_block` records a [Conv - BatchNorm - ReLU] unit as
+one node that keeps neither the conv nor the batchnorm output.
 Forward-only passes run under `no_tape()` and record nothing.  A central
 finite-difference oracle is provided for verification.
 """
@@ -116,7 +117,7 @@ def _spent(g):
 def _replay(order: list[Var]) -> None:
     """Run the closures of `order` (parents first) in reverse.  Once a
     non-leaf node's closure has run, the node drops it, and with it every
-    array it saved, and drops its gradient."""
+    array it saved, its gradient and its parents."""
     for node in reversed(order):
         if node._backward is None:
             continue
@@ -124,14 +125,16 @@ def _replay(order: list[Var]) -> None:
             node._backward(node.grad)
         node._backward = _spent
         node.grad = None
+        node._parents = ()
 
 
 def backward(loss: Var) -> dict[int, np.ndarray]:
-    """Backpropagate from a scalar loss, once: each node's closure and
-    gradient are released as soon as its closure has run, so only the
-    leaves keep their gradients.  Returns a map id(Var) -> gradient for
-    every leaf that received one.  A second backward through any node of
-    a spent graph raises ContractError before any gradient moves."""
+    """Backpropagate from a scalar loss, once: each node's closure,
+    gradient and parents are released as soon as its closure has run, so
+    only the leaves keep their gradients.  Returns a map id(Var) ->
+    gradient for every leaf that received one.  A second backward through
+    any node of a spent graph raises ContractError before any gradient
+    moves."""
     if loss.data.size != 1:
         raise ContractError(f"loss must be scalar, got shape {loss.data.shape}")
     order = _topo(loss)

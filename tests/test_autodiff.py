@@ -121,8 +121,8 @@ def test_second_backward_raises(case):
 
 
 def test_backward_releases_every_node():
-    """After backward no non-leaf node holds a gradient or a closure, and
-    the returned map holds exactly the leaves' gradients."""
+    """After backward no non-leaf node holds a gradient, a closure or its
+    parents, and the returned map holds exactly the leaves' gradients."""
     rng = Rng(98)
     x = ad.Var(safe_randn((2, 4, 5, 5), rng.split("x")), requires_grad=True)
     w1 = ad.Var(safe_randn((3, 4, 3, 3), rng.split("w1")), requires_grad=True)
@@ -139,11 +139,12 @@ def test_backward_releases_every_node():
         if id(v) not in nodes:
             nodes[id(v)] = v
             stack.extend(v._parents)
-    grads = ad.backward(loss)
     inner = [v for v in nodes.values() if v._parents]
     assert len(inner) == 6
+    grads = ad.backward(loss)
     for v in inner:
         assert v.grad is None and v._backward in (None, ad._spent), v.op
+        assert v._parents == (), v.op
     assert set(grads) == {id(v) for v in (x, w1, w2, c, g, b)}
     for v in (x, w1, w2, c, g, b):
         assert grads[id(v)] is v.grad
