@@ -354,7 +354,10 @@ def softmax_cross_entropy(logits: Var, labels: np.ndarray) -> Var:
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     ez = np.exp(z)
     s = ez.sum(axis=1, keepdims=True)
-    onehot = labels[:, None] == np.arange(k).reshape(1, k, 1, 1)
+    # class indices in a dtype that holds both every label and k - 1, so the
+    # comparison casts neither side
+    classes = np.arange(k, dtype=np.result_type(labels.dtype, np.min_scalar_type(k - 1)))
+    onehot = labels[:, None] == classes.reshape(1, k, 1, 1)
     count = n * h * w
     # mean(log s - z[label]): one log-sum-exp, the label term through the mask
     loss = np.log(s).mean() - np.einsum("nkhw,nkhw->", z, onehot) / count

@@ -22,8 +22,8 @@ STATS_COLUMNS = "branch,mu,sigma,count"
 
 def scale_equalize(x: np.ndarray, mu: float, sigma: float) -> np.ndarray:
     """(x - mu) / sigma with constant mu, sigma."""
-    if sigma <= 0:
-        raise DegenerateFeatureError(f"sigma must be positive, got {sigma}")
+    if not 0 < sigma < np.inf:
+        raise DegenerateFeatureError(f"sigma must be finite and positive, got {sigma}")
     return (np.asarray(x) - mu) / sigma
 
 
@@ -111,8 +111,9 @@ def calibrate_weights(weight: np.ndarray, stats: GlobalStats, widths):
     correction = np.zeros(weight.shape[0])
     pad = np.zeros(weight.shape[1])
     for (a, b), mu, sigma in zip(spans, stats.mu, stats.sigma):
-        if sigma <= 0:
-            raise DegenerateFeatureError(f"sigma <= 0 for group {(a, b)}")
+        if not 0 < sigma < np.inf:
+            raise DegenerateFeatureError(f"sigma {sigma} is not finite and positive "
+                                         f"for group {(a, b)}")
         new_w[:, a:b] = weight[:, a:b] / sigma
         correction += (mu / sigma) * weight[:, a:b].sum(axis=tuple(range(1, weight.ndim)))
         pad[a:b] = mu
@@ -136,13 +137,17 @@ def load_stats(path) -> GlobalStats:
     for i, ln in enumerate(lines[2:]):
         try:
             branch, m, s, c = ln.split(",")
-            mu.append(float(m))
-            sigma.append(float(s))
-            counts.add(int(c))
+            m, s, c = float(m), float(s), int(c)
         except ValueError:
             raise FileFormatError(f"{path}: malformed stats row {ln!r}") from None
         if branch != str(i):
             raise FileFormatError(f"{path}: row {ln!r} is not branch {i}")
+        if not (np.isfinite(m) and 0 < s < np.inf and c >= 1):
+            raise FileFormatError(f"{path}: row {ln!r} needs a finite mu, a finite "
+                                  f"positive sigma and a count of at least 1")
+        mu.append(m)
+        sigma.append(s)
+        counts.add(c)
     if len(counts) != 1:
         raise FileFormatError(f"{path}: rows give counts {sorted(counts)}")
     return GlobalStats(tuple(mu), tuple(sigma), counts.pop())

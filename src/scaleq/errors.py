@@ -28,4 +28,4 @@ class DegenerateFeatureError(ScaleqError):
 
 
 class FileFormatError(ScaleqError):
-    """A tensor or statistics file is truncated or malformed."""
+    """A statistics file is truncated or malformed."""

@@ -22,7 +22,7 @@ from .equalizer import (GlobalStats, accumulate_stats, branch_moments,
                         calibrate_weights, save_stats, scale_equalize)
 from .errors import ConfigError, ContractError
 from .ops import UpsampleMode
-from .tensor import Rng, moments, randn, save_tensor
+from .tensor import Rng, moments, randn
 
 RELU_BN_MEAN = 1.0 / math.sqrt(2.0 * math.pi)          # E[ReLU(BN(Wx))]
 RELU_BN_VAR = (math.pi - 1.0) / (2.0 * math.pi)        # Var[ReLU(BN(Wx))]
@@ -657,11 +657,8 @@ def run_calibrate(config: ExperimentConfig) -> dict:
     }
     if config.out_dir:
         stats_path = f"{config.out_dir}/stats_{head_kind}.csv"
-        ckpt_path = f"{config.out_dir}/fusion_weight_{head_kind}.seqt"
         save_stats(stats_path, stats)
-        save_tensor(ckpt_path, model.head.fusion_block.weight.data)
         out["stats_path"] = stats_path
-        out["checkpoint_path"] = ckpt_path
     write_outputs(config, "calibrate", out)
     return out
 

@@ -400,34 +400,6 @@ def _conv_input_grad(x_shape, p: ConvParams, g: np.ndarray) -> np.ndarray:
     return grid.reshape(n, c, hp, wp)[:, :, pad:pad + h, pad:pad + w]
 
 
-def conv2d_reference(x: np.ndarray, p: ConvParams) -> np.ndarray:
-    """Naive direct-sum convolution used as an oracle in tests."""
-    _check_nchw(x)
-    n, c, h, w = x.shape
-    cout, cin_g, kh, kw = p.weight.shape
-    pad, ho, wo = _conv_geometry(x.shape, p.weight.shape, p.stride, p.dilation)
-    xp = _pad_input(x, pad, p.pad_value)
-    og = cout // p.groups
-    y = np.zeros((n, cout, ho, wo), dtype=np.float64)
-    for b in range(n):
-        for o in range(cout):
-            g = o // og
-            for i in range(ho):
-                for j in range(wo):
-                    acc = 0.0
-                    for cc in range(cin_g):
-                        for u in range(kh):
-                            for v in range(kw):
-                                acc += (p.weight[o, cc, u, v]
-                                        * xp[b, g * cin_g + cc,
-                                             i * p.stride + u * p.dilation,
-                                             j * p.stride + v * p.dilation])
-                    y[b, o, i, j] = acc
-            if p.bias is not None:
-                y[b, o] += p.bias[o]
-    return y.astype(x.dtype)
-
-
 # ---------------------------------------------------------------------------
 # batch normalization / activation / pooling
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Dense NCHW tensors, deterministic random streams, and moment statistics.
 
 Tensors are plain ``numpy.ndarray`` values in batch-channel-row-column
-layout, float64 throughout; the file format also reads and writes float32.
-All functions here are pure; arrays are treated as immutable after creation.
+layout, float64 throughout.  All functions here are pure; arrays are
+treated as immutable after creation.
 `moments` makes no centred copy of its input: its second pass centres and
 squares cache-sized pieces in one reused buffer and adds them in numpy's
 own pairwise-summation order, so it matches np.mean((x - mean)**2) to the
@@ -12,17 +12,12 @@ bit with the same error bound.
 from __future__ import annotations
 
 import hashlib
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FileFormatError, ShapeError
+from .errors import ShapeError
 
-_MAGIC = b"SEQT"
-_VERSION = 1
-_DTYPE_TAGS = {np.dtype(np.float64): 1, np.dtype(np.float32): 2}
-_TAG_DTYPES = {v: k for k, v in _DTYPE_TAGS.items()}
 _LEAF = 1 << 14           # elements centred at a time by moments (128 KiB)
 
 
@@ -115,38 +110,3 @@ def moments(x: np.ndarray) -> Moments:
     flat = np.ravel(x, order="K")
     buf = np.empty(min(n, _LEAF), dtype=np.float64)
     return Moments(mean, float(_centred_sumsq(flat, mean, buf) / n), n)
-
-
-def save_tensor(path, x: np.ndarray) -> None:
-    """Write a tensor in the flat binary format: magic 'SEQT', u32 version,
-    u32 dtype tag, 4 dims as u64, then raw little-endian element data."""
-    x = _check_nchw(np.asarray(x))
-    tag = _DTYPE_TAGS.get(x.dtype)
-    if tag is None:
-        raise ValueError(f"unsupported dtype {x.dtype}")
-    header = struct.pack("<4sII4Q", _MAGIC, _VERSION, tag, *x.shape)
-    with open(path, "wb") as f:
-        f.write(header)
-        f.write(np.ascontiguousarray(x).astype(x.dtype.newbyteorder("<")).tobytes())
-
-
-def load_tensor(path) -> np.ndarray:
-    header_size = struct.calcsize("<4sII4Q")
-    with open(path, "rb") as f:
-        header = f.read(header_size)
-        if len(header) != header_size:
-            raise FileFormatError(f"{path}: truncated header "
-                                  f"({len(header)} of {header_size} bytes)")
-        magic, version, tag, n, c, h, w = struct.unpack("<4sII4Q", header)
-        if magic != _MAGIC:
-            raise FileFormatError(f"bad magic {magic!r}")
-        if version != _VERSION:
-            raise FileFormatError(f"unsupported version {version}")
-        dtype = _TAG_DTYPES.get(tag)
-        if dtype is None:
-            raise FileFormatError(f"unknown dtype tag {tag}")
-        payload = f.read()
-    if len(payload) != n * c * h * w * dtype.itemsize:
-        raise FileFormatError("payload length does not match header dims")
-    data = np.frombuffer(payload, dtype=dtype.newbyteorder("<"))
-    return data.astype(dtype).reshape(n, c, h, w)

@@ -359,6 +359,28 @@ def test_softmax_ce_uniform_logits():
     assert float(loss.data) == pytest.approx(math.log(4.0), abs=1e-12)
 
 
+@pytest.mark.parametrize("k,high", [(4, 4), (300, 256)])
+def test_softmax_ce_label_dtype_gives_same_result(k, high):
+    """Loss and logits gradient are equal for uint8, int32 and int64 labels,
+    also when k - 1 does not fit the labels' dtype."""
+    rng = Rng(112)
+    x = randn((2, k, 3, 5), 0.0, 1.0, rng.split("x"))
+    labels = rng.split("lbl").generator().integers(0, high, size=(2, 3, 5))
+    labels[0, 0, 0] = high - 1
+
+    def run(dtype):
+        v = ad.Var(x, requires_grad=True)
+        loss = ad.softmax_cross_entropy(v, labels.astype(dtype))
+        ad.backward(loss)
+        return float(loss.data), v.grad
+
+    loss64, grad64 = run(np.int64)
+    for dtype in (np.uint8, np.int32):
+        loss, grad = run(dtype)
+        assert loss == loss64
+        np.testing.assert_array_equal(grad, grad64)
+
+
 def test_softmax_ce_rejects_out_of_range_labels():
     logits = ad.Var(np.zeros((1, 3, 2, 2)))
     for bad in (3, -1):

@@ -302,7 +302,8 @@ def test_fig2_command_writes_csv(tmp_path, quick_ini, capsys):
 def test_rerun_is_byte_identical(tmp_path, quick_ini, capsys, command):
     """Runs of a command at one seed write the same files with the same
     bytes, once the echoed output directory is masked, and print the same
-    lines: into a fresh directory, and again over the first run's files."""
+    lines: into a fresh directory, and again over the first run's files.
+    Every file a command writes is a CSV or JSON report."""
     runs = []
     for name in ("a", "b", "a"):
         out = tmp_path / name
@@ -311,6 +312,7 @@ def test_rerun_is_byte_identical(tmp_path, quick_ini, capsys, command):
                  for p in out.iterdir()}
         runs.append((code, files, capsys.readouterr().out))
     assert runs[0][1] and runs[0] == runs[1] == runs[2]
+    assert all(name.endswith((".csv", ".json")) for name in runs[0][1])
 
 
 @pytest.mark.parametrize("command,head,stride,size", [
@@ -376,8 +378,8 @@ def test_calibrate_command(tmp_path, quick_ini, capsys):
     out = tmp_path / "out"
     assert main(["calibrate", "--config", quick_ini, "--out", str(out)]) == 0
     assert "calibrate[psphead]" in capsys.readouterr().out
-    assert (out / "stats_psphead.csv").exists()
-    assert (out / "fusion_weight_psphead.seqt").exists()
+    assert {p.name for p in out.iterdir()} == {"stats_psphead.csv",
+                                               "calibrate_summary.json"}
 
 
 def test_check_command(tmp_path, capsys):

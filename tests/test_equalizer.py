@@ -22,6 +22,8 @@ def test_scale_equalize_rejects_bad_sigma():
         scale_equalize(np.zeros(3), 0.0, 0.0)
     with pytest.raises(DegenerateFeatureError):
         scale_equalize(np.zeros(3), 0.0, -1.0)
+    with pytest.raises(DegenerateFeatureError):
+        scale_equalize(np.zeros(3), 0.0, float("nan"))
 
 
 def test_accumulator_two_samples():
@@ -170,6 +172,8 @@ def test_calibrate_group_validation():
         calibrate_weights(w, st2, (2, 1))               # fewer than the channels
     with pytest.raises(DegenerateFeatureError):
         calibrate_weights(w, GlobalStats((0.0, 0.0), (1.0, 0.0), 8), (2, 2))
+    with pytest.raises(DegenerateFeatureError):
+        calibrate_weights(w, GlobalStats((0.0, 0.0), (1.0, float("nan")), 8), (2, 2))
 
 
 def test_branch_pad_values():
@@ -217,6 +221,17 @@ def test_stats_malformed_row(tmp_path, row):
     with another count than the first row."""
     path = tmp_path / "bad.csv"
     path.write_text(f"{STATS_HEADER}\nbranch,mu,sigma,count\n0,0.5,1.5,8\n{row}\n")
+    with pytest.raises(FileFormatError):
+        load_stats(path)
+
+
+@pytest.mark.parametrize("row", ["0,0.1,nan,8", "0,nan,1.0,8", "0,0.1,inf,8",
+                                 "0,0.1,1.0,0", "0,0.1,1.0,-5"])
+def test_stats_out_of_range_row(tmp_path, row):
+    """A well-formed only row whose mu is not finite, whose sigma is not
+    finite and positive, or whose count is below 1."""
+    path = tmp_path / "bad.csv"
+    path.write_text(f"{STATS_HEADER}\nbranch,mu,sigma,count\n{row}\n")
     with pytest.raises(FileFormatError):
         load_stats(path)
 

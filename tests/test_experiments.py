@@ -551,7 +551,6 @@ def test_run_calibrate_psphead(tmp_path):
     assert res["all_sigma_positive"]
     assert res["n_branches"] == 5
     assert (tmp_path / "stats_psphead.csv").exists()
-    assert (tmp_path / "fusion_weight_psphead.seqt").exists()
 
 
 def test_run_check_all_ok(tmp_path):
@@ -645,6 +644,44 @@ def test_bench_trace_targets_resolve():
         assert callable(owner), (mod_name, attr)
     for attr in spans.AUTODIFF_OPS:
         assert callable(getattr(ad, attr)), attr
+
+
+def _names_reached(stmt):
+    """Identifiers a statement reads: names, attributes, and string
+    constants spelled as a dotted name (bench/spans.py names its targets so)."""
+    names = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and all(part.isidentifier() for part in node.value.split("."))):
+            names.update(node.value.split("."))
+    return names
+
+
+def test_src_names_are_reached_outside_tests():
+    """Each top-level function and class in src/scaleq is named by some
+    other top-level statement of src/ or bench/*.py, so nothing there lives
+    for the tests alone."""
+    root = Path(__file__).resolve().parents[1]
+    # the stats file's reader, kept for the deploy-time fold of a trained
+    # head; that fold waits on a benchmark change, since the benchmark
+    # reference pins the equalized arm's final training loss
+    allowed = {"load_stats"}
+    stmts = [(path, stmt)
+             for path in sorted(root.glob("src/scaleq/*.py")) + sorted(root.glob("bench/*.py"))
+             for stmt in ast.parse(path.read_text()).body]
+    reached = [_names_reached(stmt) for _, stmt in stmts]
+    unreached = []
+    for i, (path, stmt) in enumerate(stmts):
+        if (path.parent.name == "scaleq"
+                and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                and stmt.name not in allowed
+                and not any(stmt.name in r for j, r in enumerate(reached) if j != i)):
+            unreached.append(f"{path.name}:{stmt.name}")
+    assert not unreached
 
 
 def test_bench_workloads_api_resolves():

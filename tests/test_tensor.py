@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from scaleq.errors import FileFormatError, ShapeError
-from scaleq.tensor import Moments, Rng, load_tensor, moments, randn, save_tensor
+from scaleq.errors import ShapeError
+from scaleq.tensor import Moments, Rng, moments, randn
 
 
 def _sliced_randn(shape, mean, std, rng):
@@ -147,30 +147,3 @@ def test_duplication_keeps_variance():
     x = randn((1, 3, 8, 8), 0.1, 0.9, Rng(2))
     dup = np.concatenate([x, x], axis=1)
     assert abs(moments(dup).variance - moments(x).variance) < 1e-12
-
-
-def test_tensor_roundtrip(tmp_path):
-    for dtype in (np.float64, np.float32):
-        x = randn((2, 3, 4, 5), 0.0, 1.0, Rng(6)).astype(dtype)
-        path = tmp_path / f"t_{np.dtype(dtype).name}.seqt"
-        save_tensor(path, x)
-        y = load_tensor(path)
-        assert y.dtype == dtype
-        np.testing.assert_array_equal(x, y)
-
-
-def test_tensor_bad_magic(tmp_path):
-    path = tmp_path / "bad.seqt"
-    path.write_bytes(b"NOPE" + b"\0" * 48)
-    with pytest.raises(FileFormatError):
-        load_tensor(path)
-
-
-@pytest.mark.parametrize("keep", [0, 10, 43, 44 + 8 * 30 - 3])
-def test_tensor_truncated(tmp_path, keep):
-    """Cut inside the header, at its last byte, and inside the payload."""
-    path = tmp_path / "t.seqt"
-    save_tensor(path, randn((1, 2, 3, 5), 0.0, 1.0, Rng(7)))
-    path.write_bytes(path.read_bytes()[:keep])
-    with pytest.raises(FileFormatError):
-        load_tensor(path)
