@@ -238,10 +238,11 @@ def avgpool_to(x: Var, out_size) -> Var:
 def conv2d(x: Var, weight: Var, bias: Var | None = None, *, stride: int = 1,
            dilation: int = 1, groups: int = 1, pad_value=0.0) -> Var:
     """Convolution node.  The operand the forward multiplies (the flat
-    frame or the im2col columns, see ops._conv_operand) is built once, and
-    the weight gradient takes it.  The node keeps it only while the weight
-    requires a gradient, and the backward drops it once used.  The closure
-    records x's shape, not x's data."""
+    padded frame, or the im2col columns filled from x without a padded
+    frame, see ops._conv_operand) is built once, and the weight gradient
+    takes it.  The node keeps it only while the weight requires a
+    gradient, and the backward drops it once used.  The closure records
+    x's shape, not x's data."""
     x, weight = as_var(x), as_var(weight)
     p = ops.ConvParams(weight.data, None if bias is None else bias.data,
                        stride, dilation, groups, pad_value)

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DegenerateFeatureError, FileFormatError
+from .errors import (ConfigError, ContractError, DegenerateFeatureError,
+                     FileFormatError)
 from .tensor import Moments, moments
 
 STATS_HEADER = "# scaleq global-stats v2"
@@ -121,16 +122,26 @@ def calibrate_weights(weight: np.ndarray, stats: GlobalStats, widths):
 
 
 def save_stats(path, stats: GlobalStats) -> None:
+    """Write stats as a stats file; a path that cannot be written is a
+    ConfigError."""
     lines = [STATS_HEADER, STATS_COLUMNS]
     for i, (mu, sigma) in enumerate(zip(stats.mu, stats.sigma)):
         lines.append(f"{i},{mu!r},{sigma!r},{stats.count}")
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    try:
+        with open(path, "w") as f:
+            f.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def load_stats(path) -> GlobalStats:
-    with open(path) as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
+    """Read a stats file; one that cannot be read, is not UTF-8 text or
+    breaks the layout is a FileFormatError."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = [ln.strip() for ln in f if ln.strip()]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FileFormatError(f"cannot read {path}: {exc}") from None
     if lines[:2] != [STATS_HEADER, STATS_COLUMNS] or len(lines) < 3:
         raise FileFormatError(f"{path} is not a {STATS_HEADER!r} file with branch rows")
     mu, sigma, counts = [], [], set()

@@ -96,25 +96,29 @@ class ExperimentConfig:
 def write_outputs(config: ExperimentConfig, stem: str, checks: dict, rows=None) -> None:
     """A driver's files in its output directory, if it has one: `<stem>.csv`
     when rows are given, the row dicts under a header of the first row's
-    keys (a float's str is its repr), and `<stem>_summary.json`."""
+    keys (a float's str is its repr), and `<stem>_summary.json`.  A file
+    that cannot be written is a ConfigError."""
     if not config.out_dir:
         return
     path = f"{config.out_dir}/{stem}"
-    if rows is not None:
-        with open(f"{path}.csv", "w", newline="") as f:
-            if rows:
-                writer = csv.DictWriter(f, list(rows[0]), lineterminator="\n")
-                writer.writeheader()
-                writer.writerows(rows)
     payload = {
         "config": asdict(config),
         "config_hash": config.hash(),
         "versions": {"numpy": np.__version__},
         "checks": checks,
     }
-    with open(f"{path}_summary.json", "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+    try:
+        if rows is not None:
+            with open(f"{path}.csv", "w", newline="") as f:
+                if rows:
+                    writer = csv.DictWriter(f, list(rows[0]), lineterminator="\n")
+                    writer.writeheader()
+                    writer.writerows(rows)
+        with open(f"{path}_summary.json", "w") as f:
+            json.dump(payload, f, indent=2, sort_keys=True)
+            f.write("\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {exc.filename}: {exc.strerror}") from None
 
 
 # ---------------------------------------------------------------------------

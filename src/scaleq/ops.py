@@ -13,13 +13,16 @@ widen the channels, such as the fusion conv over the concatenated
 branches, runs one (Cout, Cin) matmul per kernel tap on a contiguous
 slice of the flat padded frame (kn2row-aa, Anderson et al., 2017).  Every
 other conv multiplies the weight with an im2col column matrix
-(Chellapilla et al., 2006).  `_conv_operand` builds that frame or column
-matrix, and the weight gradient takes the forward's operand rather than
-building it again.  dX is the transposed convolution (Dumoulin & Visin,
-2016).  Same padding of an odd square kernel is symmetric, so at stride 1
-dX is this forward convolution of G with the group-transposed, spatially
-flipped kernel; at a larger stride each kernel tap scatters W^T G onto its
-strided window of the padded grid.
+(Chellapilla et al., 2006), filled from the unpadded input one kernel tap
+at a time, with the pad value where a tap reads the border; no padded
+frame is made for it, and an atrous tap that reads only padding is one
+fill.  `_conv_operand` builds that frame or column matrix, and the weight
+gradient takes the forward's operand rather than building it again.  dX
+is the transposed convolution (Dumoulin & Visin, 2016).  Same padding of
+an odd square kernel is symmetric, so at stride 1 dX is this forward
+convolution of G with the group-transposed, spatially flipped kernel; at
+a larger stride each kernel tap scatters W^T G onto its strided window of
+the padded grid.
 
 Upsampled moments never materialize the output.  Each row of an axis
 matrix reads at most two adjacent source pixels, so A^T A is tridiagonal
@@ -36,7 +39,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidRatioError, ShapeError
 from .tensor import Moments, _check_nchw
@@ -213,15 +215,6 @@ def _flat_frame(x: np.ndarray, pad: int, pad_value, kw: int,
     return frame
 
 
-def _pad_input(x: np.ndarray, pad: int, pad_value) -> np.ndarray:
-    """(N, C, Hp, Wp) view of the padded frame; x itself when pad is 0."""
-    if pad == 0:
-        return x
-    n, c, h, w = x.shape
-    frame = _flat_frame(x, pad, pad_value, 1, 1)
-    return frame.reshape(n, c, h + 2 * pad, w + 2 * pad)
-
-
 def _use_taps(w_shape, stride: int, groups: int, wp: int, wo: int) -> bool:
     """Whether a conv runs one matmul per kernel tap on the flat frame
     instead of one matmul on an im2col column matrix.  The taps skip the
@@ -256,18 +249,42 @@ def _conv_geometry(x_shape, w_shape, stride, dilation):
     return pad, (h - 1) // stride + 1, (w - 1) // stride + 1
 
 
-def _im2col(xp: np.ndarray, groups: int, kh: int, kw: int, ho: int, wo: int,
-            stride: int, dilation: int) -> np.ndarray:
-    """(N, G, Cin/G*kh*kw, Ho*Wo) column matrix of the padded input: column
-    (i, j) holds the receptive field of output pixel (i, j), ordered as the
-    weight's (Cin/G, kh, kw) axes.  A 1x1 kernel at stride 1 is a reshape."""
-    n, c = xp.shape[:2]
+def _tap_span(n_in: int, n_out: int, offset: int, stride: int):
+    """(lo, hi, first) along one axis for a kernel tap at offset from the
+    unpadded input: outputs lo..hi-1 read inside the map, output lo reads
+    input index first, and every other output reads the padding."""
+    lo = min(max(0, -(offset // stride)), n_out)
+    hi = min(max(lo, (n_in - 1 - offset) // stride + 1), n_out)
+    return lo, hi, lo * stride + offset
+
+
+def _im2col(x: np.ndarray, pad: int, pad_value, groups: int, kh: int, kw: int,
+            ho: int, wo: int, stride: int, dilation: int) -> np.ndarray:
+    """(N, G, Cin/G*kh*kw, Ho*Wo) column matrix of x padded by pad with
+    pad_value (a scalar or one value per channel): column (i, j) holds the
+    receptive field of output pixel (i, j), ordered as the weight's
+    (Cin/G, kh, kw) axes.  It is filled from x one kernel tap at a time, so
+    no padded frame is made: a tap's rows copy the strided window of x it
+    reads and hold pad_value wherever it reads the border, and a tap that
+    reads only the border is one fill.  A 1x1 kernel at stride 1 is a
+    reshape."""
+    n, c, h, w = x.shape
     if kh == kw == 1 and stride == 1:
-        return xp.reshape(n, groups, c // groups, ho * wo)
-    eh, ew = (kh - 1) * dilation + 1, (kw - 1) * dilation + 1
-    win = sliding_window_view(xp, (eh, ew), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride, ::dilation, ::dilation]
-    return win.transpose(0, 1, 4, 5, 2, 3).reshape(n, groups, -1, ho * wo)
+        return x.reshape(n, groups, c // groups, ho * wo)
+    cols = np.empty((n, c, kh, kw, ho, wo), dtype=x.dtype)
+    pv = np.asarray(pad_value, dtype=x.dtype)
+    pv = pv.reshape(1, c, 1, 1) if pv.ndim == 1 else pv
+    spans_h = [_tap_span(h, ho, u * dilation - pad, stride) for u in range(kh)]
+    spans_w = [_tap_span(w, wo, v * dilation - pad, stride) for v in range(kw)]
+    for u, (i0, i1, r) in enumerate(spans_h):
+        for v, (j0, j1, q) in enumerate(spans_w):
+            tap = cols[:, :, u, v]
+            if (i0, i1, j0, j1) != (0, ho, 0, wo):
+                tap[...] = pv
+            if i0 < i1 and j0 < j1:
+                tap[:, :, i0:i1, j0:j1] = x[:, :, r:r + (i1 - i0) * stride:stride,
+                                            q:q + (j1 - j0) * stride:stride]
+    return cols.reshape(n, groups, -1, ho * wo)
 
 
 def _conv_taps(frame: np.ndarray, weight: np.ndarray, ho: int, wo: int,
@@ -330,8 +347,8 @@ def _conv_operand(x: np.ndarray, p: ConvParams) -> np.ndarray:
     kh, kw = p.weight.shape[2:]
     if taps:
         return _flat_frame(x, pad, p.pad_value, kw, p.dilation)
-    return _im2col(_pad_input(x, pad, p.pad_value), p.groups, kh, kw, ho, wo,
-                   p.stride, p.dilation)
+    return _im2col(x, pad, p.pad_value, p.groups, kh, kw, ho, wo, p.stride,
+                   p.dilation)
 
 
 def conv2d(x: np.ndarray, p: ConvParams,

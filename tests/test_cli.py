@@ -98,6 +98,19 @@ def test_uncreatable_out_dir_exits_1(tmp_path, capsys):
     assert err.count("error:") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command,blocked", [
+    ("check", "check_summary.json"), ("calibrate", "stats_psphead.csv")])
+def test_unwritable_output_file_exits_1(tmp_path, quick_ini, capsys, command,
+                                        blocked):
+    """An output file that cannot be written, here because a directory
+    holds its name, is one error line, not a traceback."""
+    (tmp_path / blocked).mkdir()
+    assert main([command, "--config", quick_ini, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert blocked in err
+
+
 def test_unknown_config_key_exits_1(tmp_path, capsys):
     path = tmp_path / "bad.ini"
     for entry in ("seeed = 1", "precision = f64"):     # a typo, a deleted key

@@ -4,7 +4,8 @@ import pytest
 from scaleq.equalizer import (GlobalStats, accumulate_stats, branch_moments,
                               calibrate_weights, load_stats, save_stats,
                               scale_equalize, STATS_HEADER)
-from scaleq.errors import ContractError, DegenerateFeatureError, FileFormatError
+from scaleq.errors import (ConfigError, ContractError, DegenerateFeatureError,
+                           FileFormatError)
 from scaleq.experiments import equivalence_trial
 from scaleq.tensor import Rng, moments, randn
 
@@ -204,6 +205,21 @@ def test_stats_roundtrip(tmp_path):
     save_stats(path, st)
     back = load_stats(path)
     assert back == st
+
+
+def test_stats_file_errors(tmp_path):
+    """A stats path that cannot be written is a ConfigError; one that is
+    missing, a directory or not UTF-8 text is a FileFormatError."""
+    st = GlobalStats((0.5,), (1.5,), 8)
+    with pytest.raises(ConfigError):
+        save_stats(tmp_path, st)
+    with pytest.raises(ConfigError):
+        save_stats(tmp_path / "missing" / "stats.csv", st)
+    binary = tmp_path / "binary.csv"
+    binary.write_bytes(STATS_HEADER.encode() + b"\n\xdb\xff\x00\n")
+    for path in (tmp_path / "missing.csv", tmp_path, binary):
+        with pytest.raises(FileFormatError):
+            load_stats(path)
 
 
 def test_stats_bad_header(tmp_path):

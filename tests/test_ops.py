@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from scaleq import ops
 from scaleq.errors import InvalidRatioError, ShapeError
@@ -15,12 +16,23 @@ def row(vals):
     return np.asarray(vals, dtype=np.float64).reshape(1, 1, 1, -1)
 
 
+def padded(x, pad, pad_value):
+    """x inside a border of width pad filled with pad_value (a scalar or one
+    value per channel)."""
+    n, c, h, w = x.shape
+    xp = np.empty((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+    xp[:] = np.asarray(pad_value, dtype=x.dtype).reshape(-1, 1, 1)
+    xp[:, :, pad:pad + h, pad:pad + w] = x
+    return xp
+
+
 def conv2d_reference(x, p: ConvParams):
-    """Naive direct-sum convolution: the oracle for ops.conv2d."""
+    """Naive direct-sum convolution over its own padded input: the oracle
+    for ops.conv2d."""
     n = x.shape[0]
     cout, cin_g, kh, kw = p.weight.shape
     pad, ho, wo = ops._conv_geometry(x.shape, p.weight.shape, p.stride, p.dilation)
-    xp = ops._pad_input(x, pad, p.pad_value)
+    xp = padded(x, pad, p.pad_value)
     og = cout // p.groups
     y = np.zeros((n, cout, ho, wo), dtype=np.float64)
     for b in range(n):
@@ -40,6 +52,19 @@ def conv2d_reference(x, p: ConvParams):
             if p.bias is not None:
                 y[b, o] += p.bias[o]
     return y.astype(x.dtype)
+
+
+def column_matrix_reference(x, p: ConvParams):
+    """The im2col column matrix built from a padded frame: a
+    sliding_window_view of the frame, strided by the stride and the
+    dilation, copied with the kernel axes ahead of the output pixels."""
+    n = x.shape[0]
+    k = p.weight.shape[2]
+    pad, ho, wo = ops._conv_geometry(x.shape, p.weight.shape, p.stride, p.dilation)
+    span = (k - 1) * p.dilation + 1
+    win = sliding_window_view(padded(x, pad, p.pad_value), (span, span), axis=(2, 3))
+    win = win[:, :, ::p.stride, ::p.stride, ::p.dilation, ::p.dilation]
+    return win.transpose(0, 1, 4, 5, 2, 3).reshape(n, p.groups, -1, ho * wo)
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +326,77 @@ def test_conv_per_channel_pad_value():
     xb[:, :, 1:-1, 1:-1] = x
     ref = ops.conv2d(xb, ConvParams(w))[:, :, 1:-1, 1:-1]
     np.testing.assert_allclose(ops.conv2d(x, p), ref, atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("hw", [(5, 7), (7, 4)])
+def test_conv_operand_matches_padded_frame_windows(k, hw):
+    """The column matrix that im2col fills from x is == to the one cut from
+    a padded frame: strides 1-3, dilations 1 up to past the map, groups 1,
+    2 and C, a zero, a scalar and a per-channel pad value.  The weight
+    widens the channels, so the operand is a column matrix."""
+    rng = Rng(54).split((k, hw))
+    c = 4
+    x = randn((2, c) + hw, 0.0, 1.0, rng.split("x"))
+    pads = (0.0, -1.5, randn((1, 1, 1, c), 0.0, 1.0, rng.split("p")).ravel())
+    for stride, dilation, groups, pv in itertools.product(
+            (1, 2, 3), range(1, max(hw) + 2), (1, 2, c), pads):
+        w = np.zeros((2 * c, c // groups, k, k))
+        p = ConvParams(w, None, stride, dilation, groups, pv)
+        assert not ops._conv_plan(x, p)[3]
+        np.testing.assert_array_equal(ops._conv_operand(x, p),
+                                      column_matrix_reference(x, p))
+
+
+@pytest.mark.parametrize("groups", [1, 3], ids=["dense", "depthwise"])
+def test_conv_dead_taps_match_reference(groups):
+    """Every off-centre tap of a 3x3 kernel reads only padding at a dilation
+    of at least H and W, the column taps alone at one between W and H, and
+    none just below both.  Forward, dW and dX match the direct sum at each,
+    dW and dX by linearity: <g, conv(x, e_k)> and <g, conv(e_j, w)> for the
+    unit weights e_k and unit inputs e_j.  A dead tap's dW is exactly 0."""
+    h, w, c = 5, 4, 3
+    rng = Rng(55).split(groups)
+    x = randn((1, c, h, w), 0.0, 1.0, rng.split("x"))
+    wt = randn((c, c // groups, 3, 3), 0.0, 0.5, rng.split("w"))
+    g = randn((1, c, h, w), 0.0, 1.0, rng.split("g"))
+    for d, n_dead in ((min(h, w) - 1, 0), (w, 6), (max(h, w), 8), (36, 8)):
+        p = ConvParams(wt, dilation=d, groups=groups)
+        np.testing.assert_allclose(ops.conv2d(x, p), conv2d_reference(x, p),
+                                   atol=1e-12)
+        dw = ops._conv_weight_grad(ops._conv_operand(x, p), p, g)
+        dx = ops._conv_input_grad(x.shape, p, g)
+        dw_ref, dx_ref = np.empty_like(wt), np.empty_like(x)
+        for i in np.ndindex(wt.shape):
+            e = np.zeros_like(wt)
+            e[i] = 1.0
+            dw_ref[i] = np.sum(g * conv2d_reference(x, ConvParams(e, None, 1, d, groups)))
+        for i in np.ndindex(x.shape):
+            e = np.zeros_like(x)
+            e[i] = 1.0
+            dx_ref[i] = np.sum(g * conv2d_reference(e, p))
+        np.testing.assert_allclose(dw, dw_ref, atol=1e-12)
+        np.testing.assert_allclose(dx, dx_ref, atol=1e-12)
+        off = np.abs(np.arange(3) - 1) * d
+        dead = (off[:, None] >= h) | (off[None, :] >= w)
+        assert dead.sum() == n_dead
+        assert (dw[:, :, dead] == 0).all()
+
+
+def test_atrous_conv_builds_no_padded_frame():
+    """A 3x3 conv at rate 36 on (16, 16, 8, 8), an ASPP branch at audit
+    batch 16, fills its 1.2 MB column matrix from x and never makes the
+    13.1 MB padded (80, 80) frame."""
+    rng = Rng(56)
+    x = randn((16, 16, 8, 8), 0.0, 1.0, rng.split("x"))
+    p = ConvParams(randn((16, 16, 3, 3), 0.0, 0.5, rng.split("w")), dilation=36)
+    tracemalloc.start()
+    try:
+        ops.conv2d(x, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 << 20
 
 
 def test_conv_dilated_receptive_field():
