@@ -9,7 +9,9 @@ its parents, so a spent node pins no activation behind it.  Only leaves
 keep their gradients, and a second backward through a spent graph is a
 ContractError.  `unit_block` records a [Conv - BatchNorm - ReLU] unit as
 one node that keeps neither the conv nor the batchnorm output.
-Forward-only passes run under `no_tape()` and record nothing.  A central
+Forward-only passes run under `no_tape()` and record nothing; they also
+build no ReLU mask, and batchnorm and a unit block's ReLU write into the
+buffer batchnorm centres, never into an input.  A central
 finite-difference oracle is provided for verification.
 """
 
@@ -169,6 +171,8 @@ def add(x: Var, y: Var) -> Var:
 
 def relu(x: Var) -> Var:
     x = as_var(x)
+    if not _taping:
+        return Var(ops.relu(x.data))
     mask = x.data > 0
 
     def bwd(g):
@@ -197,24 +201,17 @@ def scale_equalize(x: Var, mu: float, sigma: float) -> Var:
     return _node(out, (x,), bwd, "scale_equalize")
 
 
-def _separable(x: Var, out: np.ndarray, axis_matrix, op: str) -> Var:
-    """Node for out = A_h X A_w^T with A = axis_matrix(n_in, n_out) per
-    axis; the adjoint is A_h^T G A_w."""
-    ah = axis_matrix(x.data.shape[2], out.shape[2])
-    aw = axis_matrix(x.data.shape[3], out.shape[3])
-
-    def bwd(g):
-        _accum(x, ah.T @ g @ aw)
-    return _node(out, (x,), bwd, op)
-
-
 def upsample_to(x: Var, out_hw, mode: ops.UpsampleMode = ops.UpsampleMode()) -> Var:
+    """Upsampling node; its backward is ops.upsample_adjoint."""
     x = as_var(x)
     out = ops.upsample_to(x.data, out_hw, mode)
     if out is x.data:
         return x
-    return _separable(x, out, lambda n_in, n_out: ops._axis_matrix(
-        n_in, n_out, mode.kernel, mode.align_corners), "upsample")
+    in_hw = x.data.shape[2:]
+
+    def bwd(g):
+        _accum(x, ops.upsample_adjoint(g, in_hw, mode))
+    return _node(out, (x,), bwd, "upsample")
 
 
 def upsample(x: Var, r, mode: ops.UpsampleMode = ops.UpsampleMode()) -> Var:
@@ -232,7 +229,13 @@ def avgpool_to(x: Var, out_size) -> Var:
     out = ops.avgpool_to(x.data, out_size)
     if out is x.data:
         return x
-    return _separable(x, out, ops._pool_matrix, "avgpool")
+    # out = P_h X P_w^T, so the adjoint is P_h^T G P_w
+    ph = ops._pool_matrix(x.data.shape[2], out.shape[2])
+    pw = ops._pool_matrix(x.data.shape[3], out.shape[3])
+
+    def bwd(g):
+        _accum(x, ph.T @ g @ pw)
+    return _node(out, (x,), bwd, "avgpool")
 
 
 def conv2d(x: Var, weight: Var, bias: Var | None = None, *, stride: int = 1,
@@ -271,6 +274,10 @@ def batchnorm(x: Var, gamma: Var, beta: Var) -> Var:
     m = n * h * w
     xhat, inv = ops.batch_stats(x.data)
     xhat *= inv.reshape(1, c, 1, 1)
+    if not _taping:             # no backward reads xhat: scale it in place
+        xhat *= gamma.data.reshape(1, c, 1, 1)
+        xhat += beta.data.reshape(1, c, 1, 1)
+        return Var(xhat)
     out = xhat * gamma.data.reshape(1, c, 1, 1)
     out += beta.data.reshape(1, c, 1, 1)
 
@@ -297,9 +304,13 @@ def unit_block(conv, x: Var, gamma: Var, beta: Var) -> Var:
     x and the unit's parameters as parents, and its backward replays the
     inner closures in reverse.  No inner closure reads the conv or the
     batchnorm output, so both are released at once.  Under `no_tape` this
-    is just the ReLU output."""
+    is just the ReLU output, rectified in the batchnorm output's buffer."""
     x = as_var(x)
-    y = relu(batchnorm(conv(x), gamma, beta))
+    y = batchnorm(conv(x), gamma, beta)
+    if not _taping:
+        np.maximum(y.data, 0, out=y.data)
+        return y
+    y = relu(y)
     if not y.requires_grad:
         return y
     inner = [n for n in _topo(y, stop=x) if n is not x and n._parents]

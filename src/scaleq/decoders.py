@@ -12,8 +12,9 @@ the single-stage heads read the deepest stage as C5.  A head defines its
 branches, and the base builds h and the classifier.  `pooled_branches` is
 the one pool -> unit block routine of UPerHead's PPM, PSPHead's pyramid
 and ASPPHead's image pool; `to_shared_size` upsamples the branches of every
-concatenation and measures their ratios.  `SegModel.forward` hands the
-input size to the head tail, which restores the logits to it.
+concatenation and measures their ratios.  The head tail `_classify`
+runs up to the logits on the subjects' grid; `_finish` adds the logits
+upsample to the input size that `SegModel.forward` hands it.
 
 All parameters are autodiff Vars so the same forwards serve the moment
 audits, the statistics pass, and the toy training loop; `Module` finds
@@ -225,9 +226,9 @@ class _HeadBase(Module):
         `to_shared_size` of the branches."""
         raise NotImplementedError
 
-    def _finish(self, subjects_raw, target_hw) -> HeadOutput:
-        """The head tail: equalize (if injected), concat, fuse, classify,
-        and upsample the logits to the input size target_hw."""
+    def _classify(self, subjects_raw) -> HeadOutput:
+        """The head tail up to the logits, on the subjects' grid: equalize
+        (if injected), concat, fuse and classify."""
         if self.equalize == "injected":
             subjects = [ad.scale_equalize(s, mu, sigma)
                         for s, mu, sigma in zip(subjects_raw, self.stats.mu,
@@ -235,8 +236,14 @@ class _HeadBase(Module):
         else:
             subjects = subjects_raw
         z = self.fusion_block(ad.concat_channels(subjects))
-        logits = ad.upsample_to(self.classifier(z), target_hw)
-        return HeadOutput(logits, subjects_raw, subjects)
+        return HeadOutput(self.classifier(z), subjects_raw, subjects)
+
+    def _finish(self, subjects_raw, target_hw) -> HeadOutput:
+        """The head tail: `_classify`, then the logits upsampled to the
+        input size target_hw."""
+        out = self._classify(subjects_raw)
+        out.logits = ad.upsample_to(out.logits, target_hw)
+        return out
 
 
 def to_shared_size(branches) -> tuple:

@@ -354,14 +354,15 @@ def head_input_size(config: ExperimentConfig, head_kind: str) -> int:
 # head audit
 # ---------------------------------------------------------------------------
 
-def _tail_grad_vars(head, subjects, target_hw, upstream: np.ndarray):
-    """Run the head tail on constant subjects and return its output with the
-    per-group variance of the fusion-weight gradient under the
-    scalarization sum(logits * upstream).  The subjects carry no tape, so
+def _tail_grad_vars(head, subjects, upstream: np.ndarray):
+    """Run the head tail up to the logits (`_classify`) on constant
+    subjects and return its output with the per-group variance of the
+    fusion-weight gradient under the scalarization sum(logits * upstream),
+    with upstream on the logits' grid.  The subjects carry no tape, so
     backward stops at the concatenation."""
     weight = head.fusion_block.weight
     weight.grad = None
-    out = head._finish(subjects, target_hw)
+    out = head._classify(subjects)
     ad.backward(ad.dot_const(out.logits, upstream))
     group_moments = ad.grad_group_moments(weight.grad, head.branch_channels)
     return out, [m.variance for m in group_moments]
@@ -374,7 +375,11 @@ def run_head_audit(config: ExperimentConfig, head_kind: str | None = None) -> di
 
     The equalizers sit between the upsampling and the concatenation, so
     both arms share the encoder and branches: each seed computes them once
-    and runs only the head tail (concat, fusion, classifier) per arm."""
+    and runs only the head tail (concat, fusion, classifier) per arm.  The
+    gradients are those of one random scalarization sum(up(L) * U) of the
+    input-size logits per seed.  By linearity it has the gradient of
+    sum(L * up^T(U)) on the logits' own grid, so U is projected there once
+    and both tails stop before the logits upsample."""
     head_kind = head_kind or config.head
     chash = config.hash()
     size = head_input_size(config, head_kind)
@@ -407,12 +412,14 @@ def run_head_audit(config: ExperimentConfig, head_kind: str | None = None) -> di
         # subject's variance on the audit batch
         jac_vars = [m.variance for m in subj_m]
         spread = max(jac_vars) / min(jac_vars)
-        # one random scalarization of the logits serves both arms
-        upstream = randn((len(audit_batch), config.n_classes,
-                          *audit_batch.shape[2:]), 0.0, 1.0,
-                         Rng(seed).split("audit-up"))
-        loss_grad_vars = _tail_grad_vars(
-            head, subjects, audit_batch.shape[2:], upstream)[1]
+        # one random scalarization of the input-size logits serves both
+        # arms, projected onto the logit grid (the subjects' size); the
+        # input-size draw is freed at once
+        upstream = ops.upsample_adjoint(
+            randn((len(audit_batch), config.n_classes, *audit_batch.shape[2:]),
+                  0.0, 1.0, Rng(seed).split("audit-up")),
+            subjects[0].data.shape[2:])
+        loss_grad_vars = _tail_grad_vars(head, subjects, upstream)[1]
 
         # "injected" leaves the weights alone, so the same model serves
         # as the equalized arm
@@ -421,8 +428,7 @@ def run_head_audit(config: ExperimentConfig, head_kind: str | None = None) -> di
         eq_taps = ([scale_equalize(t, mu, sigma) for t, mu, sigma
                     in zip(batch_taps, stats.mu, stats.sigma)] for batch_taps in taps)
         acc_mom = branch_moments(eq_taps)
-        eq_out, eq_loss_grad_vars = _tail_grad_vars(
-            head, subjects, audit_batch.shape[2:], upstream)
+        eq_out, eq_loss_grad_vars = _tail_grad_vars(head, subjects, upstream)
         eq_jac_vars = [moments(s.data).variance for s in eq_out.subjects]
         del eq_out          # its logits and subjects are not read again
         eq_spread = max(eq_jac_vars) / min(eq_jac_vars)

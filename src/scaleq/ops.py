@@ -122,6 +122,23 @@ def upsample_to(x: np.ndarray, out_hw, mode: UpsampleMode = UpsampleMode()) -> n
     return ah @ x @ aw.T
 
 
+def upsample_adjoint(g: np.ndarray, in_hw, mode: UpsampleMode = UpsampleMode()) -> np.ndarray:
+    """A_h^T G A_w: the adjoint of upsample_to from size in_hw to G's size,
+    which maps an output gradient G back to the input grid.  G itself when
+    the sizes are equal, as upsample_to returns its input."""
+    _check_nchw(g)
+    h, w = int(in_hw[0]), int(in_hw[1])
+    oh, ow = g.shape[2], g.shape[3]
+    if oh < h or ow < w:
+        raise InvalidRatioError(f"adjoint of a downsampling: input size "
+                                f"{(h, w)} above output {(oh, ow)}")
+    if (oh, ow) == (h, w):
+        return g
+    ah = _axis_matrix(h, oh, mode.kernel, mode.align_corners)
+    aw = _axis_matrix(w, ow, mode.kernel, mode.align_corners)
+    return ah.T @ g @ aw
+
+
 def _map_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-pixel sum over maps of a * b, for (M, h, w) arrays."""
     return np.einsum("mhw,mhw->hw", a, b)

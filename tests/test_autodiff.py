@@ -444,6 +444,46 @@ def test_upsample_transpose_identity():
         assert abs(lhs - rhs) < 1e-10
 
 
+@pytest.mark.parametrize("kernel,align", [("bilinear", False), ("bilinear", True),
+                                          ("nearest", False)])
+def test_upsample_node_gradient_is_the_ops_adjoint(kernel, align):
+    """The upsample node's input gradient is == to ops.upsample_adjoint of
+    its output gradient, the routine the head audit projects with."""
+    mode = UpsampleMode(kernel, align)
+    rng = Rng(113)
+    x = ad.Var(randn((2, 3, 5, 7), 0.0, 1.0, rng.split("x")), requires_grad=True)
+    g = randn((2, 3, 20, 21), 0.0, 1.0, rng.split("g"))
+    ad.backward(ad.dot_const(ad.upsample_to(x, (20, 21), mode), g))
+    assert np.array_equal(x.grad, ops.upsample_adjoint(g, (5, 7), mode))
+
+
+def test_no_tape_forwards_leave_inputs_and_match_the_tape():
+    """Under no_tape, relu builds no mask, batchnorm scales its centred
+    buffer in place and unit_block rectifies the batchnorm output in place:
+    each leaves its input array as it was and returns the taped forward's
+    values bit for bit."""
+    rng = Rng(114)
+    x0 = randn((2, 4, 6, 5), 0.3, 1.0, rng.split("x"))
+    gamma = ad.Var(randn((4,), 1.0, 0.2, rng.split("gamma")), requires_grad=True)
+    beta = ad.Var(randn((4,), 0.0, 0.5, rng.split("beta")), requires_grad=True)
+    weight = ad.Var(randn((4, 4, 3, 3), 0.0, 0.3, rng.split("w")), requires_grad=True)
+    forwards = {
+        "relu": ad.relu,
+        "batchnorm": lambda x: ad.batchnorm(x, gamma, beta),
+        "unit_block": lambda x: ad.unit_block(lambda v: ad.conv2d(v, weight),
+                                              x, gamma, beta),
+    }
+    for name, forward in forwards.items():
+        x = ad.Var(x0.copy(), requires_grad=True)
+        taped = forward(x)
+        assert taped._parents, name
+        with ad.no_tape():
+            y = forward(x)
+        assert not y._parents, name
+        assert np.array_equal(x.data, x0), name
+        assert np.array_equal(y.data, taped.data), name
+
+
 def test_fusion_weight_gradient_is_subject():
     """For a lone 1x1 fusion layer with scalarization sum(y * u), the weight
     gradient restricted to group i is exactly the u-aggregation of subject i

@@ -6,6 +6,7 @@ import pytest
 from scaleq import autodiff as ad
 from scaleq import decoders
 from scaleq import experiments as ex
+from scaleq import ops
 from scaleq.decoders import SegModel, ToyEncoder, build_head, he_normal
 from scaleq.equalizer import GlobalStats, accumulate_stats, channel_spans
 from scaleq.errors import ConfigError, ContractError, ShapeError
@@ -457,6 +458,40 @@ def test_tail_fusion_grad_matches_full_backward(kind, mode):
     out = model.head._finish([ad.Var(s.data) for s in subjects], x.shape[2:])
     ad.backward(ad.dot_const(out.logits, upstream))
     assert np.array_equal(weight.grad, full)
+
+
+@pytest.mark.parametrize("mode", ["off", "injected"])
+@pytest.mark.parametrize("stride", [8, 16])
+@pytest.mark.parametrize("kind", decoders.HEAD_KINDS)
+def test_classify_under_the_projected_upstream_matches_finish(kind, stride, mode):
+    """The head audit's tail: `_classify` on the logits' grid, under the
+    upstream projected there by ops.upsample_adjoint, gives the fusion
+    weight a gradient == to that of `_finish` under the input-size
+    upstream."""
+    model = make_model(kind, seed=6, stride=stride)
+    size = 64 if kind == "uperhead" else 6 * stride
+    shape = (2, 3, size, size)
+    rng = Rng(21)
+    x = randn(shape, 0.0, 1.0, rng.split("x"))
+    if mode == "injected":
+        dataset = [randn(shape, 0.0, 1.0, rng.split(i)) for i in range(4)]
+        model.head.set_equalize(mode, _stats_for(model, dataset))
+    with ad.no_tape():
+        subjects, _ = model.branches(x)
+    weight = model.head.fusion_block.weight
+    upstream = randn((2, 4, size, size), 0.0, 1.0, rng.split("up"))
+
+    def fusion_grad(out, u):
+        weight.grad = None
+        ad.backward(ad.dot_const(out.logits, u))
+        return weight.grad
+
+    full = fusion_grad(model.head._finish(subjects, (size, size)), upstream)
+    grid = subjects[0].data.shape[2:]
+    assert grid != (size, size)
+    low = fusion_grad(model.head._classify(subjects),
+                      ops.upsample_adjoint(upstream, grid))
+    assert np.array_equal(low, full)
 
 
 def test_set_equalize_validation():

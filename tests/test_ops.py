@@ -85,6 +85,28 @@ def test_upsample_rejects_small_ratio():
                 fn(x, out_hw)
 
 
+@pytest.mark.parametrize("align", [False, True])
+def test_upsample_adjoint_is_the_transpose(align):
+    """<up(X), G> == <X, up^T(G)> to 1e-12 on a non-square size and ratio."""
+    mode = UpsampleMode("bilinear", align)
+    rng = Rng(31)
+    x = randn((2, 3, 5, 7), 0.0, 1.0, rng.split("x"))
+    g = randn((2, 3, 20, 21), 0.0, 1.0, rng.split("g"))
+    gx = ops.upsample_adjoint(g, (5, 7), mode)
+    assert gx.shape == x.shape
+    lhs = float(np.sum(ops.upsample_to(x, (20, 21), mode) * g))
+    assert abs(lhs - float(np.sum(x * gx))) < 1e-12
+
+
+def test_upsample_adjoint_identity_and_contracts():
+    g = randn((1, 2, 4, 6), 0.0, 1.0, Rng(32))
+    assert ops.upsample_adjoint(g, (4, 6)) is g
+    with pytest.raises(InvalidRatioError, match="downsampling"):
+        ops.upsample_adjoint(g, (5, 6))
+    with pytest.raises(ShapeError):
+        ops.upsample_adjoint(g[0], (2, 3))
+
+
 def test_bilinear_hand_values_half_pixel():
     a, b = 2.0, 10.0
     y = ops.upsample_to(row([a, b]), (2, 4), UpsampleMode("bilinear", False))
