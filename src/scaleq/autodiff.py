@@ -9,9 +9,9 @@ its parents, so a spent node pins no activation behind it.  Only leaves
 keep their gradients, and a second backward through a spent graph is a
 ContractError.  `unit_block` records a [Conv - BatchNorm - ReLU] unit as
 one node that keeps neither the conv nor the batchnorm output.
-Forward-only passes run under `no_tape()` and record nothing; they also
-build no ReLU mask, and batchnorm and a unit block's ReLU write into the
-buffer batchnorm centres, never into an input.  A central
+Forward-only passes run under `no_tape()` and record nothing; there
+batchnorm and a unit block's ReLU write into the buffer batchnorm
+centres, never into an input.  A central
 finite-difference oracle is provided for verification.
 """
 
@@ -171,8 +171,6 @@ def add(x: Var, y: Var) -> Var:
 
 def relu(x: Var) -> Var:
     x = as_var(x)
-    if not _taping:
-        return Var(ops.relu(x.data))
     mask = x.data > 0
 
     def bwd(g):

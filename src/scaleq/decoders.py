@@ -14,7 +14,8 @@ the one pool -> unit block routine of UPerHead's PPM, PSPHead's pyramid
 and ASPPHead's image pool; `to_shared_size` upsamples the branches of every
 concatenation and measures their ratios.  The head tail `_classify`
 runs up to the logits on the subjects' grid; `_finish` adds the logits
-upsample to the input size that `SegModel.forward` hands it.
+upsample to the input size that `SegModel.forward` hands it, and
+`_project` takes an input-size upstream back through that upsample.
 
 All parameters are autodiff Vars so the same forwards serve the moment
 audits, the statistics pass, and the toy training loop; `Module` finds
@@ -26,6 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
+from . import ops
 from .errors import ConfigError, ContractError, ShapeError
 from .equalizer import GlobalStats, calibrate_weights
 from .tensor import Rng, randn
@@ -244,6 +246,13 @@ class _HeadBase(Module):
         out = self._classify(subjects_raw)
         out.logits = ad.upsample_to(out.logits, target_hw)
         return out
+
+    def _project(self, subjects_raw, upstream: np.ndarray) -> np.ndarray:
+        """An input-size upstream U of `_finish`'s logits, projected onto
+        the logit grid (the subjects' size) by the adjoint of `_finish`'s
+        upsample, so that sum(`_classify` logits * projection) has the
+        gradient of sum(`_finish` logits * U)."""
+        return ops.upsample_adjoint(upstream, subjects_raw[0].data.shape[2:])
 
 
 def to_shared_size(branches) -> tuple:

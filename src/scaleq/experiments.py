@@ -378,8 +378,8 @@ def run_head_audit(config: ExperimentConfig, head_kind: str | None = None) -> di
     and runs only the head tail (concat, fusion, classifier) per arm.  The
     gradients are those of one random scalarization sum(up(L) * U) of the
     input-size logits per seed.  By linearity it has the gradient of
-    sum(L * up^T(U)) on the logits' own grid, so U is projected there once
-    and both tails stop before the logits upsample."""
+    sum(L * up^T(U)) on the logits' own grid, so the head's `_project`
+    takes U there once and both tails stop before the logits upsample."""
     head_kind = head_kind or config.head
     chash = config.hash()
     size = head_input_size(config, head_kind)
@@ -413,12 +413,11 @@ def run_head_audit(config: ExperimentConfig, head_kind: str | None = None) -> di
         jac_vars = [m.variance for m in subj_m]
         spread = max(jac_vars) / min(jac_vars)
         # one random scalarization of the input-size logits serves both
-        # arms, projected onto the logit grid (the subjects' size); the
-        # input-size draw is freed at once
-        upstream = ops.upsample_adjoint(
-            randn((len(audit_batch), config.n_classes, *audit_batch.shape[2:]),
-                  0.0, 1.0, Rng(seed).split("audit-up")),
-            subjects[0].data.shape[2:])
+        # arms, projected onto the logit grid; the input-size draw is
+        # freed at once
+        upstream = head._project(subjects, randn(
+            (len(audit_batch), config.n_classes, *audit_batch.shape[2:]),
+            0.0, 1.0, Rng(seed).split("audit-up")))
         loss_grad_vars = _tail_grad_vars(head, subjects, upstream)[1]
 
         # "injected" leaves the weights alone, so the same model serves

@@ -101,10 +101,10 @@ def _axis_bands(n_in: int, n_out: int, kernel: str, align_corners: bool):
     return bands
 
 
-def _upsample_hw(x: np.ndarray, out_hw):
-    """(h, w, oh, ow) of an upsampling of x to out_hw; rejects downsampling."""
-    _check_nchw(x)
-    h, w = x.shape[2], x.shape[3]
+def _upsample_hw(in_hw, out_hw):
+    """(h, w, oh, ow) of an upsampling from in_hw to out_hw; rejects
+    downsampling."""
+    h, w = int(in_hw[0]), int(in_hw[1])
     oh, ow = int(out_hw[0]), int(out_hw[1])
     if oh < h or ow < w:
         raise InvalidRatioError(f"downsampling is not supported: output size "
@@ -112,13 +112,23 @@ def _upsample_hw(x: np.ndarray, out_hw):
     return h, w, oh, ow
 
 
+def _upsample_axes(in_hw, out_hw, mode: UpsampleMode):
+    """The cached axis matrices (A_h, A_w) of an upsampling from in_hw to
+    out_hw, or None when the sizes are equal."""
+    h, w, oh, ow = _upsample_hw(in_hw, out_hw)
+    if (oh, ow) == (h, w):
+        return None
+    return (_axis_matrix(h, oh, mode.kernel, mode.align_corners),
+            _axis_matrix(w, ow, mode.kernel, mode.align_corners))
+
+
 def upsample_to(x: np.ndarray, out_hw, mode: UpsampleMode = UpsampleMode()) -> np.ndarray:
     """Upsample to an explicit output size (avoids rounding ambiguity)."""
-    h, w, oh, ow = _upsample_hw(x, out_hw)
-    if (oh, ow) == (h, w):
+    _check_nchw(x)
+    axes = _upsample_axes(x.shape[2:], out_hw, mode)
+    if axes is None:
         return x
-    ah = _axis_matrix(h, oh, mode.kernel, mode.align_corners)
-    aw = _axis_matrix(w, ow, mode.kernel, mode.align_corners)
+    ah, aw = axes
     return ah @ x @ aw.T
 
 
@@ -127,15 +137,10 @@ def upsample_adjoint(g: np.ndarray, in_hw, mode: UpsampleMode = UpsampleMode()) 
     which maps an output gradient G back to the input grid.  G itself when
     the sizes are equal, as upsample_to returns its input."""
     _check_nchw(g)
-    h, w = int(in_hw[0]), int(in_hw[1])
-    oh, ow = g.shape[2], g.shape[3]
-    if oh < h or ow < w:
-        raise InvalidRatioError(f"adjoint of a downsampling: input size "
-                                f"{(h, w)} above output {(oh, ow)}")
-    if (oh, ow) == (h, w):
+    axes = _upsample_axes(in_hw, g.shape[2:], mode)
+    if axes is None:
         return g
-    ah = _axis_matrix(h, oh, mode.kernel, mode.align_corners)
-    aw = _axis_matrix(w, ow, mode.kernel, mode.align_corners)
+    ah, aw = axes
     return ah.T @ g @ aw
 
 
@@ -158,7 +163,8 @@ def upsample_moments(x: np.ndarray, out_hw, mode: UpsampleMode = UpsampleMode())
     centred _BLOCK_ROWS rows at a time, plus the next row for the
     h-neighbours, so no full-size copy is made.
     """
-    h, w, oh, ow = _upsample_hw(x, out_hw)
+    _check_nchw(x)
+    h, w, oh, ow = _upsample_hw(x.shape[2:], out_hw)
     if x.size == 0:
         raise ShapeError(f"moments of an empty tensor of shape {x.shape}")
     n, c = x.shape[:2]

@@ -458,10 +458,10 @@ def test_upsample_node_gradient_is_the_ops_adjoint(kernel, align):
 
 
 def test_no_tape_forwards_leave_inputs_and_match_the_tape():
-    """Under no_tape, relu builds no mask, batchnorm scales its centred
-    buffer in place and unit_block rectifies the batchnorm output in place:
-    each leaves its input array as it was and returns the taped forward's
-    values bit for bit."""
+    """Under no_tape, batchnorm scales its centred buffer in place and
+    unit_block rectifies the batchnorm output in place; relu records no
+    node.  Each leaves its input array as it was and returns the taped
+    forward's values bit for bit."""
     rng = Rng(114)
     x0 = randn((2, 4, 6, 5), 0.3, 1.0, rng.split("x"))
     gamma = ad.Var(randn((4,), 1.0, 0.2, rng.split("gamma")), requires_grad=True)

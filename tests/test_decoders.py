@@ -6,7 +6,6 @@ import pytest
 from scaleq import autodiff as ad
 from scaleq import decoders
 from scaleq import experiments as ex
-from scaleq import ops
 from scaleq.decoders import SegModel, ToyEncoder, build_head, he_normal
 from scaleq.equalizer import GlobalStats, accumulate_stats, channel_spans
 from scaleq.errors import ConfigError, ContractError, ShapeError
@@ -465,9 +464,8 @@ def test_tail_fusion_grad_matches_full_backward(kind, mode):
 @pytest.mark.parametrize("kind", decoders.HEAD_KINDS)
 def test_classify_under_the_projected_upstream_matches_finish(kind, stride, mode):
     """The head audit's tail: `_classify` on the logits' grid, under the
-    upstream projected there by ops.upsample_adjoint, gives the fusion
-    weight a gradient == to that of `_finish` under the input-size
-    upstream."""
+    upstream projected there by `_project`, gives the fusion weight a
+    gradient == to that of `_finish` under the input-size upstream."""
     model = make_model(kind, seed=6, stride=stride)
     size = 64 if kind == "uperhead" else 6 * stride
     shape = (2, 3, size, size)
@@ -487,10 +485,9 @@ def test_classify_under_the_projected_upstream_matches_finish(kind, stride, mode
         return weight.grad
 
     full = fusion_grad(model.head._finish(subjects, (size, size)), upstream)
-    grid = subjects[0].data.shape[2:]
-    assert grid != (size, size)
-    low = fusion_grad(model.head._classify(subjects),
-                      ops.upsample_adjoint(upstream, grid))
+    projected = model.head._project(subjects, upstream)
+    assert projected.shape[2:] == subjects[0].data.shape[2:] != (size, size)
+    low = fusion_grad(model.head._classify(subjects), projected)
     assert np.array_equal(low, full)
 
 

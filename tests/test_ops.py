@@ -163,7 +163,7 @@ def test_upsample_moments_large_offset():
 def centred_copy_upsample_moments(x, out_hw, mode=UpsampleMode()):
     """The full-size centred-copy formula upsample_moments() used before it
     centred in row blocks, verbatim."""
-    h, w, oh, ow = ops._upsample_hw(x, out_hw)
+    h, w, oh, ow = ops._upsample_hw(x.shape[2:], out_hw)
     n, c = x.shape[:2]
     sh, dh, eh = ops._axis_bands(h, oh, mode.kernel, mode.align_corners)
     sw, dw, ew = ops._axis_bands(w, ow, mode.kernel, mode.align_corners)
