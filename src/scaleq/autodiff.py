@@ -8,7 +8,8 @@ closure has run, `backward` releases the closure, with every array it saved
 its parents, so a spent node pins no activation behind it.  Only leaves
 keep their gradients, and a second backward through a spent graph is a
 ContractError.  `unit_block` records a [Conv - BatchNorm - ReLU] unit as
-one node that keeps neither the conv nor the batchnorm output.
+ordinary conv, batchnorm and relu nodes, and releases the conv and the
+batchnorm output once relu has read it, since no closure reads either.
 Forward-only passes run under `no_tape()` and record nothing; there
 batchnorm and a unit block's ReLU write into the buffer batchnorm
 centres, never into an input.  A central
@@ -89,9 +90,8 @@ def _accum(v: Var, g: np.ndarray, shared: bool = False) -> None:
         v.grad += g
 
 
-def _topo(root: Var, stop: Var | None = None) -> list[Var]:
-    """The nodes reachable from root, parents before children; the walk
-    does not go past `stop`."""
+def _topo(root: Var) -> list[Var]:
+    """The nodes reachable from root, parents before children."""
     order: list[Var] = []
     seen: set[int] = set()
     stack = [(root, False)]
@@ -104,30 +104,15 @@ def _topo(root: Var, stop: Var | None = None) -> list[Var]:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        if node is not stop:
-            for p in node._parents:
-                if id(p) not in seen:
-                    stack.append((p, False))
+        for p in node._parents:
+            if id(p) not in seen:
+                stack.append((p, False))
     return order
 
 
 def _spent(g):
     """Stands in for the closure of a node whose backward has run."""
     raise ContractError("backward already ran through this node")
-
-
-def _replay(order: list[Var]) -> None:
-    """Run the closures of `order` (parents first) in reverse.  Once a
-    non-leaf node's closure has run, the node drops it, and with it every
-    array it saved, its gradient and its parents."""
-    for node in reversed(order):
-        if node._backward is None:
-            continue
-        if node.grad is not None:
-            node._backward(node.grad)
-        node._backward = _spent
-        node.grad = None
-        node._parents = ()
 
 
 def backward(loss: Var) -> dict[int, np.ndarray]:
@@ -143,7 +128,14 @@ def backward(loss: Var) -> dict[int, np.ndarray]:
     if any(node._backward is _spent for node in order):
         raise ContractError("backward already ran through this graph")
     loss.grad = np.ones_like(loss.data, dtype=np.float64)
-    _replay(order)
+    for node in reversed(order):
+        if node._backward is None:
+            continue
+        if node.grad is not None:
+            node._backward(node.grad)
+        node._backward = _spent
+        node.grad = None
+        node._parents = ()
     return {id(n): n.grad for n in order if not n._parents and n.grad is not None}
 
 
@@ -296,31 +288,23 @@ def batchnorm(x: Var, gamma: Var, beta: Var) -> Var:
 
 
 def unit_block(conv, x: Var, gamma: Var, beta: Var) -> Var:
-    """One [Conv - BatchNorm - ReLU] unit block as one tape node.  `conv(x)`
-    builds the unit's conv node(s); `batchnorm` and `relu` follow, so every
-    gradient formula stays in its own node function.  The returned node has
-    x and the unit's parameters as parents, and its backward replays the
-    inner closures in reverse.  No inner closure reads the conv or the
-    batchnorm output, so both are released at once.  Under `no_tape` this
-    is just the ReLU output, rectified in the batchnorm output's buffer."""
+    """One [Conv - BatchNorm - ReLU] unit block: `conv(x)` builds the unit's
+    conv node(s), `batchnorm` and `relu` follow, and the relu node is
+    returned.  No closure reads the conv or the batchnorm output, so once
+    relu has read it, every node from the batchnorm output back to x (each
+    conv's input is its first parent) drops its data.  Under `no_tape`
+    this is just the ReLU output, rectified in the batchnorm output's
+    buffer."""
     x = as_var(x)
     y = batchnorm(conv(x), gamma, beta)
     if not _taping:
         np.maximum(y.data, 0, out=y.data)
         return y
-    y = relu(y)
-    if not y.requires_grad:
-        return y
-    inner = [n for n in _topo(y, stop=x) if n is not x and n._parents]
-    params = dict.fromkeys(p for n in inner for p in n._parents
-                           if p is not x and not p._parents)
-    for node in inner[:-1]:
-        node.data = None
-
-    def bwd(g):
-        y.grad = g
-        _replay(inner)
-    return _node(y.data, (x, *params), bwd, "unit_block")
+    out = relu(y)
+    while y is not x:
+        y.data = None
+        y = y._parents[0]
+    return out
 
 
 def vmean(x: Var) -> Var:

@@ -77,8 +77,8 @@ def _named(name: str, value):
 
 class ConvUnit(Module):
     """One [Conv - BatchNorm - ReLU] unit block (gamma=1, beta=0 at init).
-    `ad.unit_block` records it as one tape node that keeps neither the conv
-    nor the batchnorm output; a subclass supplies only its `conv`."""
+    `ad.unit_block` records its conv, batchnorm and relu nodes and releases
+    the conv and batchnorm outputs; a subclass supplies only its `conv`."""
 
     def __init__(self, rng: Rng, cin: int, cout: int, k: int = 3, *,
                  stride: int = 1, dilation: int = 1):
@@ -260,8 +260,7 @@ def to_shared_size(branches) -> tuple:
     (subjects_raw, ratios): the post-upsample, pre-equalizer subjects and
     each branch's ratio, shared height over the branch's height."""
     size = max(b.data.shape[2:] for b in branches)
-    subjects = [b if b.data.shape[2:] == size else ad.upsample_to(b, size)
-                for b in branches]
+    subjects = [ad.upsample_to(b, size) for b in branches]
     return subjects, tuple(size[0] / b.data.shape[2] for b in branches)
 
 

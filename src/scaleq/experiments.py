@@ -17,9 +17,11 @@ import numpy as np
 
 from . import autodiff as ad
 from . import ops
-from .decoders import EQUALIZE_MODES, HEAD_KINDS, SegModel, ToyEncoder, build_head
+from .decoders import (EQUALIZE_MODES, HEAD_KINDS, SegModel, ToyEncoder, UPerHead,
+                       build_head)
 from .equalizer import (GlobalStats, accumulate_stats, branch_moments,
-                        calibrate_weights, save_stats, scale_equalize)
+                        calibrate_weights, load_stats, save_stats,
+                        scale_equalize)
 from .errors import ConfigError, ContractError
 from .ops import UpsampleMode
 from .tensor import Rng, moments, randn
@@ -339,7 +341,9 @@ def stage_widths(config: ExperimentConfig, head_kind: str) -> tuple:
 
 def head_input_size(config: ExperimentConfig, head_kind: str) -> int:
     """A single-stage head needs C5 >= 6x6 for the (1,2,3,6) pyramid bins.
-    A size the encoder cannot halve at every stage fails before any data."""
+    A size the encoder cannot halve at every stage, or that leaves
+    uperhead's C5 smaller than its PPM's largest bin, fails before any
+    data."""
     stride = 2 ** len(stage_widths(config, head_kind))
     size = config.image_size
     if head_kind != "uperhead":
@@ -347,6 +351,10 @@ def head_input_size(config: ExperimentConfig, head_kind: str) -> int:
     if size % stride:
         raise ConfigError(f"image_size {size} is not divisible by {stride}, "
                           f"the stride of the {head_kind} encoder")
+    least = max(UPerHead.ppm_bins) * stride
+    if size < least:
+        raise ConfigError(f"image_size {size} leaves C5 smaller than the largest "
+                          f"PPM bin of {head_kind}; it needs at least {least}")
     return size
 
 
@@ -642,7 +650,9 @@ def run_equivalence(config: ExperimentConfig, trials: int = 100) -> dict:
 def run_calibrate(config: ExperimentConfig) -> dict:
     """Statistics pass over a synthetic dataset, fold the equalizers into
     the fusion weight, and verify the calibrated head matches the injected
-    one on the first statistics batch."""
+    one on the first statistics batch.  With an out_dir, the stats are
+    written to stats_<head>.csv and both heads use the stats read back from
+    it."""
     head_kind = config.head
     size = head_input_size(config, head_kind)
     images = [s.image for s in
@@ -650,6 +660,11 @@ def run_calibrate(config: ExperimentConfig) -> dict:
                                     config.n_classes, size)]
     model = build_model(config, config.seed, head_kind)
     stats = model_stats(model, images, config.stats_batch, config.sigma_floor)
+    stats_path = None
+    if config.out_dir:
+        stats_path = f"{config.out_dir}/stats_{head_kind}.csv"
+        save_stats(stats_path, stats)
+        stats = load_stats(stats_path)
     batch = np.concatenate(images[:config.stats_batch], axis=0)
     with ad.no_tape():
         model.head.set_equalize("injected", stats)
@@ -664,9 +679,7 @@ def run_calibrate(config: ExperimentConfig) -> dict:
         "injected_vs_calibrated_max_diff": diff,
         "equivalence_pass": diff <= 1e-10,
     }
-    if config.out_dir:
-        stats_path = f"{config.out_dir}/stats_{head_kind}.csv"
-        save_stats(stats_path, stats)
+    if stats_path:
         out["stats_path"] = stats_path
     write_outputs(config, "calibrate", out)
     return out

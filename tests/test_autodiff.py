@@ -140,7 +140,7 @@ def test_backward_releases_every_node():
             nodes[id(v)] = v
             stack.extend(v._parents)
     inner = [v for v in nodes.values() if v._parents]
-    assert len(inner) == 6
+    assert len(inner) == 8
     grads = ad.backward(loss)
     for v in inner:
         assert v.grad is None and v._backward in (None, ad._spent), v.op

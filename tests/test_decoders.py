@@ -303,9 +303,10 @@ UNIT_CASES = {                       # (cin, cout, ConvUnit keywords)
 
 @pytest.mark.parametrize("case", list(UNIT_CASES))
 def test_unit_block_node_matches_the_three_node_chain(case):
-    """A unit block is one tape node whose parents are x and the unit's
-    parameters, and it gives == outputs and == gradients for x and every
-    parameter against conv -> batchnorm -> relu as three nodes."""
+    """A unit block's conv and batchnorm outputs hold no data once it
+    returns, and it gives == outputs and == gradients for x and every
+    parameter against conv -> batchnorm -> relu built as nodes that keep
+    their data."""
     cin, cout, kw = UNIT_CASES[case]
     rng = Rng(22)
     cls = decoders.SepConvUnit if case == "separable" else decoders.ConvUnit
@@ -317,13 +318,18 @@ def test_unit_block_node_matches_the_three_node_chain(case):
         shape = unit(x0).data.shape
     u = randn(shape, 0.0, 1.0, rng.split("u"))
 
-    def run(one_node):
+    def run(released):
         ad.zero_grad(unit.params())
         x = ad.Var(x0, requires_grad=True)
-        if one_node:
+        if released:
             y = unit(x)
-            assert y.op == "unit_block"
-            assert [id(p) for p in y._parents] == [id(x)] + [id(p) for p in unit.params()]
+            chain, node = [], y._parents[0]
+            while node is not x:
+                chain.append(node)
+                node = node._parents[0]
+            convs = 2 if case == "separable" else 1
+            assert [v.op for v in chain] == ["batchnorm"] + ["conv2d"] * convs
+            assert all(v.data is None for v in chain)
         else:
             y = ad.relu(ad.batchnorm(unit.conv(x), unit.gamma, unit.beta))
         ad.backward(ad.dot_const(y, u))
@@ -336,17 +342,24 @@ def test_unit_block_node_matches_the_three_node_chain(case):
 def test_unit_block_keeps_only_what_backward_reads():
     """A 1x1 unit keeps its output, batchnorm's xhat and the ReLU mask
     (its conv operand is x itself): about 2.1 output sizes, where the
-    conv and batchnorm outputs would add 2 more."""
-    unit = decoders.ConvUnit(Rng(23), 8, 8, 1)
+    conv and batchnorm outputs would add 2 more.  A separable unit also
+    keeps the depthwise conv's im2col columns (9 input sizes) and the
+    depthwise output, which is the pointwise conv's operand: about 12.2
+    output sizes, again 2 fewer than with the conv and batchnorm outputs.
+    Its depthwise node holds no data either."""
     x = ad.Var(randn((2, 8, 32, 32), 0.0, 1.0, Rng(24)), requires_grad=True)
-    unit(x)                                # warm-up: cached maps
-    tracemalloc.start()
-    try:
-        y = unit(x)
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert held < 3 * y.data.nbytes, held / y.data.nbytes
+    for unit, bound in ((decoders.ConvUnit(Rng(23), 8, 8, 1), 3),
+                        (decoders.SepConvUnit(Rng(23), 8, 8, 3), 13)):
+        unit(x)                            # warm-up: cached maps
+        tracemalloc.start()
+        try:
+            y = unit(x)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < bound * y.data.nbytes, held / y.data.nbytes
+    depthwise = y._parents[0]._parents[0]._parents[0]
+    assert depthwise.op == "conv2d" and depthwise.data is None
 
 
 def test_all_zero_input_gives_constant_logits():

@@ -430,6 +430,19 @@ def test_build_model_picks_the_encoder_depth(head):
             ex.head_input_size(bad, head)
 
 
+@pytest.mark.parametrize("command", ["run_head_audit", "run_toy_train", "run_calibrate"])
+def test_uperhead_c5_below_the_ppm_bin_fails_before_any_data(monkeypatch, command):
+    """At image_size 32 the uperhead encoder's C5 is 1x1, below the PPM's
+    2x2 bin: head_input_size raises ConfigError before a dataset is made."""
+    made = []
+    monkeypatch.setattr(ex, "gen_synthetic_dataset", lambda *a: made.append(a))
+    cfg = quick_config(head="uperhead", image_size=32)
+    with pytest.raises(ConfigError, match="PPM bin"):
+        getattr(ex, command)(cfg)
+    assert made == []
+    assert ex.head_input_size(dataclasses.replace(cfg, image_size=64), "uperhead") == 64
+
+
 def test_toy_train_reference_final_loss():
     """The equalized-arm loss recorded as the benchmark's reference."""
     cfg = ExperimentConfig(seed=0, dataset_size=32, train_steps=3)
@@ -469,9 +482,9 @@ def _uperhead_loss(default_uperhead, step):
 
 
 def test_uperhead_step_tape_nodes(default_uperhead):
-    """A step records 82 nodes that require a gradient, 50 of them the
-    parameters; each unit block is one node (114 as three).  Backward
-    returns the 50 parameter gradients."""
+    """A step records 114 nodes that require a gradient, 50 of them the
+    parameters; each unit block is its conv, batchnorm and relu nodes.
+    Backward returns the 50 parameter gradients."""
     loss = _uperhead_loss(default_uperhead, 0)
     seen, stack = {}, [loss]
     while stack:
@@ -479,7 +492,7 @@ def test_uperhead_step_tape_nodes(default_uperhead):
         if id(v) not in seen:
             seen[id(v)] = v
             stack.extend(v._parents)
-    assert sum(v.requires_grad for v in seen.values()) == 82
+    assert sum(v.requires_grad for v in seen.values()) == 114
     params = default_uperhead[1].params()
     assert len(params) == 50
     assert set(ad.backward(loss)) == {id(p) for p in params}
@@ -547,13 +560,20 @@ def test_run_calibrate_one_image_tail(head):
     assert res["equivalence_pass"]
 
 
-def test_run_calibrate_psphead(tmp_path):
+def test_run_calibrate_psphead(tmp_path, monkeypatch):
+    """With an out_dir, calibrate writes the stats file and folds the
+    stats it reads back from it, which equal the ones it reports."""
+    read, load_stats = [], ex.load_stats
+    monkeypatch.setattr(ex, "load_stats", lambda path: read.append(path) or load_stats(path))
     cfg = quick_config(head="psphead", out_dir=str(tmp_path))
     res = ex.run_calibrate(cfg)
     assert res["equivalence_pass"]
     assert res["all_sigma_positive"]
     assert res["n_branches"] == 5
-    assert (tmp_path / "stats_psphead.csv").exists()
+    assert read == [str(tmp_path / "stats_psphead.csv")] == [res["stats_path"]]
+    back = load_stats(res["stats_path"])
+    assert (list(back.mu), list(back.sigma), back.count) == (
+        res["mu"], res["sigma"], res["stats_count"])
 
 
 def test_run_check_all_ok(tmp_path):
@@ -669,10 +689,6 @@ def test_src_names_are_reached_outside_tests():
     other top-level statement of src/ or bench/*.py, so nothing there lives
     for the tests alone."""
     root = Path(__file__).resolve().parents[1]
-    # the stats file's reader, kept for the deploy-time fold of a trained
-    # head; that fold waits on a benchmark change, since the benchmark
-    # reference pins the equalized arm's final training loss
-    allowed = {"load_stats"}
     stmts = [(path, stmt)
              for path in sorted(root.glob("src/scaleq/*.py")) + sorted(root.glob("bench/*.py"))
              for stmt in ast.parse(path.read_text()).body]
@@ -681,7 +697,6 @@ def test_src_names_are_reached_outside_tests():
     for i, (path, stmt) in enumerate(stmts):
         if (path.parent.name == "scaleq"
                 and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-                and stmt.name not in allowed
                 and not any(stmt.name in r for j, r in enumerate(reached) if j != i)):
             unreached.append(f"{path.name}:{stmt.name}")
     assert not unreached
