@@ -7,9 +7,14 @@ closure has run, `backward` releases the closure, with every array it saved
 (a conv operand, batchnorm's xhat, a ReLU mask), the node's gradient and
 its parents, so a spent node pins no activation behind it.  Only leaves
 keep their gradients, and a second backward through a spent graph is a
-ContractError.  `unit_block` records a [Conv - BatchNorm - ReLU] unit as
-ordinary conv, batchnorm and relu nodes, and releases the conv and the
-batchnorm output once relu has read it, since no closure reads either.
+ContractError.  A conv node reads one Var or a list of channel blocks,
+which it fills into its operand at their channel offsets, and splits dX
+back across them; no concatenation is made.  `unit_block` records a
+[Conv - BatchNorm - ReLU] unit as ordinary conv, batchnorm and relu nodes,
+and releases the conv and the batchnorm output once relu has read it,
+since no closure reads either; the unit's input, every block of a list,
+keeps its data.  The cross-entropy node builds its gradient in the buffer
+that held exp of its shifted logits.
 Forward-only passes run under `no_tape()` and record nothing; there
 batchnorm and a unit block's ReLU write into the buffer batchnorm
 centres, never into an input.  A central
@@ -171,6 +176,8 @@ def relu(x: Var) -> Var:
 
 
 def concat_channels(xs) -> Var:
+    """The channel concatenation of xs as its own node; a conv reads the
+    list xs without it (see conv2d)."""
     xs = [as_var(x) for x in xs]
     out = np.concatenate([x.data for x in xs], axis=1)
     splits = np.cumsum([x.data.shape[1] for x in xs])[:-1]
@@ -228,21 +235,31 @@ def avgpool_to(x: Var, out_size) -> Var:
     return _node(out, (x,), bwd, "avgpool")
 
 
-def conv2d(x: Var, weight: Var, bias: Var | None = None, *, stride: int = 1,
+def _channel_blocks(x) -> list[Var]:
+    """A conv input as its channel blocks: one Var, or a list of Vars read
+    as their concatenation along C."""
+    return [as_var(b) for b in x] if isinstance(x, (list, tuple)) else [as_var(x)]
+
+
+def conv2d(x, weight: Var, bias: Var | None = None, *, stride: int = 1,
            dilation: int = 1, groups: int = 1, pad_value=0.0) -> Var:
-    """Convolution node.  The operand the forward multiplies (the flat
-    padded frame, or the im2col columns filled from x without a padded
-    frame, see ops._conv_operand) is built once, and the weight gradient
-    takes it.  The node keeps it only while the weight requires a
-    gradient, and the backward drops it once used.  The closure records
+    """Convolution node over x, one Var or a list of channel blocks that the
+    conv reads as their concatenation without making it.  The operand the
+    forward multiplies (the flat padded frame, or the im2col columns filled
+    from x without a padded frame, see ops._conv_operand) is built once,
+    and the weight gradient takes it.  The node keeps it only while the
+    weight requires a gradient, and the backward drops it once used.  dX
+    is split across the blocks at their channel offsets, a copy each, as
+    concat_channels' backward splits its gradient.  The closure records
     x's shape, not x's data."""
-    x, weight = as_var(x), as_var(weight)
+    xs, weight = _channel_blocks(x), as_var(weight)
+    data = xs[0].data if len(xs) == 1 else [b.data for b in xs]
     p = ops.ConvParams(weight.data, None if bias is None else bias.data,
                        stride, dilation, groups, pad_value)
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    x_shape = x.data.shape
-    operand = ops._conv_operand(x.data, p)
-    out = ops.conv2d(x.data, p, operand)
+    parents = (*xs, weight) if bias is None else (*xs, weight, bias)
+    x_shape = ops._conv_input(data)[1]
+    operand = ops._conv_operand(data, p)
+    out = ops.conv2d(data, p, operand)
     if not weight.requires_grad:
         operand = None
 
@@ -253,8 +270,13 @@ def conv2d(x: Var, weight: Var, bias: Var | None = None, *, stride: int = 1,
         if weight.requires_grad:
             _accum(weight, ops._conv_weight_grad(operand, p, g))
             operand = None      # freed before dX allocates its grid
-        if x.requires_grad:
-            _accum(x, ops._conv_input_grad(x_shape, p, g))
+        if any(b.requires_grad for b in xs):
+            dx = ops._conv_input_grad(x_shape, p, g)
+            if len(xs) == 1:
+                _accum(xs[0], dx)
+            else:
+                for (c0, c1), b in ops._block_spans(xs):
+                    _accum(b, dx[:, c0:c1], shared=True)
     return _node(out, parents, bwd, "conv2d")
 
 
@@ -287,21 +309,23 @@ def batchnorm(x: Var, gamma: Var, beta: Var) -> Var:
     return _node(out, (x, gamma, beta), bwd, "batchnorm")
 
 
-def unit_block(conv, x: Var, gamma: Var, beta: Var) -> Var:
-    """One [Conv - BatchNorm - ReLU] unit block: `conv(x)` builds the unit's
-    conv node(s), `batchnorm` and `relu` follow, and the relu node is
-    returned.  No closure reads the conv or the batchnorm output, so once
-    relu has read it, every node from the batchnorm output back to x (each
-    conv's input is its first parent) drops its data.  Under `no_tape`
-    this is just the ReLU output, rectified in the batchnorm output's
-    buffer."""
-    x = as_var(x)
-    y = batchnorm(conv(x), gamma, beta)
+def unit_block(conv, x, gamma: Var, beta: Var) -> Var:
+    """One [Conv - BatchNorm - ReLU] unit block over x, one Var or a list of
+    channel blocks: `conv(x)` builds the unit's conv node(s), `batchnorm`
+    and `relu` follow, and the relu node is returned.  No closure reads the
+    conv or the batchnorm output, so once relu has read it, every node from
+    the batchnorm output back to the unit's input (each conv's input is its
+    first parent) drops its data; the walk stops at x's blocks, which stay.
+    Under `no_tape` this is just the ReLU output, rectified in the
+    batchnorm output's buffer."""
+    xs = _channel_blocks(x)
+    y = batchnorm(conv(xs if len(xs) > 1 else xs[0]), gamma, beta)
     if not _taping:
         np.maximum(y.data, 0, out=y.data)
         return y
     out = relu(y)
-    while y is not x:
+    inputs = {id(b) for b in xs}
+    while id(y) not in inputs:
         y.data = None
         y = y._parents[0]
     return out
@@ -346,18 +370,23 @@ def softmax_cross_entropy(logits: Var, labels: np.ndarray) -> Var:
     if labels.min() < 0 or labels.max() >= k:
         raise ContractError(f"labels must lie in [0, {k})")
     z = logits.data - logits.data.max(axis=1, keepdims=True)
-    ez = np.exp(z)
-    s = ez.sum(axis=1, keepdims=True)
     # class indices in a dtype that holds both every label and k - 1, so the
     # comparison casts neither side
     classes = np.arange(k, dtype=np.result_type(labels.dtype, np.min_scalar_type(k - 1)))
     onehot = labels[:, None] == classes.reshape(1, k, 1, 1)
     count = n * h * w
-    # mean(log s - z[label]): one log-sum-exp, the label term through the mask
-    loss = np.log(s).mean() - np.einsum("nkhw,nkhw->", z, onehot) / count
+    # mean(log s - z[label]): the label term through the mask, read before z
+    # is exponentiated in place, then one log-sum-exp
+    label_term = np.einsum("nkhw,nkhw->", z, onehot)
+    ez = np.exp(z, out=z)
+    s = ez.sum(axis=1, keepdims=True)
+    loss = np.log(s).mean() - label_term / count
 
     def bwd(g):
-        gx = ez / s
+        # built in exp(z)'s own buffer, which nothing else reads, and a
+        # spent node never runs again
+        gx = ez
+        gx /= s
         gx -= onehot
         gx *= float(g) / count
         _accum(logits, gx)

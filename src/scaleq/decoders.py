@@ -4,6 +4,9 @@ Each head realizes the general fusion form: parallel branches ending in a
 convolutional unit block, optional bilinear upsampling to a shared size,
 channel concatenation, and a fusion unit block h, followed by a 1x1
 classifier convolution and a final upsampling back to the input size.
+The concatenation is never made: h's conv, and UPerHead's PPM conv, take
+the list of subjects and fill their operand from each at its channel
+offset (`autodiff.conv2d`).
 
 The encoder returns every stage as a dict keyed by its downsampling ratio,
 described once by `ToyEncoder.stage_channels()`.  Every head takes that
@@ -224,20 +227,21 @@ class _HeadBase(Module):
         self.stats = stats
 
     def branches(self, feats: dict):
-        """Branch unit blocks and their upsampling, up to the concatenation:
+        """Branch unit blocks and their upsampling, up to the fusion:
         `to_shared_size` of the branches."""
         raise NotImplementedError
 
     def _classify(self, subjects_raw) -> HeadOutput:
         """The head tail up to the logits, on the subjects' grid: equalize
-        (if injected), concat, fuse and classify."""
+        (if injected), fuse the subject list, read as its concatenation,
+        and classify."""
         if self.equalize == "injected":
             subjects = [ad.scale_equalize(s, mu, sigma)
                         for s, mu, sigma in zip(subjects_raw, self.stats.mu,
                                                 self.stats.sigma)]
         else:
             subjects = subjects_raw
-        z = self.fusion_block(ad.concat_channels(subjects))
+        z = self.fusion_block(subjects)
         return HeadOutput(self.classifier(z), subjects_raw, subjects)
 
     def _finish(self, subjects_raw, target_hw) -> HeadOutput:
@@ -300,7 +304,7 @@ class UPerHead(_HeadBase):
         c5 = feats[32]
         ppm, _ = to_shared_size([c5] + pooled_branches(c5, self.ppm_bins,
                                                        self.ppm_units))
-        laterals = {32: self.ppm_out(ad.concat_channels(ppm))}
+        laterals = {32: self.ppm_out(ppm)}
         for r in (16, 8, 4):
             laterals[r] = self.laterals[r](feats[r])
         merged = {32: laterals[32]}

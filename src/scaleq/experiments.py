@@ -367,7 +367,7 @@ def _tail_grad_vars(head, subjects, upstream: np.ndarray):
     subjects and return its output with the per-group variance of the
     fusion-weight gradient under the scalarization sum(logits * upstream),
     with upstream on the logits' grid.  The subjects carry no tape, so
-    backward stops at the concatenation."""
+    backward stops at the fusion conv."""
     weight = head.fusion_block.weight
     weight.grad = None
     out = head._classify(subjects)
@@ -383,11 +383,14 @@ def run_head_audit(config: ExperimentConfig, head_kind: str | None = None) -> di
 
     The equalizers sit between the upsampling and the concatenation, so
     both arms share the encoder and branches: each seed computes them once
-    and runs only the head tail (concat, fusion, classifier) per arm.  The
+    and runs only the head tail (fusion, classifier) per arm.  The
     gradients are those of one random scalarization sum(up(L) * U) of the
     input-size logits per seed.  By linearity it has the gradient of
     sum(L * up^T(U)) on the logits' own grid, so the head's `_project`
-    takes U there once and both tails stop before the logits upsample."""
+    takes U there once and both tails stop before the logits upsample.
+    The statistics-pass taps are kept only until `accumulate_stats`
+    returns: the equalized dataset moments are taken from them at once and
+    they are cleared before the branches and tails run."""
     head_kind = head_kind or config.head
     chash = config.hash()
     size = head_input_size(config, head_kind)
@@ -409,6 +412,12 @@ def run_head_audit(config: ExperimentConfig, head_kind: str | None = None) -> di
 
         stats = accumulate_stats(images, keep_taps, config.stats_batch,
                                  config.sigma_floor)
+        # dataset-level moments of the equalized subjects, taken at once so
+        # that no tap outlives the statistics pass
+        acc_mom = branch_moments([scale_equalize(t, mu, sigma) for t, mu, sigma
+                                  in zip(batch_taps, stats.mu, stats.sigma)]
+                                 for batch_taps in taps)
+        taps.clear()
         with ad.no_tape():
             subjects, ratios = model.branches(audit_batch)
         subj_m = [moments(s.data) for s in subjects]
@@ -431,10 +440,6 @@ def run_head_audit(config: ExperimentConfig, head_kind: str | None = None) -> di
         # "injected" leaves the weights alone, so the same model serves
         # as the equalized arm
         head.set_equalize("injected", stats)
-        # dataset-level moments of the equalized subjects
-        eq_taps = ([scale_equalize(t, mu, sigma) for t, mu, sigma
-                    in zip(batch_taps, stats.mu, stats.sigma)] for batch_taps in taps)
-        acc_mom = branch_moments(eq_taps)
         eq_out, eq_loss_grad_vars = _tail_grad_vars(head, subjects, upstream)
         eq_jac_vars = [moments(s.data).variance for s in eq_out.subjects]
         del eq_out          # its logits and subjects are not read again
@@ -615,17 +620,15 @@ def equivalence_trial(rng: Rng):
     weight = randn((cout, n_branches * c, 3, 3), 0.0, 0.5, rng.split("w"))
     bias = randn((1, cout, 1, 1), 0.0, 0.5, rng.split("b"))[0, :, 0, 0]
 
-    x_eq = np.concatenate(eq, axis=1)
-    x_raw = np.concatenate(raw, axis=1)
-    y_inj = ops.conv2d(x_eq, ops.ConvParams(weight, bias))
+    y_inj = ops.conv2d(eq, ops.ConvParams(weight, bias))
     w_cal, correction, pad = calibrate_weights(weight, stats, (c,) * n_branches)
-    y_cal = ops.conv2d(x_raw, ops.ConvParams(w_cal, bias - correction, pad_value=pad))
+    y_cal = ops.conv2d(raw, ops.ConvParams(w_cal, bias - correction, pad_value=pad))
     pre = float(np.max(np.abs(y_inj - y_cal)))
 
     gamma, beta = gen.uniform(0.5, 1.5, cout), gen.uniform(-0.5, 0.5, cout)
-    z_inj = ops.batchnorm(ops.conv2d(x_eq, ops.ConvParams(weight, bias)),
+    z_inj = ops.batchnorm(ops.conv2d(eq, ops.ConvParams(weight, bias)),
                           gamma, beta)
-    z_cal = ops.batchnorm(ops.conv2d(x_raw, ops.ConvParams(w_cal, bias, pad_value=pad)),
+    z_cal = ops.batchnorm(ops.conv2d(raw, ops.ConvParams(w_cal, bias, pad_value=pad)),
                           gamma, beta)
     post = float(np.max(np.abs(z_inj - z_cal)))
     return pre, post

@@ -9,20 +9,24 @@ Upsampling and adaptive pooling are separable per-axis maps, A_h X A_w^T
 and P_h X P_w^T with cached read-only matrices, whose adjoints are
 A_h^T G A_w and P_h^T G P_w.  Convolution has two kernels, picked by
 `_use_taps` from the shapes alone.  A dense stride-1 conv that does not
-widen the channels, such as the fusion conv over the concatenated
-branches, runs one (Cout, Cin) matmul per kernel tap on a contiguous
-slice of the flat padded frame (kn2row-aa, Anderson et al., 2017).  Every
-other conv multiplies the weight with an im2col column matrix
-(Chellapilla et al., 2006), filled from the unpadded input one kernel tap
-at a time, with the pad value where a tap reads the border; no padded
-frame is made for it, and an atrous tap that reads only padding is one
-fill.  `_conv_operand` builds that frame or column matrix, and the weight
-gradient takes the forward's operand rather than building it again.  dX
-is the transposed convolution (Dumoulin & Visin, 2016).  Same padding of
-an odd square kernel is symmetric, so at stride 1 dX is this forward
-convolution of G with the group-transposed, spatially flipped kernel; at
-a larger stride each kernel tap scatters W^T G onto its strided window of
-the padded grid.
+widen the channels, such as the fusion conv over the branches, runs one
+(Cout, Cin) matmul per kernel tap on a contiguous slice of the flat padded
+frame (kn2row-aa, Anderson et al., 2017).  Every other conv multiplies the
+weight with an im2col column matrix (Chellapilla et al., 2006), filled
+from the unpadded input one kernel tap at a time, with the pad value where
+a tap reads the border; no padded frame is made for it, and an atrous tap
+that reads only padding is one fill.  `_conv_operand` builds that frame or
+column matrix, and the weight gradient takes the forward's operand rather
+than building it again.  A conv's input is one array or a list of channel
+blocks that share N, H and W, read as their concatenation along C: the
+frame or the column matrix is filled from each block at its channel
+offset, so a conv fed by a concatenation never makes it (as in
+Memory-Efficient DenseNets, Pleiss et al., 2017).  dX is the transposed
+convolution (Dumoulin & Visin, 2016).  Same padding of an odd square
+kernel is symmetric, so at stride 1 dX is this forward convolution of G
+with the group-transposed, spatially flipped kernel; at a larger stride
+each kernel tap scatters W^T G onto its strided window of the padded
+grid.
 
 Upsampled moments never materialize the output.  Each row of an axis
 matrix reads at most two adjacent source pixels, so A^T A is tridiagonal
@@ -222,19 +226,50 @@ def same_padding(kernel: int, dilation: int = 1) -> int:
     return ((kernel - 1) * dilation) // 2
 
 
-def _flat_frame(x: np.ndarray, pad: int, pad_value, kw: int,
-                dilation: int) -> np.ndarray:
+def _conv_input(x):
+    """(blocks, (N, C, H, W)) of a conv input: one NCHW array, or a list of
+    NCHW channel blocks that share N, H and W and stack along C in order,
+    as a concatenation would, though none is made."""
+    if not isinstance(x, (list, tuple)):
+        return [_check_nchw(x)], x.shape
+    blocks = list(x)
+    if not blocks:
+        raise ShapeError("a conv input needs at least one channel block")
+    for b in blocks:
+        _check_nchw(b)
+    n, _, h, w = blocks[0].shape
+    if any(b.shape[0] != n or b.shape[2:] != (h, w) for b in blocks):
+        raise ShapeError(f"channel blocks {[b.shape for b in blocks]} do not "
+                         f"share N, H and W")
+    return blocks, (n, sum(b.shape[1] for b in blocks), h, w)
+
+
+def _block_spans(blocks) -> list:
+    """((start, stop), block) for each channel block of a conv input, the
+    span of channels it fills."""
+    spans, c0 = [], 0
+    for b in blocks:
+        spans.append(((c0, c0 + b.shape[1]), b))
+        c0 += b.shape[1]
+    return spans
+
+
+def _flat_frame(x, pad: int, pad_value, kw: int, dilation: int) -> np.ndarray:
     """The padded input as one (N, C, Hp*Wp + (kw-1)*dilation) buffer, rows
     flattened, borders and tail filled with pad_value (a scalar or one value
-    per channel).  At stride 1, kernel tap (u, v) of a conv reads the
-    contiguous slice at offset (u*Wp + v)*dilation, of length Ho*Wp; the
-    tail lets the last tap's slice run Wp - Wo columns past the frame."""
-    n, c, h, w = x.shape
+    per channel).  A list input fills it one channel block at a time.  At
+    stride 1, kernel tap (u, v) of a conv reads the contiguous slice at
+    offset (u*Wp + v)*dilation, of length Ho*Wp; the tail lets the last
+    tap's slice run Wp - Wo columns past the frame."""
+    blocks, (n, c, h, w) = _conv_input(x)
     hp, wp = h + 2 * pad, w + 2 * pad
-    frame = np.empty((n, c, hp * wp + (kw - 1) * dilation), dtype=x.dtype)
-    pv = np.asarray(pad_value, dtype=x.dtype)
+    dtype = np.result_type(*blocks)
+    frame = np.empty((n, c, hp * wp + (kw - 1) * dilation), dtype=dtype)
+    pv = np.asarray(pad_value, dtype=dtype)
     frame[:] = pv.reshape(1, c, 1) if pv.ndim == 1 else pv
-    frame[:, :, :hp * wp].reshape(n, c, hp, wp)[:, :, pad:pad + h, pad:pad + w] = x
+    grid = frame[:, :, :hp * wp].reshape(n, c, hp, wp)[:, :, pad:pad + h, pad:pad + w]
+    for (c0, c1), b in _block_spans(blocks):
+        grid[:, c0:c1] = b
     return frame
 
 
@@ -281,32 +316,37 @@ def _tap_span(n_in: int, n_out: int, offset: int, stride: int):
     return lo, hi, lo * stride + offset
 
 
-def _im2col(x: np.ndarray, pad: int, pad_value, groups: int, kh: int, kw: int,
+def _im2col(x, pad: int, pad_value, groups: int, kh: int, kw: int,
             ho: int, wo: int, stride: int, dilation: int) -> np.ndarray:
     """(N, G, Cin/G*kh*kw, Ho*Wo) column matrix of x padded by pad with
     pad_value (a scalar or one value per channel): column (i, j) holds the
     receptive field of output pixel (i, j), ordered as the weight's
-    (Cin/G, kh, kw) axes.  It is filled from x one kernel tap at a time, so
-    no padded frame is made: a tap's rows copy the strided window of x it
-    reads and hold pad_value wherever it reads the border, and a tap that
-    reads only the border is one fill.  A 1x1 kernel at stride 1 is a
+    (Cin/G, kh, kw) axes.  It is filled from x one kernel tap at a time, and
+    from a list input one channel block at a time, so no padded frame is
+    made: a tap's rows copy the strided window of x it reads and hold
+    pad_value wherever it reads the border, and a tap that reads only the
+    border is one fill.  A 1x1 kernel at stride 1 over one array is a
     reshape."""
-    n, c, h, w = x.shape
+    blocks, (n, c, h, w) = _conv_input(x)
     if kh == kw == 1 and stride == 1:
+        x = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
         return x.reshape(n, groups, c // groups, ho * wo)
-    cols = np.empty((n, c, kh, kw, ho, wo), dtype=x.dtype)
-    pv = np.asarray(pad_value, dtype=x.dtype)
+    dtype = np.result_type(*blocks)
+    cols = np.empty((n, c, kh, kw, ho, wo), dtype=dtype)
+    pv = np.asarray(pad_value, dtype=dtype)
     pv = pv.reshape(1, c, 1, 1) if pv.ndim == 1 else pv
     spans_h = [_tap_span(h, ho, u * dilation - pad, stride) for u in range(kh)]
     spans_w = [_tap_span(w, wo, v * dilation - pad, stride) for v in range(kw)]
+    spans_c = _block_spans(blocks)
     for u, (i0, i1, r) in enumerate(spans_h):
         for v, (j0, j1, q) in enumerate(spans_w):
             tap = cols[:, :, u, v]
             if (i0, i1, j0, j1) != (0, ho, 0, wo):
                 tap[...] = pv
             if i0 < i1 and j0 < j1:
-                tap[:, :, i0:i1, j0:j1] = x[:, :, r:r + (i1 - i0) * stride:stride,
-                                            q:q + (j1 - j0) * stride:stride]
+                for (c0, c1), b in spans_c:
+                    tap[:, c0:c1, i0:i1, j0:j1] = b[:, :, r:r + (i1 - i0) * stride:stride,
+                                                    q:q + (j1 - j0) * stride:stride]
     return cols.reshape(n, groups, -1, ho * wo)
 
 
@@ -345,11 +385,11 @@ def _conv_taps_weight_grad(frame: np.ndarray, g: np.ndarray, kh: int, kw: int,
     return dw
 
 
-def _conv_plan(x: np.ndarray, p: ConvParams):
+def _conv_plan(x, p: ConvParams):
     """(pad, Ho, Wo, taps) of conv2d(x, p), with taps whether _use_taps
     holds; rejects an input, weight and group count that do not fit."""
-    _check_nchw(x)
-    c, w = x.shape[1], x.shape[3]
+    x_shape = _conv_input(x)[1]
+    c, w = x_shape[1], x_shape[3]
     cout, cin_g = p.weight.shape[:2]
     if c != cin_g * p.groups:
         raise ShapeError(
@@ -357,15 +397,16 @@ def _conv_plan(x: np.ndarray, p: ConvParams):
             f"and groups {p.groups}")
     if cout % p.groups != 0:
         raise ShapeError("out channels must be divisible by groups")
-    pad, ho, wo = _conv_geometry(x.shape, p.weight.shape, p.stride, p.dilation)
+    pad, ho, wo = _conv_geometry(x_shape, p.weight.shape, p.stride, p.dilation)
     return pad, ho, wo, _use_taps(p.weight.shape, p.stride, p.groups,
                                   w + 2 * pad, wo)
 
 
-def _conv_operand(x: np.ndarray, p: ConvParams) -> np.ndarray:
+def _conv_operand(x, p: ConvParams) -> np.ndarray:
     """The lowered input that conv2d(x, p) multiplies with the weight, and
     that its weight gradient reads: the flat padded frame where _use_taps
-    holds, the im2col column matrix otherwise."""
+    holds, the im2col column matrix otherwise.  Either is filled from a
+    list input's blocks in place of their concatenation."""
     pad, ho, wo, taps = _conv_plan(x, p)
     kh, kw = p.weight.shape[2:]
     if taps:
@@ -374,23 +415,22 @@ def _conv_operand(x: np.ndarray, p: ConvParams) -> np.ndarray:
                    p.dilation)
 
 
-def conv2d(x: np.ndarray, p: ConvParams,
-           operand: np.ndarray | None = None) -> np.ndarray:
-    """Cross-correlation with dilation and groups.  Where _use_taps holds it
-    is one matmul per kernel tap on the flat frame; otherwise one batched
-    matmul of the (1, G, Cout/G, K) weight view with the im2col column
-    matrix.  operand is _conv_operand(x, p) when the caller has built it
-    already; otherwise it is built here."""
+def conv2d(x, p: ConvParams, operand: np.ndarray | None = None) -> np.ndarray:
+    """Cross-correlation with dilation and groups of x, one NCHW array or a
+    list of channel blocks read as their concatenation along C.  Where
+    _use_taps holds it is one matmul per kernel tap on the flat frame;
+    otherwise one batched matmul of the (1, G, Cout/G, K) weight view with
+    the im2col column matrix.  operand is _conv_operand(x, p) when the
+    caller has built it already; otherwise it is built here."""
     pad, ho, wo, taps = _conv_plan(x, p)
     if operand is None:
         operand = _conv_operand(x, p)
-    n, w = x.shape[0], x.shape[3]
-    cout = p.weight.shape[0]
-    if taps:
-        y = _conv_taps(operand, p.weight, ho, wo, w + 2 * pad, p.dilation)
+    n, cout = operand.shape[0], p.weight.shape[0]
+    if taps:            # at stride 1 a frame row is Wo + 2*pad wide
+        y = _conv_taps(operand, p.weight, ho, wo, wo + 2 * pad, p.dilation)
     else:
         y = p.weight.reshape(1, p.groups, cout // p.groups, -1) @ operand
-    y = y.reshape(n, cout, ho, wo).astype(x.dtype, copy=False)
+    y = y.reshape(n, cout, ho, wo).astype(operand.dtype, copy=False)
     if p.bias is not None:
         y += np.asarray(p.bias, dtype=y.dtype).reshape(1, cout, 1, 1)
     return y

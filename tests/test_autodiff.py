@@ -6,6 +6,7 @@ import pytest
 
 from scaleq import autodiff as ad
 from scaleq import ops
+from scaleq.equalizer import GlobalStats, calibrate_weights
 from scaleq.errors import ContractError, ShapeError
 from scaleq.ops import UpsampleMode
 from scaleq.tensor import Rng, randn
@@ -381,6 +382,32 @@ def test_softmax_ce_label_dtype_gives_same_result(k, high):
         np.testing.assert_array_equal(grad, grad64)
 
 
+def test_softmax_ce_is_log_sum_exp_minus_the_label_term():
+    """The loss is == to the mean log-sum-exp minus the mean label logit,
+    and the logits gradient == to (softmax - onehot) / pixel count, each
+    computed here on its own.  The logits lie on a 1/8 grid, so every sum
+    of label logits is exact in any order, and the pixel count is a power
+    of two, so dividing by it and multiplying by its inverse agree.  The
+    gradient is built in the node's exp buffer, so a second backward
+    through the node must still raise."""
+    rng = Rng(118)
+    n, k, h, w = 2, 5, 4, 4
+    x = np.round(randn((n, k, h, w), 0.0, 2.0, rng.split("x")) * 8.0) / 8.0
+    labels = rng.split("lbl").generator().integers(0, k, size=(n, h, w))
+    v = ad.Var(x, requires_grad=True)
+    loss = ad.softmax_cross_entropy(v, labels)
+    ad.backward(loss)
+    count = n * h * w
+    z = x - x.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    label_logits = np.take_along_axis(z, labels[:, None], axis=1)
+    assert float(loss.data) == np.log(e.sum(axis=1)).mean() - label_logits.sum() / count
+    onehot = np.eye(k)[labels].transpose(0, 3, 1, 2)
+    assert np.array_equal(v.grad, (e / e.sum(axis=1, keepdims=True) - onehot) / count)
+    with pytest.raises(ContractError):
+        ad.backward(loss)
+
+
 def test_softmax_ce_rejects_out_of_range_labels():
     logits = ad.Var(np.zeros((1, 3, 2, 2)))
     for bad in (3, -1):
@@ -482,6 +509,52 @@ def test_no_tape_forwards_leave_inputs_and_match_the_tape():
         assert not y._parents, name
         assert np.array_equal(x.data, x0), name
         assert np.array_equal(y.data, taped.data), name
+
+
+@pytest.mark.parametrize("case", ["taps-scalar-pad", "taps-calibrated-pad",
+                                  "im2col-ppm"])
+def test_conv_over_channel_blocks_matches_the_concatenation(case):
+    """A conv over a list of channel blocks fills its operand from each
+    block at its channel offset and splits dX across the blocks: forward,
+    dW, db and each block's dX are == to those of the conv over
+    concat_channels of the blocks.  The tap kernel runs at uperhead's
+    fusion shape, with a scalar pad value and with the per-channel one of
+    calibrate_weights; im2col runs the PPM's 3x3 conv on a 2x2 C5 map."""
+    rng = Rng(119)
+    if case == "im2col-ppm":
+        widths, hw = (32, 16, 16), (2, 2)
+    else:
+        widths, hw = (16, 16, 16, 16), (16, 16)
+    blocks = [randn((2, c) + hw, 0.5 * i, 1.0 + i, rng.split(f"x{i}"))
+              for i, c in enumerate(widths)]
+    weight = randn((16, sum(widths), 3, 3), 0.0, 0.1, rng.split("w"))
+    bias = randn((16,), 0.0, 1.0, rng.split("b"))
+    pad_value = 0.25
+    if case == "taps-calibrated-pad":
+        stats = GlobalStats(tuple(0.5 * i for i in range(len(widths))),
+                            tuple(1.0 + i for i in range(len(widths))), 8)
+        weight, _, pad_value = calibrate_weights(weight, stats, widths)
+    u = randn((2, 16) + hw, 0.0, 1.0, rng.split("u"))
+    plan = ops._conv_plan(blocks, ops.ConvParams(weight, pad_value=pad_value))
+    assert plan[3] == (case != "im2col-ppm")
+
+    def run(fuse):
+        xs = [ad.Var(b, requires_grad=True) for b in blocks]
+        w, b = ad.Var(weight, requires_grad=True), ad.Var(bias, requires_grad=True)
+        y = ad.conv2d(fuse(xs), w, b, pad_value=pad_value)
+        ad.backward(ad.dot_const(y, u))
+        return [y.data, w.grad, b.grad] + [x.grad for x in xs]
+
+    listed, concat = run(list), run(ad.concat_channels)
+    for got, want in zip(listed, concat):
+        assert np.array_equal(got, want)
+
+
+def test_conv_rejects_channel_blocks_of_different_grids():
+    w = ad.Var(np.zeros((2, 5, 3, 3)))
+    for second in ((2, 3, 4, 5), (1, 3, 4, 4)):
+        with pytest.raises(ShapeError):
+            ad.conv2d([ad.Var(np.zeros((1, 2, 4, 5))), ad.Var(np.zeros(second))], w)
 
 
 def test_fusion_weight_gradient_is_subject():

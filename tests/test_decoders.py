@@ -195,6 +195,32 @@ def test_taps_without_tape_equal_taped_forward(kind):
         assert np.array_equal(tap, s.data)
 
 
+@pytest.mark.parametrize("mode", ["off", "injected"])
+@pytest.mark.parametrize("kind", ["uperhead", "psphead"])
+def test_taped_forward_keeps_every_subject(kind, mode):
+    """The fusion conv, and uperhead's PPM conv, read their branch lists:
+    the tape holds no concat node, and a unit block's release walk stops
+    at its conv's inputs, so every subject, raw and as fused, keeps the
+    data of the forward without a tape."""
+    model = make_model(kind, stride=8)
+    shape = (2, 3, 64, 64) if kind == "uperhead" else (2, 3, 48, 48)
+    if mode == "injected":
+        dataset = [randn(shape, 0.0, 1.0, Rng(21).split(i)) for i in range(2)]
+        model.head.set_equalize("injected", _stats_for(model, dataset))
+    out, x = forward(model, shape)
+    taps = model.tap_fn(x)
+    for tap, raw, subject in zip(taps, out.subjects_raw, out.subjects):
+        assert np.array_equal(raw.data, tap)
+        assert subject.data is not None and subject.data.shape == tap.shape
+    seen, stack = set(), [out.logits]
+    while stack:
+        v = stack.pop()
+        if id(v) not in seen:
+            seen.add(id(v))
+            assert v.op != "concat"
+            stack.extend(v._parents)
+
+
 def test_uperhead_needs_all_stages():
     model = make_model("uperhead")
     feats = {8: ad.Var(np.zeros((1, 16, 8, 8)))}

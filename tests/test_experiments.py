@@ -14,6 +14,7 @@ from scaleq import autodiff as ad
 from scaleq import experiments as ex
 from scaleq import ops
 from scaleq.decoders import HEAD_KINDS
+from scaleq.equalizer import accumulate_stats, branch_moments, scale_equalize
 from scaleq.errors import ConfigError, ContractError
 from scaleq.experiments import ExperimentConfig
 from scaleq.tensor import Rng, randn
@@ -264,6 +265,33 @@ def test_head_audit_short_last_batch_keeps_unit_moments(head):
     assert res["summary"]["equalized_unit_moments_ok"]
 
 
+@pytest.mark.parametrize("dataset,batch", [(16, 8), (13, 5)])
+@pytest.mark.parametrize("head", HEAD_KINDS)
+def test_head_audit_equalized_moments_match_a_separate_tap_pass(head, dataset, batch):
+    """The audit takes the equalized dataset moments from the statistics
+    pass's own taps and frees them at once.  Its eq_mean and eq_var rows
+    are == to branch_moments of scale_equalize over a separate tap_fn pass
+    of the same model over the same batches, a short last batch included."""
+    cfg = ExperimentConfig(seed=0, audit_seeds=2, audit_dataset=dataset,
+                           stats_batch=batch)
+    rows = ex.run_head_audit(cfg, head)["rows"]
+    size = ex.head_input_size(cfg, head)
+    images = [s.image for s in ex.gen_synthetic_dataset(cfg.seed, dataset,
+                                                        cfg.n_classes, size)]
+    assert dataset % batch != 1             # no one-image batch to merge
+    batches = [np.concatenate(images[lo:lo + batch], axis=0)
+               for lo in range(0, dataset, batch)]
+    for trial in range(cfg.audit_seeds):
+        seed = cfg.seed + 1000 * trial
+        model = ex.build_model(cfg, seed, head)
+        stats = accumulate_stats(images, model.tap_fn, batch, cfg.sigma_floor)
+        eq = branch_moments([scale_equalize(t, mu, sigma) for t, mu, sigma
+                             in zip(model.tap_fn(b), stats.mu, stats.sigma)]
+                            for b in batches)
+        got = [(r["eq_mean"], r["eq_var"]) for r in rows if r["seed"] == seed]
+        assert got == [(m.mean, m.variance) for m in eq], (head, seed)
+
+
 @pytest.mark.parametrize("head", HEAD_KINDS)
 def test_head_audit_one_image_tail(head):
     """17 images in batches of 8: the last image joins the batch before it,
@@ -275,14 +303,18 @@ def test_head_audit_one_image_tail(head):
 
 
 def test_head_audit_peak_memory(tmp_path):
-    """Each head tail is dropped once its variances are read, and both
-    tails run on the logit grid under the upstream projected there once
-    per seed, so two uperhead audit seeds at audit_dataset 32 peak under
-    21.5 MiB (20.27 MiB measured).  Tails that upsampled the logits to the
-    input size under the input-size upstream peaked at 25.27 MiB; with
-    those, keeping the first tail to the end of its seed gave 27.3 MiB,
-    keeping the second into the next seed 31.3 MiB, and both with their
-    graphs and the int64 labels 38.7 MiB."""
+    """The statistics-pass taps are freed once the equalized moments are
+    taken from them, right after the pass, each head tail is dropped once
+    its variances are read, both tails run on the logit grid under the
+    upstream projected there once per seed, and the fusion conv reads the
+    branch list without a concatenation, so two uperhead audit seeds at
+    audit_dataset 32 peak under 15 MiB (13.84 MiB measured).  Keeping the
+    taps through both tails and concatenating the branches peaked at
+    19.83 MiB.  Tails that upsampled the logits to the input size under the
+    input-size upstream peaked at 25.27 MiB; with those, keeping the first
+    tail to the end of its seed gave 27.3 MiB, keeping the second into the
+    next seed 31.3 MiB, and both with their graphs and the int64 labels
+    38.7 MiB."""
     cfg = ExperimentConfig(audit_seeds=2, audit_dataset=32, stats_batch=8,
                            out_dir=str(tmp_path))
     ex.run_head_audit(cfg, "uperhead")         # warm-up: cached maps
@@ -292,7 +324,7 @@ def test_head_audit_peak_memory(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 21.5 * 2 ** 20, peak / 2 ** 20
+    assert peak < 15 * 2 ** 20, peak / 2 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +363,11 @@ def test_toy_train_builds_one_model_per_arm(monkeypatch):
 def test_toy_train_step_runs_both_conv_kernels(monkeypatch):
     """One UPerHead step runs the tap loop (the channel-reducing fusion and
     FPN convs, forward and dW) and im2col (1x1 laterals, strided encoder
-    convs, the fusion conv's channel-expanding dX).  The weight gradient
-    builds no operand: it takes the one the forward built.  ops.conv2d runs
-    once per forward conv and once per stride-1 dX conv."""
+    convs, the PPM's 3x3 conv on the 2x2 C5 map, the fusion conv's
+    channel-expanding dX).  The PPM and fusion convs read their branch
+    lists.  The weight gradient builds no operand: it takes the one the
+    forward built.  ops.conv2d runs once per forward conv and once per
+    stride-1 dX conv."""
     from scaleq import ops
     calls = {}
     in_weight_grad = []
@@ -362,7 +396,9 @@ def test_toy_train_step_runs_both_conv_kernels(monkeypatch):
     real_conv_node = ad.conv2d
 
     def conv_node(x, *args, **kw):
-        conv_nodes.append((kw.get("stride", 1), ad.as_var(x).requires_grad))
+        blocks = x if isinstance(x, list) else [x]
+        conv_nodes.append((kw.get("stride", 1), len(blocks),
+                           any(ad.as_var(b).requires_grad for b in blocks)))
         return real_conv_node(x, *args, **kw)
     monkeypatch.setattr(ad, "conv2d", conv_node)
     ex.run_toy_train(quick_config(head="uperhead", image_size=64, train_steps=1,
@@ -370,7 +406,8 @@ def test_toy_train_step_runs_both_conv_kernels(monkeypatch):
     assert {"_conv_taps", "_conv_taps_weight_grad", "_im2col"} <= set(calls)
     assert "_im2col in dW" not in calls and "_flat_frame in dW" not in calls
     assert calls["dW"] == len(conv_nodes)
-    stride1_dx = sum(s == 1 and x_grad for s, x_grad in conv_nodes)
+    assert sorted(k for _, k, _ in conv_nodes if k > 1) == [3, 4]
+    stride1_dx = sum(s == 1 and x_grad for s, _, x_grad in conv_nodes)
     assert calls["conv2d"] == len(conv_nodes) + stride1_dx
 
 
@@ -482,9 +519,11 @@ def _uperhead_loss(default_uperhead, step):
 
 
 def test_uperhead_step_tape_nodes(default_uperhead):
-    """A step records 114 nodes that require a gradient, 50 of them the
-    parameters; each unit block is its conv, batchnorm and relu nodes.
-    Backward returns the 50 parameter gradients."""
+    """A step records 112 nodes that require a gradient, 50 of them the
+    parameters; each unit block is its conv, batchnorm and relu nodes, and
+    the PPM and fusion convs read their branch lists, so no concat node is
+    recorded (114 nodes with the two concatenations).  Backward returns the
+    50 parameter gradients."""
     loss = _uperhead_loss(default_uperhead, 0)
     seen, stack = {}, [loss]
     while stack:
@@ -492,17 +531,22 @@ def test_uperhead_step_tape_nodes(default_uperhead):
         if id(v) not in seen:
             seen[id(v)] = v
             stack.extend(v._parents)
-    assert sum(v.requires_grad for v in seen.values()) == 114
+    assert sum(v.requires_grad for v in seen.values()) == 112
+    assert not any(v.op == "concat" for v in seen.values())
     params = default_uperhead[1].params()
     assert len(params) == 50
     assert set(ad.backward(loss)) == {id(p) for p in params}
 
 
 def test_uperhead_step_peak_memory(default_uperhead):
-    """Backward frees each node's saved arrays and gradient as it goes, and
-    a unit block keeps neither its conv nor its batchnorm output, so a
-    default UPerHead step peaks under 20 MiB (24.7 MiB when the tape kept
-    everything to the end)."""
+    """Backward frees each node's saved arrays and gradient as it goes, a
+    unit block keeps neither its conv nor its batchnorm output, the PPM and
+    fusion convs read their branch lists without a concatenation, and the
+    cross-entropy builds its gradient in its exp buffer, so a default
+    UPerHead step peaks under 15.5 MiB (14.62 MiB measured).  With both
+    concatenations and a separate gradient buffer it peaked at 16.20 MiB,
+    and at 19.75 MiB when a unit also kept its outputs; 24.7 MiB when the
+    tape kept everything to the end."""
     cfg, model, _ = default_uperhead
     params = model.params()
 
@@ -519,7 +563,7 @@ def test_uperhead_step_peak_memory(default_uperhead):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 20 * 2 ** 20, peak / 2 ** 20
+    assert peak < 15.5 * 2 ** 20, peak / 2 ** 20
 
 
 def test_uperhead_step_spent_graph_holds_little(default_uperhead):
