@@ -24,7 +24,7 @@ from .equalizer import (GlobalStats, accumulate_stats, branch_moments,
                         scale_equalize)
 from .errors import ConfigError, ContractError
 from .ops import UpsampleMode
-from .tensor import Rng, moments, randn
+from .tensor import Rng, fill_normal, in_background, moments, randn
 
 RELU_BN_MEAN = 1.0 / math.sqrt(2.0 * math.pi)          # E[ReLU(BN(Wx))]
 RELU_BN_VAR = (math.pi - 1.0) / (2.0 * math.pi)        # Var[ReLU(BN(Wx))]
@@ -259,12 +259,23 @@ _CLASS_COLORS = np.array([
 ])
 
 
+_BLOCK_PIXELS = 1 << 16    # label pixels rasterized at a time: 16 images of 64x64
+
+
 def gen_synthetic_dataset(seed: int, n: int, n_classes: int = 4,
                           size: int = 64) -> list[SyntheticSample]:
     """Deterministic procedural scenes: colored shapes on a textured
     background, one shape per non-background class.  Image i depends only
     on (seed, i).  All samples are views into two read-only arrays, float64
-    images (n, 3, size, size) and uint8 labels (n, 1, size, size)."""
+    images (n, 3, size, size) and uint8 labels (n, 1, size, size).
+
+    The images are made a block at a time.  Image i draws from its own
+    generator: its shape parameters and texture in index order on the
+    calling thread, which rasterizes the whole block, then its pixel noise.
+    The calling thread adds the noise of the block's first half while a
+    helper thread adds that of its second half (`in_background`), each
+    through one (3, size, size) buffer.  No generator or image is shared,
+    so the bytes cannot depend on the scheduling."""
     if n_classes < 2 or n_classes > len(_CLASS_COLORS):
         raise ContractError(f"n_classes must be in [2, {len(_CLASS_COLORS)}]")
     if n <= 0:
@@ -277,37 +288,70 @@ def gen_synthetic_dataset(seed: int, n: int, n_classes: int = 4,
     # here, lifts that threshold to 16 MiB and costs no resident memory.
     np.empty(1 << 20)
     root = Rng(seed).split("dataset")
-    yy, xx = np.mgrid[:size, :size].astype(np.float64)
     images = np.empty((n, 3, size, size))
     masks = np.zeros((n, 1, size, size), dtype=np.uint8)
     hist = np.zeros(n_classes, dtype=np.int64)
-    for i in range(n):
-        gen = root.split(i).generator()
-        mask = masks[i, 0]
-        for cls in range(1, n_classes):
-            cy, cx = gen.uniform(0.2 * size, 0.8 * size, size=2)
-            scale = gen.uniform(0.16 * size, 0.26 * size)
-            kind = (cls - 1) % 3
-            if kind == 0:
-                inside = (yy - cy) ** 2 + (xx - cx) ** 2 <= scale ** 2
-            elif kind == 1:
-                inside = (np.abs(yy - cy) <= scale) & (np.abs(xx - cx) <= 0.8 * scale)
-            else:
-                inside = ((yy >= cy - scale) & (np.abs(xx - cx) <= (yy - (cy - scale)) / 2)
-                          & (yy <= cy + scale))
-            mask[inside] = cls
-        hist += np.bincount(mask.ravel(), minlength=n_classes)
-        texture = gen.normal(0.0, 1.0, size=(1, 1, 8, 8))
-        texture = ops.upsample_to(texture, (size, size))[0, 0]
-        image = images[i]
-        image[...] = _CLASS_COLORS[mask].transpose(2, 0, 1)
-        image += 0.25 * texture
-        image += gen.normal(0.0, 0.1, size=(3, size, size))
+    noise = np.empty((2, 3, size, size))
+    block = max(1, _BLOCK_PIXELS // (size * size))
+    for lo in range(0, n, block):
+        gens = [root.split(i).generator() for i in range(lo, min(lo + block, n))]
+        hist += _rasterize(images[lo:lo + block], masks[lo:lo + block, 0],
+                           gens, n_classes)
+        mid = len(gens) // 2
+        with in_background(_add_noise, images[lo + mid:lo + block], gens[mid:], noise[1]):
+            _add_noise(images[lo:lo + mid], gens[:mid], noise[0])
     if np.any(hist == 0):
         raise ContractError("generated dataset does not cover every class")
     images.flags.writeable = False
     masks.flags.writeable = False
     return [SyntheticSample(images[i:i + 1], masks[i]) for i in range(n)]
+
+
+def _rasterize(images: np.ndarray, masks: np.ndarray, gens, n_classes: int) -> np.ndarray:
+    """Draw each image's shapes and 8x8 texture from its generator, then
+    write a block of (B, H, W) labels and the textured class colours of
+    (B, 3, H, W) images, and return the block's class counts.  Rows and
+    columns are (B, H, 1) and (B, 1, W) operands, so only the (B, H, W)
+    inside-tests are full size; every value is computed as for one image
+    alone."""
+    b, size = len(gens), masks.shape[-1]
+    params = np.empty((n_classes - 1, 4, b))    # cy, cx, scale, scale ** 2
+    textures = np.empty((b, 1, 8, 8))
+    for j, gen in enumerate(gens):
+        for cls in range(1, n_classes):
+            cy, cx = gen.uniform(0.2 * size, 0.8 * size, size=2)
+            scale = gen.uniform(0.16 * size, 0.26 * size)
+            params[cls - 1, :, j] = cy, cx, scale, scale ** 2
+        fill_normal(textures[j], 0.0, 1.0, gen)
+    yy = np.arange(size, dtype=np.float64)[:, None]
+    xx = np.arange(size, dtype=np.float64)[None, :]
+    for cls in range(1, n_classes):
+        cy, cx, scale, scale_sq = params[cls - 1, :, :, None, None]
+        kind = (cls - 1) % 3
+        if kind == 0:
+            inside = (yy - cy) ** 2 + (xx - cx) ** 2 <= scale_sq
+        elif kind == 1:
+            inside = (np.abs(yy - cy) <= scale) & (np.abs(xx - cx) <= 0.8 * scale)
+        else:
+            inside = ((yy >= cy - scale) & (np.abs(xx - cx) <= (yy - (cy - scale)) / 2)
+                      & (yy <= cy + scale))
+        # classes are painted in rising order, so painting over is a maximum
+        np.maximum(masks, inside * np.uint8(cls), out=masks)
+    for image, mask in zip(images, masks):
+        np.take(_CLASS_COLORS.T, mask, axis=1, out=image, mode="clip")
+    counts = np.array([np.count_nonzero(masks == cls) for cls in range(n_classes)])
+    texture = ops.upsample_to(textures, (size, size))
+    texture *= 0.25
+    images += texture
+    return counts
+
+
+def _add_noise(images: np.ndarray, gens, buf: np.ndarray) -> None:
+    """Add N(0, 0.1^2) pixel noise to each image, drawn into buf from the
+    image's generator.  It allocates no array data, so it can run on a
+    helper thread."""
+    for image, gen in zip(images, gens):
+        image += fill_normal(buf, 0.0, 0.1, gen)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +462,12 @@ def run_head_audit(config: ExperimentConfig, head_kind: str | None = None) -> di
                                   in zip(batch_taps, stats.mu, stats.sigma)]
                                  for batch_taps in taps)
         taps.clear()
-        with ad.no_tape():
+        # one random scalarization of the input-size logits serves both
+        # arms; its upstream is drawn on a helper thread while the
+        # branches run
+        upstream = np.empty((len(audit_batch), config.n_classes, *audit_batch.shape[2:]))
+        with in_background(fill_normal, upstream, 0.0, 1.0,
+                           Rng(seed).split("audit-up").generator()), ad.no_tape():
             subjects, ratios = model.branches(audit_batch)
         subj_m = [moments(s.data) for s in subjects]
         # each subject is its source upsampled by its ratio, so a 1x1 source
@@ -429,12 +478,9 @@ def run_head_audit(config: ExperimentConfig, head_kind: str | None = None) -> di
         # subject's variance on the audit batch
         jac_vars = [m.variance for m in subj_m]
         spread = max(jac_vars) / min(jac_vars)
-        # one random scalarization of the input-size logits serves both
-        # arms, projected onto the logit grid; the input-size draw is
-        # freed at once
-        upstream = head._project(subjects, randn(
-            (len(audit_batch), config.n_classes, *audit_batch.shape[2:]),
-            0.0, 1.0, Rng(seed).split("audit-up")))
+        # the upstream projected onto the logit grid; the input-size draw
+        # is freed at once
+        upstream = head._project(subjects, upstream)
         loss_grad_vars = _tail_grad_vars(head, subjects, upstream)[1]
 
         # "injected" leaves the weights alone, so the same model serves

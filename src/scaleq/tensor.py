@@ -1,8 +1,10 @@
 """Dense NCHW tensors, deterministic random streams, and moment statistics.
 
 Tensors are plain ``numpy.ndarray`` values in batch-channel-row-column
-layout, float64 throughout.  All functions here are pure; arrays are
-treated as immutable after creation.
+layout, float64 throughout.  Every function here returns a new value
+and leaves its arguments alone, except `fill_normal`, which writes its
+draws into the array it is given, and `in_background`, which runs a
+function on a helper thread.
 `moments` makes no centred copy of its input: its second pass centres and
 squares cache-sized pieces in one reused buffer and adds them in numpy's
 own pairwise-summation order, so it matches np.mean((x - mean)**2) to the
@@ -12,6 +14,8 @@ bit with the same error bound.
 from __future__ import annotations
 
 import hashlib
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,11 +57,52 @@ def randn(shape, mean: float = 0.0, std: float = 1.0,
         raise ShapeError(f"all dimensions must be positive, got {shape}")
     if std < 0:
         raise ValueError(f"std must be >= 0, got {std}")
-    gen = (rng or Rng(0)).generator()
-    out = gen.standard_normal(size=shape, dtype=np.float64)
-    out *= std                   # in place, not relying on temporary elision
+    return fill_normal(np.empty(shape), mean, std, (rng or Rng(0)).generator())
+
+
+def fill_normal(out: np.ndarray, mean: float, std: float,
+                gen: np.random.Generator) -> np.ndarray:
+    """Fill the C-contiguous float64 array `out` in place with the next
+    normal draws of `gen` and return it.  The values equal gen.normal(mean,
+    std, out.shape) to the bit, since numpy computes that as mean + std * z
+    too.  It allocates nothing, so a helper thread can run it
+    (`in_background`)."""
+    gen.standard_normal(out=out)
+    out *= std
     out += mean
     return out
+
+
+@contextmanager
+def in_background(fn, *args):
+    """Run fn(*args) on one helper thread while the with-body runs on the
+    calling thread.  The helper is joined when the body ends, also when the
+    body raises; then an exception of fn is raised again in the caller,
+    unless the body raised one of its own.
+
+    numpy's generator fills and in-place ufuncs release the GIL, so a
+    helper running `fill_normal` uses the second core.  Its result cannot
+    depend on the scheduling as long as fn writes only into arrays that the
+    body does not touch, each from its own generator.  fn should allocate
+    nothing large, since glibc gives a thread that does its own heap arena,
+    and it should call nothing that a tracer wraps, since a tracer keeps
+    one span stack for the process."""
+    failure = []
+
+    def run():
+        try:
+            fn(*args)
+        except BaseException as exc:        # handed to the caller below
+            failure.append(exc)
+
+    helper = threading.Thread(target=run, name="scaleq-draw")
+    helper.start()
+    try:
+        yield
+    finally:
+        helper.join()
+    if failure:
+        raise failure[0]
 
 
 @dataclass(frozen=True)

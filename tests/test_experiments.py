@@ -4,6 +4,9 @@ import importlib
 import importlib.util
 import json
 import math
+import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -13,7 +16,7 @@ import pytest
 from scaleq import autodiff as ad
 from scaleq import experiments as ex
 from scaleq import ops
-from scaleq.decoders import HEAD_KINDS
+from scaleq.decoders import HEAD_KINDS, SegModel
 from scaleq.equalizer import accumulate_stats, branch_moments, scale_equalize
 from scaleq.errors import ConfigError, ContractError
 from scaleq.experiments import ExperimentConfig
@@ -93,7 +96,12 @@ def _reference_sample(seed, i, n_classes, size):
 
 
 @pytest.mark.parametrize("seed,n,n_classes,size",
-                         [(3, 5, 6, 48), (9, 4, 2, 96), (11, 3, 5, 32)])
+                         [(3, 5, 6, 48), (9, 4, 2, 96), (11, 3, 5, 32),
+                          # one image: the calling thread's half is empty
+                          (5, 1, 4, 64),
+                          # two blocks, of 28 and 9 images, with two
+                          # shapes of each kind
+                          (13, 37, 6, 48)])
 def test_dataset_matches_per_image_recipe(seed, n, n_classes, size):
     samples = ex.gen_synthetic_dataset(seed, n, n_classes, size)
     assert len(samples) == n
@@ -101,6 +109,111 @@ def test_dataset_matches_per_image_recipe(seed, n, n_classes, size):
         image, mask = _reference_sample(seed, i, n_classes, size)
         assert np.array_equal(s.image, image)
         assert np.array_equal(s.mask, mask)
+
+
+def test_dataset_blocks_cover_the_odd_case():
+    """The 37-image case above spans more than one block, the last one odd."""
+    block = ex._BLOCK_PIXELS // 48 ** 2
+    assert block < 37 and (37 % block) % 2 == 1
+
+
+@pytest.mark.parametrize("site,side", [("dataset", "helper"), ("dataset", "caller"),
+                                       ("audit", "helper"), ("audit", "caller")])
+def test_helper_thread_is_joined_and_its_error_surfaces(monkeypatch, site, side):
+    """The dataset noise and the audit upstream are drawn on a helper thread.
+    Whichever side raises, the caller gets that exception, and only once the
+    helper has finished: no thread is left running."""
+    error = RuntimeError(f"{side} failed")
+    finished = []
+    before = threading.active_count()
+    on_helper = lambda: threading.current_thread() is not threading.main_thread()
+    if site == "dataset":
+        add_noise = ex._add_noise
+
+        def patched(images, gens, buf):
+            if on_helper():
+                if side == "helper":
+                    raise error
+                time.sleep(0.05)                # still drawing when the caller raises
+            elif side == "caller":
+                raise error
+            add_noise(images, gens, buf)
+            finished.append(on_helper())
+        monkeypatch.setattr(ex, "_add_noise", patched)
+        run = lambda: ex.gen_synthetic_dataset(2, 4, 4, 32)
+    else:
+        fill_normal = ex.fill_normal
+
+        def patched(out, mean, std, gen):
+            if on_helper():
+                if side == "helper":
+                    raise error
+                time.sleep(0.05)                # still drawing when the caller raises
+            fill_normal(out, mean, std, gen)
+            finished.append(on_helper())
+        # the dataset is made before the patch reaches the audit's helper
+        samples = ex.gen_synthetic_dataset(7, 8, 4, 64)
+        monkeypatch.setattr(ex, "gen_synthetic_dataset", lambda *args: samples)
+        monkeypatch.setattr(ex, "fill_normal", patched)
+        branches = SegModel.branches
+
+        def failing_branches(self, images):
+            if threading.active_count() > before:     # the audit's, beside the helper
+                raise error
+            return branches(self, images)
+        if side == "caller":
+            monkeypatch.setattr(SegModel, "branches", failing_branches)
+        run = lambda: ex.run_head_audit(quick_config(image_size=64, audit_seeds=1))
+    with pytest.raises(RuntimeError) as info:
+        run()
+    assert info.value is error
+    assert threading.active_count() == before
+    if side == "caller":
+        assert True in finished                 # the helper ran to its end
+
+
+def test_helper_thread_bytes_hold_under_a_short_switch_interval():
+    """With the interpreter switching threads every microsecond, the two
+    threads interleave as finely as they can, and the dataset still matches
+    the per-image recipe and the audit rows those of a normal run."""
+    cfg = quick_config(image_size=64, audit_seeds=1)
+    rows = ex.run_head_audit(cfg, "psphead")["rows"]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        samples = ex.gen_synthetic_dataset(13, 37, 6, 48)
+        fine_rows = ex.run_head_audit(cfg, "psphead")["rows"]
+    finally:
+        sys.setswitchinterval(interval)
+    for i, s in enumerate(samples):
+        image, mask = _reference_sample(13, i, 6, 48)
+        assert np.array_equal(s.image, image) and np.array_equal(s.mask, mask)
+    assert fine_rows == rows
+
+
+def test_traced_dataset_and_audit_keep_one_span_stack():
+    """The benchmark's tracer keeps one span stack for the process, so the
+    helper thread must call nothing it wraps.  Under the tracer, a 40-image
+    dataset and one audit seed leave the stack empty, close every span and
+    nest each span inside its parent."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    with spans.Tracer() as tracer:
+        ex.gen_synthetic_dataset(3, 40, 4, 64)
+        ex.run_head_audit(quick_config(image_size=64, audit_seeds=1))
+    assert not tracer._stack
+    rows = tracer.spans
+    assert len(rows) > 40
+    names = {row[0] for row in rows}
+    assert {"experiments.gen_synthetic_dataset", "experiments.run_head_audit",
+            "ops.upsample_to"} <= names
+    for i, (name, start, end, parent, _) in enumerate(rows):
+        assert end is not None and start <= end, (i, name)
+        assert parent < i, (i, name)
+        if parent >= 0:
+            assert rows[parent][1] <= start and end <= rows[parent][2], (i, name)
 
 
 def test_dataset_is_two_read_only_arrays():

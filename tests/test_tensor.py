@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from scaleq.errors import ShapeError
-from scaleq.tensor import Moments, Rng, moments, randn
+from scaleq.tensor import Moments, Rng, fill_normal, moments, randn
 
 
 def _sliced_randn(shape, mean, std, rng):
@@ -28,6 +28,17 @@ def test_randn_large_shape_mean():
     small = (4, 64, 32, 32)
     sliced = np.concatenate(list(_sliced_randn(small, mean, 0.5, Rng(42).split("big"))))
     assert np.array_equal(sliced, randn(small, mean, 0.5, Rng(42).split("big")))
+
+
+@pytest.mark.parametrize("mean,std", [(0.0, 1.0), (0.0, 0.1), (-2.5, 3.0), (1e6, 1e-3)])
+def test_fill_normal_is_gen_normal(mean, std):
+    """The in-place fill gives numpy's own normal(mean, std), mean + std * z,
+    to the bit, and continues the generator's stream where it stood."""
+    gen, ref = Rng(3).generator(), Rng(3).generator()
+    out = np.empty((2, 3, 5, 7))
+    for _ in range(2):
+        assert fill_normal(out, mean, std, gen) is out
+        assert np.array_equal(out, ref.normal(mean, std, size=out.shape))
 
 
 def test_randn_zero_std_is_constant():
