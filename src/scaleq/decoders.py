@@ -12,13 +12,14 @@ The encoder returns every stage as a dict keyed by its downsampling ratio,
 described once by `ToyEncoder.stage_channels()`.  Every head takes that
 stage map in one constructor, `(rng, in_channels, channels, n_classes)`;
 the single-stage heads read the deepest stage as C5.  A head defines its
-branches, and the base builds h and the classifier.  `pooled_branches` is
-the one pool -> unit block routine of UPerHead's PPM, PSPHead's pyramid
-and ASPPHead's image pool; `to_shared_size` upsamples the branches of every
-concatenation and measures their ratios.  The head tail `_classify`
-runs up to the logits on the subjects' grid; `_finish` adds the logits
-upsample to the input size that `SegModel.forward` hands it, and
-`_project` takes an input-size upstream back through that upsample.
+branch list, each branch at its own size, and the base builds h and the
+classifier.  `pooled_branches` is the one pool -> unit block routine of
+UPerHead's PPM, PSPHead's pyramid and ASPPHead's image pool.
+`SegModel.branches` is the one site where a fusion's branches are upsampled
+to the shared size (`to_shared_size`, also inside UPerHead's PPM branch),
+right before the equalizers.  The head tail `_classify` runs up to the
+logits on that grid; `SegModel.forward` adds the logits upsample to the
+input size, and `SegModel.project` is its adjoint.
 
 All parameters are autodiff Vars so the same forwards serve the moment
 audits, the statistics pass, and the toy training loop; `Module` finds
@@ -132,7 +133,7 @@ class Classifier(Module):
 
 
 class HeadOutput:
-    """Logits plus the fusion taps needed by audits and the stats pass."""
+    """Logits plus the fusion subjects, raw and as fused, for the audits."""
 
     def __init__(self, logits, subjects_raw, subjects):
         self.logits = logits
@@ -185,9 +186,10 @@ class _HeadBase(Module):
     the single-stage heads read C5 as its deepest stage.  `branch_channels`
     is the width of each concatenation subject, in order: the fusion groups,
     whose count and sum are the branch count and the fusion block's input
-    width.  `branches` measures the ratios by `to_shared_size`.  The base
-    builds the fusion block and the classifier.  All upsampling is bilinear
-    with align_corners=False."""
+    width.  `branches` returns the branch list at the branches' own sizes;
+    `SegModel.branches` upsamples it to the shared size.  The base builds
+    the fusion block and the classifier.  All upsampling is bilinear with
+    align_corners=False."""
 
     kind = None
     fusion_stream = "fusion"            # rng stream of the fusion block
@@ -226,9 +228,8 @@ class _HeadBase(Module):
         self.equalize = mode
         self.stats = stats
 
-    def branches(self, feats: dict):
-        """Branch unit blocks and their upsampling, up to the fusion:
-        `to_shared_size` of the branches."""
+    def branches(self, feats: dict) -> list:
+        """The branch list, in `branch_channels` order, at its own sizes."""
         raise NotImplementedError
 
     def _classify(self, subjects_raw) -> HeadOutput:
@@ -243,20 +244,6 @@ class _HeadBase(Module):
             subjects = subjects_raw
         z = self.fusion_block(subjects)
         return HeadOutput(self.classifier(z), subjects_raw, subjects)
-
-    def _finish(self, subjects_raw, target_hw) -> HeadOutput:
-        """The head tail: `_classify`, then the logits upsampled to the
-        input size target_hw."""
-        out = self._classify(subjects_raw)
-        out.logits = ad.upsample_to(out.logits, target_hw)
-        return out
-
-    def _project(self, subjects_raw, upstream: np.ndarray) -> np.ndarray:
-        """An input-size upstream U of `_finish`'s logits, projected onto
-        the logit grid (the subjects' size) by the adjoint of `_finish`'s
-        upsample, so that sum(`_classify` logits * projection) has the
-        gradient of sum(`_finish` logits * U)."""
-        return ops.upsample_adjoint(upstream, subjects_raw[0].data.shape[2:])
 
 
 def to_shared_size(branches) -> tuple:
@@ -311,7 +298,7 @@ class UPerHead(_HeadBase):
         for r in (16, 8, 4):
             up = ad.upsample_to(merged[r * 2], laterals[r].data.shape[2:])
             merged[r] = ad.add(laterals[r], up)
-        return to_shared_size([self.fpn_units[r](merged[r]) for r in (4, 8, 16, 32)])
+        return [self.fpn_units[r](merged[r]) for r in (4, 8, 16, 32)]
 
 
 class PSPHead(_HeadBase):
@@ -332,7 +319,7 @@ class PSPHead(_HeadBase):
 
     def branches(self, feats: dict):
         c5 = feats[self.stride]
-        return to_shared_size([c5] + pooled_branches(c5, self.bins, self.units))
+        return [c5] + pooled_branches(c5, self.bins, self.units)
 
 
 class ASPPHead(_HeadBase):
@@ -361,8 +348,8 @@ class ASPPHead(_HeadBase):
 
     def branches(self, feats: dict):
         c5 = feats[self.stride]
-        return to_shared_size(pooled_branches(c5, (1,), [self.gap_unit])
-                              + [unit(c5) for unit in self.rate_units])
+        return (pooled_branches(c5, (1,), [self.gap_unit])
+                + [unit(c5) for unit in self.rate_units])
 
 
 class SepASPPHead(ASPPHead):
@@ -384,7 +371,7 @@ class FCNHead(_HeadBase):
         self.unit = ConvUnit(rng.split("blk0"), cin, channels, 3)
 
     def branches(self, feats: dict):
-        return to_shared_size([self.unit(feats[self.stride])])
+        return [self.unit(feats[self.stride])]
 
 
 HEADS = {"uperhead": UPerHead, "psphead": PSPHead, "aspphead": ASPPHead,
@@ -400,13 +387,21 @@ class SegModel(Module):
         self.head = head
 
     def forward(self, images) -> HeadOutput:
-        subjects_raw, _ = self.branches(images)
-        return self.head._finish(subjects_raw, images.shape[2:])
+        out = self.head._classify(self.branches(images)[0])
+        out.logits = ad.upsample_to(out.logits, images.shape[2:])
+        return out
 
     def branches(self, images):
-        """Encoder plus the head's branches: (subjects_raw, ratios),
-        without the fusion block, classifier or logits upsample."""
-        return self.head.branches(self.encoder.forward(images))
+        """Encoder, the head's branches and their upsampling to the shared
+        size, up to the equalizers: (subjects_raw, ratios)."""
+        return to_shared_size(self.head.branches(self.encoder.forward(images)))
+
+    def project(self, subjects_raw, upstream: np.ndarray) -> np.ndarray:
+        """An input-size upstream U of `forward`'s logits, projected onto
+        the logit grid (the subjects' size) by the adjoint of `forward`'s
+        logits upsample, so that sum(`_classify` logits * projection) has
+        the gradient of sum(`forward` logits * U)."""
+        return ops.upsample_adjoint(upstream, subjects_raw[0].data.shape[2:])
 
     def tap_fn(self, batch) -> list:
         """Post-upsample, pre-concat branch features of one batch, from a

@@ -11,6 +11,7 @@ import csv
 import hashlib
 import json
 import math
+import operator
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -63,6 +64,14 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
+        for name in ("seed", "n_classes", "output_stride", *COUNT_MINIMA,
+                     "shape", "encoder_widths"):
+            value = getattr(self, name)
+            try:        # Python and numpy integers alone, kept as Python ints
+                ints = tuple(map(operator.index, np.ravel(value)))
+            except TypeError:
+                raise ConfigError(f"{name} = {value} holds a non-integer") from None
+            setattr(self, name, ints if np.ndim(value) else ints[0])
         for name, least in COUNT_MINIMA.items():
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} = {getattr(self, name)} is below {least}")
@@ -72,8 +81,8 @@ class ExperimentConfig:
             raise ConfigError(f"{self.encoder_widths} is not 5 positive encoder_widths")
         if not self.sigma_grid or not all(0 <= s < math.inf for s in self.sigma_grid):
             raise ConfigError(f"sigma_grid {self.sigma_grid} is empty or not finite and >= 0")
-        if not self.ratios or min(self.ratios) < 1:
-            raise ConfigError(f"ratios {self.ratios} are empty or below 1")
+        if not self.ratios or not all(1 <= r < math.inf for r in self.ratios):
+            raise ConfigError(f"ratios {self.ratios} are empty, or not finite and >= 1")
         if not 0 < self.lr < math.inf:
             raise ConfigError(f"lr {self.lr} is not finite and positive")
         if self.align_corners not in ALIGN_MODES:
@@ -86,8 +95,8 @@ class ExperimentConfig:
             raise ConfigError(f"output_stride {self.output_stride} is not in {OUTPUT_STRIDES}")
         if not 2 <= self.n_classes <= len(_CLASS_COLORS):
             raise ConfigError(f"n_classes {self.n_classes} is not in [2, {len(_CLASS_COLORS)}]")
-        if self.sigma_floor is not None and not self.sigma_floor > 0:
-            raise ConfigError(f"sigma_floor {self.sigma_floor} is not positive")
+        if self.sigma_floor is not None and not 0 < self.sigma_floor < math.inf:
+            raise ConfigError(f"sigma_floor {self.sigma_floor} is not finite and positive")
 
     def hash(self) -> str:
         blob = json.dumps({k: v for k, v in asdict(self).items() if k != "out_dir"},
@@ -183,22 +192,17 @@ def _prop1_trial(rng: Rng, var_ratio: float, equalized: bool) -> float:
     channels; returns the per-group gradient-variance ratio of the fusion
     weight."""
     shape, c, cout = (4, 32, 16, 16), 32, 32
-    x1 = randn(shape, 0.0, math.sqrt(var_ratio), rng.split("x1"))
-    x2 = randn(shape, 0.0, 1.0, rng.split("x2"))
+    stds = (math.sqrt(var_ratio), 1.0)
+    xs = [randn(shape, 0.0, std, rng.split(f"x{i + 1}")) for i, std in enumerate(stds)]
     if equalized:
         # global stats measured on an independent draw of the same law
-        parts = []
-        for name, x in (("s1", x1), ("s2", x2)):
-            ref = randn(shape, 0.0, math.sqrt(var_ratio) if name == "s1" else 1.0,
-                        rng.split(name))
-            m = moments(ref)
-            parts.append(scale_equalize(x, m.mean, math.sqrt(m.variance)))
-        x1, x2 = parts
-    x = ad.Var(np.concatenate([x1, x2], axis=1))
+        for i, std in enumerate(stds):
+            m = moments(randn(shape, 0.0, std, rng.split(f"s{i + 1}")))
+            xs[i] = scale_equalize(xs[i], m.mean, math.sqrt(m.variance))
     weight = ad.Var(randn((cout, 2 * c, 1, 1), 0.0, 0.1, rng.split("w")),
                     requires_grad=True)
     bias = ad.Var(np.zeros(cout), requires_grad=True)
-    y = ad.conv2d(x, weight, bias)
+    y = ad.conv2d(xs, weight, bias)
     upstream = randn(y.data.shape, 0.0, 1.0, rng.split("u"))
     ad.backward(ad.dot_const(y, upstream))
     g1, g2 = ad.grad_group_moments(weight.grad, (c, c))
@@ -430,7 +434,7 @@ def run_head_audit(config: ExperimentConfig, head_kind: str | None = None) -> di
     and runs only the head tail (fusion, classifier) per arm.  The
     gradients are those of one random scalarization sum(up(L) * U) of the
     input-size logits per seed.  By linearity it has the gradient of
-    sum(L * up^T(U)) on the logits' own grid, so the head's `_project`
+    sum(L * up^T(U)) on the logits' own grid, so `SegModel.project`
     takes U there once and both tails stop before the logits upsample.
     The statistics-pass taps are kept only until `accumulate_stats`
     returns: the equalized dataset moments are taken from them at once and
@@ -480,7 +484,7 @@ def run_head_audit(config: ExperimentConfig, head_kind: str | None = None) -> di
         spread = max(jac_vars) / min(jac_vars)
         # the upstream projected onto the logit grid; the input-size draw
         # is freed at once
-        upstream = head._project(subjects, upstream)
+        upstream = model.project(subjects, upstream)
         loss_grad_vars = _tail_grad_vars(head, subjects, upstream)[1]
 
         # "injected" leaves the weights alone, so the same model serves

@@ -148,6 +148,17 @@ def test_pooled_branches_once_per_forward(kind, monkeypatch):
     assert calls == expected[kind]
 
 
+# each head's ratios at the default configuration, shared height over
+# branch height: C5 is 8x8 at output stride 8 and 6x6 at stride 16
+DECLARED_RATIOS = {
+    8: {"uperhead": (1, 2, 4, 8), "psphead": (1, 8, 4, 8 / 3, 4 / 3),
+        "aspphead": (8, 1, 1, 1, 1), "sepaspphead": (8, 1, 1, 1, 1),
+        "fcnhead": (1,)},
+    16: {"uperhead": (1, 2, 4, 8), "psphead": (1, 6, 3, 2, 1),
+         "aspphead": (6, 1, 1, 1, 1), "sepaspphead": (6, 1, 1, 1, 1),
+         "fcnhead": (1,)}}
+
+
 @pytest.mark.parametrize("stride", [8, 16])
 @pytest.mark.parametrize("kind", decoders.HEAD_KINDS)
 def test_branches_measure_the_declared_ratios(kind, stride):
@@ -160,15 +171,30 @@ def test_branches_measure_the_declared_ratios(kind, stride):
     model = ex.build_model(cfg, cfg.seed, kind)
     with ad.no_tape():
         subjects, ratios = model.branches(randn((2, 3, size, size), 0.0, 1.0, Rng(5)))
-    declared = {
-        8: {"uperhead": (1, 2, 4, 8), "psphead": (1, 8, 4, 8 / 3, 4 / 3),
-            "aspphead": (8, 1, 1, 1, 1), "sepaspphead": (8, 1, 1, 1, 1),
-            "fcnhead": (1,)},
-        16: {"uperhead": (1, 2, 4, 8), "psphead": (1, 6, 3, 2, 1),
-             "aspphead": (6, 1, 1, 1, 1), "sepaspphead": (6, 1, 1, 1, 1),
-             "fcnhead": (1,)}}
-    assert ratios == declared[stride][kind]
+    assert ratios == DECLARED_RATIOS[stride][kind]
     assert len({s.data.shape[2:] for s in subjects}) == 1
+
+
+@pytest.mark.parametrize("stride", [8, 16])
+@pytest.mark.parametrize("kind", decoders.HEAD_KINDS)
+def test_head_branches_keep_their_own_sizes(kind, stride):
+    """A head's `branches` returns its branch list at the branches' own
+    sizes, which differ in every multi-branch head, and `SegModel.branches`
+    is `to_shared_size` of that list: the one site where a fusion's
+    branches are upsampled to the shared size."""
+    cfg = ExperimentConfig(output_stride=stride)
+    size = ex.head_input_size(cfg, kind)
+    model = ex.build_model(cfg, cfg.seed, kind)
+    x = randn((2, 3, size, size), 0.0, 1.0, Rng(5))
+    with ad.no_tape():
+        own = model.head.branches(model.encoder.forward(x))
+        subjects, ratios = model.branches(x)
+        shared, shared_ratios = decoders.to_shared_size(own)
+    assert isinstance(own, list) and len(own) == model.head.n_branches
+    assert len({b.data.shape[2:] for b in own}) > 1 or model.head.n_branches == 1
+    assert ratios == shared_ratios == DECLARED_RATIOS[stride][kind]
+    for subject, expected in zip(subjects, shared, strict=True):
+        assert np.array_equal(subject.data, expected.data)
 
 
 @pytest.mark.parametrize("kind", decoders.HEAD_KINDS)
@@ -178,7 +204,7 @@ def test_forward_is_finish_of_branches(kind):
     x = randn(shape, 0.0, 1.0, Rng(19))
     full = model.forward(x).logits.data
     subjects, _ = model.branches(x)
-    tail = model.head._finish(subjects, x.shape[2:]).logits.data
+    tail = ad.upsample_to(model.head._classify(subjects).logits, x.shape[2:]).data
     assert np.array_equal(full, tail)
 
 
@@ -493,8 +519,8 @@ def test_tail_fusion_grad_matches_full_backward(kind, mode):
 
     subjects, _ = model.branches(x)
     weight.grad = None
-    out = model.head._finish([ad.Var(s.data) for s in subjects], x.shape[2:])
-    ad.backward(ad.dot_const(out.logits, upstream))
+    logits = model.head._classify([ad.Var(s.data) for s in subjects]).logits
+    ad.backward(ad.dot_const(ad.upsample_to(logits, x.shape[2:]), upstream))
     assert np.array_equal(weight.grad, full)
 
 
@@ -503,8 +529,9 @@ def test_tail_fusion_grad_matches_full_backward(kind, mode):
 @pytest.mark.parametrize("kind", decoders.HEAD_KINDS)
 def test_classify_under_the_projected_upstream_matches_finish(kind, stride, mode):
     """The head audit's tail: `_classify` on the logits' grid, under the
-    upstream projected there by `_project`, gives the fusion weight a
-    gradient == to that of `_finish` under the input-size upstream."""
+    upstream projected there by `SegModel.project`, gives the fusion weight
+    a gradient == to that of the logits upsampled to the input size, as
+    `forward` upsamples them, under the input-size upstream."""
     model = make_model(kind, seed=6, stride=stride)
     size = 64 if kind == "uperhead" else 6 * stride
     shape = (2, 3, size, size)
@@ -518,15 +545,16 @@ def test_classify_under_the_projected_upstream_matches_finish(kind, stride, mode
     weight = model.head.fusion_block.weight
     upstream = randn((2, 4, size, size), 0.0, 1.0, rng.split("up"))
 
-    def fusion_grad(out, u):
+    def fusion_grad(logits, u):
         weight.grad = None
-        ad.backward(ad.dot_const(out.logits, u))
+        ad.backward(ad.dot_const(logits, u))
         return weight.grad
 
-    full = fusion_grad(model.head._finish(subjects, (size, size)), upstream)
-    projected = model.head._project(subjects, upstream)
+    logits = model.head._classify(subjects).logits
+    full = fusion_grad(ad.upsample_to(logits, (size, size)), upstream)
+    projected = model.project(subjects, upstream)
     assert projected.shape[2:] == subjects[0].data.shape[2:] != (size, size)
-    low = fusion_grad(model.head._classify(subjects), projected)
+    low = fusion_grad(model.head._classify(subjects).logits, projected)
     assert np.array_equal(low, full)
 
 

@@ -786,6 +786,9 @@ def test_write_outputs_bytes(tmp_path):
     {"dataset_size": 1}, {"audit_dataset": 1}, {"stats_batch": 1}, {"batch_size": 1},
     {"ratios": (0, 2)}, {"ratios": (-2,)}, {"lr": math.nan}, {"lr": -0.05}, {"lr": 0.0},
     {"lr": math.inf}, {"sigma_grid": (math.nan, 0.5)}, {"sigma_grid": (0.2, math.inf)},
+    {"ratios": (math.inf,)}, {"ratios": (math.nan,)}, {"trials": 2.5}, {"audit_seeds": 1.5},
+    {"shape": (2, 4, 8, math.inf)}, {"sigma_floor": math.inf}, {"seed": 1.5},
+    {"n_classes": 2.5}, {"output_stride": 8.0}, {"encoder_widths": (8, 16, 16, 32, 32.5)},
 ])
 def test_config_value_rules(change):
     """Construction and dataclasses.replace apply the same value rules."""
@@ -802,6 +805,20 @@ def test_config_accepts_the_benchmark_references():
         ExperimentConfig(**entry["config"])
     ExperimentConfig(sigma_grid=(0.0,), ratios=(1,), align_corners="true",
                      equalize="off")
+
+
+def test_config_takes_numpy_integers():
+    """Numpy integers pass the integer rule and are kept as Python ints, so
+    the config hashes and runs as with ints: a numpy seed used to overflow
+    in the random stream's key."""
+    cfg = ExperimentConfig(seed=np.int64(3), audit_seeds=np.int32(1),
+                           shape=np.arange(1, 5), ratios=(np.int64(2), 1.5))
+    ints = ExperimentConfig(seed=3, audit_seeds=1, shape=(1, 2, 3, 4),
+                            ratios=(np.int64(2), 1.5))
+    assert type(cfg.seed) is type(cfg.audit_seeds) is int
+    assert cfg.shape == (1, 2, 3, 4) and all(type(s) is int for s in cfg.shape)
+    assert cfg.hash() == ints.hash()
+    assert ex.run_prop1(cfg) == ex.run_prop1(ints)
 
 
 def test_config_hash_stable_and_sensitive():
