@@ -16,8 +16,8 @@ since no closure reads either; the unit's input, every block of a list,
 keeps its data.  The cross-entropy node builds its gradient in the buffer
 that held exp of its shifted logits.
 Forward-only passes run under `no_tape()` and record nothing; there
-batchnorm and a unit block's ReLU write into the buffer batchnorm
-centres, never into an input.  A central
+batchnorm is `ops.batchnorm`, and a unit block's ReLU writes into the
+buffer that batchnorm returns, never into an input.  A central
 finite-difference oracle is provided for verification.
 """
 
@@ -282,14 +282,11 @@ def conv2d(x, weight: Var, bias: Var | None = None, *, stride: int = 1,
 
 def batchnorm(x: Var, gamma: Var, beta: Var) -> Var:
     x, gamma, beta = as_var(x), as_var(gamma), as_var(beta)
+    if not _taping:             # no backward reads xhat
+        return Var(ops.batchnorm(x.data, gamma.data, beta.data))
     n, c, h, w = x.data.shape
     m = n * h * w
     xhat, inv = ops.batch_stats(x.data)
-    xhat *= inv.reshape(1, c, 1, 1)
-    if not _taping:             # no backward reads xhat: scale it in place
-        xhat *= gamma.data.reshape(1, c, 1, 1)
-        xhat += beta.data.reshape(1, c, 1, 1)
-        return Var(xhat)
     out = xhat * gamma.data.reshape(1, c, 1, 1)
     out += beta.data.reshape(1, c, 1, 1)
 

@@ -15,20 +15,15 @@ import configparser
 import os
 import sys
 
-# decoders.HEAD_KINDS, copied: importing decoders would load numpy before --threads
-HEADS = ("uperhead", "psphead", "aspphead", "sepaspphead", "fcnhead")
+from . import experiments as ex
+from .decoders import EQUALIZE_MODES, HEAD_KINDS
+from .errors import ConfigError, ScaleqError
 
 
 def _tuple_of(cast):
     def parse(text):
         return tuple(cast(part) for part in text.replace(" ", "").split(",") if part)
     return parse
-
-
-def _thread_count(text: str) -> int:
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"thread count {text} is below 1")
-    return int(text)
 
 
 # (section, key) in the config file -> (ExperimentConfig field, parser)
@@ -76,10 +71,10 @@ COMMAND_FIELDS = {
 FLAGS = {
     "trials": ("--trials", {"type": int, "help": "Monte-Carlo trials"}),
     "audit_seeds": ("--trials", {"type": int, "help": "seeds"}),
-    "align_corners": ("--align-corners", {"choices": ("false", "true", "both")}),
-    "head": ("--head", {"choices": HEADS}),
+    "align_corners": ("--align-corners", {"choices": tuple(ex.ALIGN_MODES)}),
+    "head": ("--head", {"choices": HEAD_KINDS}),
     "sigma_floor": ("--sigma-floor", {"type": float, "help": "sigma=0 substitute"}),
-    "equalize": ("--equalize", {"choices": ("off", "injected", "calibrated")}),
+    "equalize": ("--equalize", {"choices": EQUALIZE_MODES}),
 }
 
 HELP = {
@@ -97,8 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", metavar="PATH", help="INI config file")
     common.add_argument("--seed", type=int, help="root random seed (default 42)")
     common.add_argument("--out", dest="out_dir", metavar="DIR", help="output directory")
-    common.add_argument("--threads", type=_thread_count, metavar="N",
-                        help="cap BLAS/OpenMP thread count (N >= 1)")
 
     parser = argparse.ArgumentParser(
         prog="scaleq",
@@ -114,10 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def load_config(args) -> "ExperimentConfig":
-    from .errors import ConfigError
-    from .experiments import ExperimentConfig
-
+def load_config(args) -> ex.ExperimentConfig:
     values = {}
     if args.config:
         if not os.path.exists(args.config):
@@ -141,11 +131,11 @@ def load_config(args) -> "ExperimentConfig":
                 except ValueError:
                     raise ConfigError(
                         f"bad value {raw!r} for [{section}] {key}") from None
-        ExperimentConfig(**values)          # every entry obeys the value rules
+        ex.ExperimentConfig(**values)       # every entry obeys the value rules
     fields = ("seed", "out_dir") + COMMAND_FIELDS[args.command]
     values.update((name, getattr(args, name)) for name in fields
                   if getattr(args, name, None) is not None)
-    cfg = ExperimentConfig(**{name: values[name] for name in fields if name in values})
+    cfg = ex.ExperimentConfig(**{name: values[name] for name in fields if name in values})
     if cfg.out_dir:
         try:
             os.makedirs(cfg.out_dir, exist_ok=True)
@@ -155,8 +145,6 @@ def load_config(args) -> "ExperimentConfig":
 
 
 def _dispatch(command: str, cfg) -> int:
-    from . import experiments as ex
-
     if command == "fig2":
         rows = ex.run_fig2(cfg)
         checks = ex.fig2_checks(rows)
@@ -211,12 +199,6 @@ def _dispatch(command: str, cfg) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads:
-        # numpy reads these when it is first imported, which is below
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
-    from .errors import ScaleqError
     try:
         cfg = load_config(args)
         return _dispatch(args.command, cfg)

@@ -97,6 +97,8 @@ class ExperimentConfig:
             raise ConfigError(f"n_classes {self.n_classes} is not in [2, {len(_CLASS_COLORS)}]")
         if self.sigma_floor is not None and not 0 < self.sigma_floor < math.inf:
             raise ConfigError(f"sigma_floor {self.sigma_floor} is not finite and positive")
+        if self.out_dir == "":
+            raise ConfigError("out_dir is empty; name a directory or leave it unset")
 
     def hash(self) -> str:
         blob = json.dumps({k: v for k, v in asdict(self).items() if k != "out_dir"},
@@ -676,8 +678,7 @@ def equivalence_trial(rng: Rng):
     pre = float(np.max(np.abs(y_inj - y_cal)))
 
     gamma, beta = gen.uniform(0.5, 1.5, cout), gen.uniform(-0.5, 0.5, cout)
-    z_inj = ops.batchnorm(ops.conv2d(eq, ops.ConvParams(weight, bias)),
-                          gamma, beta)
+    z_inj = ops.batchnorm(y_inj, gamma, beta)
     z_cal = ops.batchnorm(ops.conv2d(raw, ops.ConvParams(w_cal, bias, pad_value=pad)),
                           gamma, beta)
     post = float(np.max(np.abs(z_inj - z_cal)))

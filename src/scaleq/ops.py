@@ -485,9 +485,10 @@ def _conv_input_grad(x_shape, p: ConvParams, g: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def batch_stats(x: np.ndarray):
-    """(x - mu, 1/sqrt(var + BN_EPS)) with per-channel mu and population var
-    over N, H, W, both as einsums over an (N, C, H*W) view; the variance is
-    taken from the centered input."""
+    """(xhat, inv): xhat = (x - mu) * inv in a buffer of its own and
+    inv = 1/sqrt(var + BN_EPS), with per-channel mu and population var over
+    N, H, W, both as einsums over an (N, C, H*W) view; the variance is taken
+    from the centered input."""
     n, c, h, w = x.shape
     m = n * h * w
     if m < 2:
@@ -495,19 +496,21 @@ def batch_stats(x: np.ndarray):
     mu = np.einsum("nci->c", x.reshape(n, c, h * w)) / m
     d = x - mu.reshape(1, c, 1, 1)
     dv = d.reshape(n, c, h * w)
-    return d, 1.0 / np.sqrt(np.einsum("nci,nci->c", dv, dv) / m + BN_EPS)
+    inv = 1.0 / np.sqrt(np.einsum("nci,nci->c", dv, dv) / m + BN_EPS)
+    d *= inv.reshape(1, c, 1, 1)
+    return d, inv
 
 
 def batchnorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Per-channel (x - mu)/sqrt(var + BN_EPS) * gamma + beta with the batch's
-    own mu and var."""
+    """Per-channel ((x - mu)/sqrt(var + BN_EPS)) * gamma + beta with the
+    batch's own mu and var, in batch_stats' xhat buffer."""
     _check_nchw(x)
     n, c, h, w = x.shape
     if len(gamma) != c or len(beta) != c:
         raise ShapeError(f"batchnorm params sized for {len(gamma)} channels, "
                          f"input has {c}")
-    y, inv = batch_stats(x)
-    y *= (np.asarray(gamma) * inv).reshape(1, c, 1, 1)
+    y, _ = batch_stats(x)
+    y *= np.asarray(gamma).reshape(1, c, 1, 1)
     y += np.asarray(beta).reshape(1, c, 1, 1)
     return y
 

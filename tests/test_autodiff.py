@@ -485,10 +485,10 @@ def test_upsample_node_gradient_is_the_ops_adjoint(kernel, align):
 
 
 def test_no_tape_forwards_leave_inputs_and_match_the_tape():
-    """Under no_tape, batchnorm scales its centred buffer in place and
-    unit_block rectifies the batchnorm output in place; relu records no
-    node.  Each leaves its input array as it was and returns the taped
-    forward's values bit for bit."""
+    """Under no_tape, batchnorm is ops.batchnorm and unit_block rectifies
+    the batchnorm output in place; relu records no node.  Each leaves its
+    input array as it was and returns the taped forward's values bit for
+    bit."""
     rng = Rng(114)
     x0 = randn((2, 4, 6, 5), 0.3, 1.0, rng.split("x"))
     gamma = ad.Var(randn((4,), 1.0, 0.2, rng.split("gamma")), requires_grad=True)
@@ -509,6 +509,23 @@ def test_no_tape_forwards_leave_inputs_and_match_the_tape():
         assert not y._parents, name
         assert np.array_equal(x.data, x0), name
         assert np.array_equal(y.data, taped.data), name
+
+
+def test_batchnorm_forwards_are_one_formula():
+    """The taped batchnorm, the no_tape one and ops.batchnorm compute the
+    same ((x - mu) * inv) * gamma + beta, so at gamma != 1 and beta != 0
+    their outputs are equal bit for bit."""
+    rng = Rng(115)
+    x = randn((3, 5, 7, 6), 0.4, 1.3, rng.split("x"))
+    gamma = randn((5,), 1.0, 0.4, rng.split("gamma"))
+    beta = randn((5,), 0.0, 0.7, rng.split("beta"))
+    taped = ad.batchnorm(ad.Var(x, requires_grad=True), ad.Var(gamma), ad.Var(beta))
+    assert taped._parents
+    with ad.no_tape():
+        untaped = ad.batchnorm(ad.Var(x), ad.Var(gamma), ad.Var(beta))
+    plain = ops.batchnorm(x, gamma, beta)
+    assert np.array_equal(taped.data, plain)
+    assert np.array_equal(untaped.data, plain)
 
 
 @pytest.mark.parametrize("case", ["taps-scalar-pad", "taps-calibrated-pad",

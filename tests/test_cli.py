@@ -2,9 +2,6 @@ import argparse
 import configparser
 import dataclasses
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -12,7 +9,6 @@ import pytest
 from scaleq import cli
 from scaleq.cli import build_parser, load_config, main
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
 DEFAULT_INI = str(Path(__file__).resolve().parents[1] / "configs" / "default.ini")
 
 
@@ -57,22 +53,37 @@ def quick_ini(tmp_path):
 
 
 def test_usage_errors_exit_2():
-    with pytest.raises(SystemExit) as e:
-        main([])
-    assert e.value.code == 2
-    with pytest.raises(SystemExit) as e:
-        main(["fig2", "--head", "sharpnet"])
-    assert e.value.code == 2
-    with pytest.raises(SystemExit) as e:          # deleted flag
-        main(["fig2", "--precision", "f32"])
-    assert e.value.code == 2
-    with pytest.raises(SystemExit) as e:          # fig2-only flag
-        main(["train", "--align-corners", "true"])
-    assert e.value.code == 2
-    for count in ("0", "-2"):                     # a thread count below 1
+    for argv in ([],
+                 ["fig2", "--head", "sharpnet"],        # fig2 has no --head
+                 ["fig2", "--precision", "f32"],        # deleted flags
+                 ["check", "--threads", "2"],
+                 ["train", "--align-corners", "true"],  # fig2-only flag
+                 ["audit", "--head", "bogus"],          # values argparse rejects
+                 ["train", "--equalize", "bogus"],
+                 ["audit", "--trials", "2.5"]):
         with pytest.raises(SystemExit) as e:
-            main(["check", "--threads", count])
-        assert e.value.code == 2
+            main(argv)
+        assert e.value.code == 2, argv
+
+
+@pytest.mark.parametrize("command,source", [("check", "flag"), ("prop1", "ini")])
+def test_empty_out_dir_exits_1_before_any_work(tmp_path, monkeypatch, capsys,
+                                               command, source):
+    """An empty output directory, from --out "" or from `[run] out =`, is a
+    bad setting: one error line and exit 1 before the run starts, not a run
+    that writes nothing."""
+    from scaleq import experiments as ex
+    for name in ("run_prop1", "run_check"):
+        monkeypatch.setattr(ex, name, lambda cfg: pytest.fail("the run started"))
+    if source == "flag":
+        argv = [command, "--out", ""]
+    else:
+        path = tmp_path / "empty.ini"
+        path.write_text("[run]\nout =\n")
+        argv = [command, "--config", str(path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "out_dir is empty" in err
 
 
 def test_missing_config_file_exits_1(capsys):
@@ -129,25 +140,6 @@ def test_truncated_config_file_exits_1(tmp_path, capsys, end):
     assert "error:" in capsys.readouterr().err
 
 
-def test_import_leaves_numpy_unloaded():
-    """--threads must be able to set the BLAS thread variables before the
-    first numpy import, so importing the package and its CLI loads none."""
-    code = ("import sys, scaleq, scaleq.cli; scaleq.cli.build_parser(); "
-            "print('numpy' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": SRC})
-    assert out.stdout.strip() == "False"
-
-
-def test_cli_heads_match_decoders():
-    """The CLI choices, copied to keep numpy unloaded, match the package."""
-    from scaleq import decoders, experiments
-    assert cli.HEADS == decoders.HEAD_KINDS
-    assert cli.FLAGS["equalize"][1]["choices"] == decoders.EQUALIZE_MODES
-    assert cli.FLAGS["align_corners"][1]["choices"] == tuple(experiments.ALIGN_MODES)
-
-
 def test_load_config_flags_override_file(quick_ini):
     args = build_parser().parse_args(
         ["train", "--config", quick_ini, "--seed", "99", "--head", "fcnhead"])
@@ -182,7 +174,7 @@ def _flag_fields(command):
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     return {a.dest for a in sub.choices[command]._actions
-            if a.option_strings and a.dest not in ("help", "config", "threads")}
+            if a.option_strings and a.dest not in ("help", "config")}
 
 
 @pytest.mark.parametrize("command", sorted(cli.COMMAND_FIELDS))

@@ -789,6 +789,7 @@ def test_write_outputs_bytes(tmp_path):
     {"ratios": (math.inf,)}, {"ratios": (math.nan,)}, {"trials": 2.5}, {"audit_seeds": 1.5},
     {"shape": (2, 4, 8, math.inf)}, {"sigma_floor": math.inf}, {"seed": 1.5},
     {"n_classes": 2.5}, {"output_stride": 8.0}, {"encoder_widths": (8, 16, 16, 32, 32.5)},
+    {"out_dir": ""},
 ])
 def test_config_value_rules(change):
     """Construction and dataclasses.replace apply the same value rules."""
