@@ -198,17 +198,21 @@ def scale_equalize(x: Var, mu: float, sigma: float) -> Var:
     return _node(out, (x,), bwd, "scale_equalize")
 
 
-def upsample_to(x: Var, out_hw, mode: ops.UpsampleMode = ops.UpsampleMode()) -> Var:
-    """Upsampling node; its backward is ops.upsample_adjoint."""
-    x = as_var(x)
-    out = ops.upsample_to(x.data, out_hw, mode)
+def _resampled(x: Var, out: np.ndarray, mode: ops.UpsampleMode, op: str) -> Var:
+    """Node of out, x resampled under mode; its backward is
+    ops.upsample_adjoint.  x itself when out is x's own data."""
     if out is x.data:
         return x
     in_hw = x.data.shape[2:]
 
     def bwd(g):
         _accum(x, ops.upsample_adjoint(g, in_hw, mode))
-    return _node(out, (x,), bwd, "upsample")
+    return _node(out, (x,), bwd, op)
+
+
+def upsample_to(x: Var, out_hw, mode: ops.UpsampleMode = ops.UpsampleMode()) -> Var:
+    x = as_var(x)
+    return _resampled(x, ops.upsample_to(x.data, out_hw, mode), mode, "upsample")
 
 
 def upsample(x: Var, r, mode: ops.UpsampleMode = ops.UpsampleMode()) -> Var:
@@ -223,16 +227,7 @@ def upsample(x: Var, r, mode: ops.UpsampleMode = ops.UpsampleMode()) -> Var:
 
 def avgpool_to(x: Var, out_size) -> Var:
     x = as_var(x)
-    out = ops.avgpool_to(x.data, out_size)
-    if out is x.data:
-        return x
-    # out = P_h X P_w^T, so the adjoint is P_h^T G P_w
-    ph = ops._pool_matrix(x.data.shape[2], out.shape[2])
-    pw = ops._pool_matrix(x.data.shape[3], out.shape[3])
-
-    def bwd(g):
-        _accum(x, ph.T @ g @ pw)
-    return _node(out, (x,), bwd, "avgpool")
+    return _resampled(x, ops.avgpool_to(x.data, out_size), ops.AREA, "avgpool")
 
 
 def _channel_blocks(x) -> list[Var]:

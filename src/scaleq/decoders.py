@@ -258,10 +258,8 @@ def to_shared_size(branches) -> tuple:
 def pooled_branches(c5: ad.Var, bins, units) -> list:
     """The pyramid pooling module of PSPNet (Zhao et al., 2017), also
     UPerHead's PPM and ASPP's image pool: per bin b, adaptive average
-    pooling of C5 to b x b and its unit block."""
-    size = c5.data.shape[2:]
-    if max(bins) > min(size):
-        raise ShapeError(f"pooling bin {max(bins)} exceeds C5 size {size}")
+    pooling of C5 to b x b and its unit block; a bin larger than C5 is the
+    pool's ShapeError."""
     return [unit(ad.avgpool_to(c5, (b, b))) for b, unit in zip(bins, units)]
 
 

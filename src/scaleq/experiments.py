@@ -621,6 +621,9 @@ def _train_arm(config: ExperimentConfig, samples, arm: str) -> list[dict]:
 
 
 def run_toy_train(config: ExperimentConfig) -> dict:
+    if config.batch_size > config.dataset_size:     # a step would take fewer images
+        raise ConfigError(f"batch_size {config.batch_size} exceeds dataset_size "
+                          f"{config.dataset_size}")
     samples = gen_synthetic_dataset(config.seed, config.dataset_size, config.n_classes,
                                     head_input_size(config, config.head))
     arms = ("baseline",) if config.equalize == "off" else ("baseline", "equalized")

@@ -1,13 +1,14 @@
 """Forward numerical operators on NCHW arrays, with the adjoints of the
 linear ones beside them.
 
-Bilinear/nearest upsampling, 2-D convolution (dense, atrous, grouped; odd
-square kernels at "same" padding), batch normalization over the batch's
-own statistics, ReLU and adaptive average pooling.
+One separable resampling map, 2-D convolution (dense, atrous, grouped;
+odd square kernels at "same" padding), batch normalization over the
+batch's own statistics and ReLU.
 Everything is float64-friendly pure numpy built on batched matmuls.
-Upsampling and adaptive pooling are separable per-axis maps, A_h X A_w^T
-and P_h X P_w^T with cached read-only matrices, whose adjoints are
-A_h^T G A_w and P_h^T G P_w.  Convolution has two kernels, picked by
+Resampling is A_h X A_w^T with cached read-only axis matrices, and its
+adjoint is A_h^T G A_w.  The bilinear and nearest kernels upsample; the
+area kernel is adaptive average pooling, as torch's interpolate "area"
+mode is.  Convolution has two kernels, picked by
 `_use_taps` from the shapes alone.  A dense stride-1 conv that does not
 widen the channels, such as the fusion conv over the branches, runs one
 (Cout, Cin) matmul per kernel tap on a contiguous slice of the flat padded
@@ -28,13 +29,14 @@ with the group-transposed, spatially flipped kernel; at a larger stride
 each kernel tap scatters W^T G onto its strided window of the padded
 grid.
 
-Upsampled moments never materialize the output.  Each row of an axis
-matrix reads at most two adjacent source pixels, so A^T A is tridiagonal
-(diagonal for nearest), and the sum of squares of the centered output is
-a weighted sum of five neighbour products of the centered input.  No
-centred copy of the input is made either: a few rows of every map are
-centred at a time in one reused buffer, and each pixel's sum over the maps
-runs in the order numpy's einsum gives it over the whole tensor.
+Upsampled moments never materialize the output.  Each row of a bilinear
+or nearest axis matrix reads at most two adjacent source pixels, so A^T A
+is tridiagonal (diagonal for nearest), and the sum of squares of the
+centered output is a weighted sum of five neighbour products of the
+centered input.  No centred copy of the input is made either: a few rows
+of every map are centred at a time in one reused buffer, and each pixel's
+sum over the maps runs in the order numpy's einsum gives it over the whole
+tensor.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidRatioError, ShapeError
+from .errors import ContractError, InvalidRatioError, ShapeError
 from .tensor import Moments, _check_nchw
 
 BN_EPS = 1e-5
@@ -52,23 +54,27 @@ _BLOCK_ROWS = 4           # rows of every map centred at a time by upsample_mome
 
 
 # ---------------------------------------------------------------------------
-# upsampling
+# resampling
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class UpsampleMode:
-    kernel: str = "bilinear"          # "bilinear" | "nearest"
+    kernel: str = "bilinear"          # "bilinear" | "nearest" | "area"
     align_corners: bool = False
+
+
+AREA = UpsampleMode("area")
 
 
 @lru_cache(maxsize=64)
 def _axis_matrix(n_in: int, n_out: int, kernel: str, align_corners: bool) -> np.ndarray:
-    """Dense, read-only (n_out, n_in) matrix of the per-axis interpolation
-    map: output i reads src[i0]*(1-t) + src[i1]*t.
+    """Dense, read-only (n_out, n_in) matrix of the per-axis map.
 
-    align_corners=False uses half-pixel centers with edge-clamped reads,
-    align_corners=True maps i -> i*(n_in-1)/(n_out-1).  Nearest is a 0/1
-    matrix.  Upsampling is y = A_h X A_w^T and its adjoint A_h^T G A_w.
+    Bilinear output i reads src[i0]*(1-t) + src[i1]*t: align_corners=False
+    uses half-pixel centers with edge-clamped reads, align_corners=True maps
+    i -> i*(n_in-1)/(n_out-1).  Nearest is a 0/1 matrix.  Area row i
+    averages [floor(i*n_in/n_out), ceil((i+1)*n_in/n_out)) and ignores
+    align_corners.
     """
     i = np.arange(n_out, dtype=np.float64)
     rows = np.arange(n_out)
@@ -87,6 +93,10 @@ def _axis_matrix(n_in: int, n_out: int, kernel: str, align_corners: bool) -> np.
         t = src - i0
         np.add.at(m, (rows, i0), 1.0 - t)       # i0 == i1 at the clamped edge
         np.add.at(m, (rows, i1), t)
+    elif kernel == "area":
+        for r in range(n_out):
+            lo, hi = (r * n_in) // n_out, -(-((r + 1) * n_in) // n_out)
+            m[r, lo:hi] = 1.0 / (hi - lo)
     else:
         raise ValueError(f"unknown upsampling kernel {kernel!r}")
     m.flags.writeable = False
@@ -105,47 +115,50 @@ def _axis_bands(n_in: int, n_out: int, kernel: str, align_corners: bool):
     return bands
 
 
-def _upsample_hw(in_hw, out_hw):
-    """(h, w, oh, ow) of an upsampling from in_hw to out_hw; rejects
-    downsampling."""
+def _map_hw(in_hw, out_hw, kernel: str):
+    """(h, w, oh, ow) of the resampling map from in_hw to out_hw: area may
+    only shrink and the upsampling kernels may only grow."""
     h, w = int(in_hw[0]), int(in_hw[1])
     oh, ow = int(out_hw[0]), int(out_hw[1])
-    if oh < h or ow < w:
+    if kernel == "area":
+        if oh > h or ow > w:
+            raise ShapeError(f"pool output {(oh, ow)} exceeds input {(h, w)}")
+    elif oh < h or ow < w:
         raise InvalidRatioError(f"downsampling is not supported: output size "
                                 f"{(oh, ow)} below input {(h, w)}")
     return h, w, oh, ow
 
 
-def _upsample_axes(in_hw, out_hw, mode: UpsampleMode):
-    """The cached axis matrices (A_h, A_w) of an upsampling from in_hw to
-    out_hw, or None when the sizes are equal."""
-    h, w, oh, ow = _upsample_hw(in_hw, out_hw)
+def _resample(x: np.ndarray, in_hw, out_hw, mode: UpsampleMode,
+              adjoint: bool = False) -> np.ndarray:
+    """A_h X A_w^T for the map from in_hw to out_hw under mode, or with
+    adjoint A_h^T X A_w, which takes X from out_hw back to in_hw.  X itself
+    when the sizes are equal."""
+    _check_nchw(x)
+    h, w, oh, ow = _map_hw(in_hw, out_hw, mode.kernel)
     if (oh, ow) == (h, w):
-        return None
-    return (_axis_matrix(h, oh, mode.kernel, mode.align_corners),
-            _axis_matrix(w, ow, mode.kernel, mode.align_corners))
+        return x
+    ah = _axis_matrix(h, oh, mode.kernel, mode.align_corners)
+    aw = _axis_matrix(w, ow, mode.kernel, mode.align_corners)
+    return ah.T @ x @ aw if adjoint else ah @ x @ aw.T
 
 
 def upsample_to(x: np.ndarray, out_hw, mode: UpsampleMode = UpsampleMode()) -> np.ndarray:
     """Upsample to an explicit output size (avoids rounding ambiguity)."""
-    _check_nchw(x)
-    axes = _upsample_axes(x.shape[2:], out_hw, mode)
-    if axes is None:
-        return x
-    ah, aw = axes
-    return ah @ x @ aw.T
+    return _resample(x, x.shape[2:], out_hw, mode)
+
+
+def avgpool_to(x: np.ndarray, out_size) -> np.ndarray:
+    """Adaptive average pooling to out_size: the map under AREA."""
+    return _resample(x, x.shape[2:], out_size, AREA)
 
 
 def upsample_adjoint(g: np.ndarray, in_hw, mode: UpsampleMode = UpsampleMode()) -> np.ndarray:
     """A_h^T G A_w: the adjoint of upsample_to from size in_hw to G's size,
-    which maps an output gradient G back to the input grid.  G itself when
-    the sizes are equal, as upsample_to returns its input."""
-    _check_nchw(g)
-    axes = _upsample_axes(in_hw, g.shape[2:], mode)
-    if axes is None:
-        return g
-    ah, aw = axes
-    return ah.T @ g @ aw
+    or of avgpool_to under AREA, which maps an output gradient G back to
+    the input grid.  G itself when the sizes are equal, as the forward
+    returns its input."""
+    return _resample(g, in_hw, g.shape[2:], mode, adjoint=True)
 
 
 def _map_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -165,10 +178,14 @@ def upsample_moments(x: np.ndarray, out_hw, mode: UpsampleMode = UpsampleMode())
     each weighted by the diagonal d or off-diagonal e of the two axes.
     Centering first keeps the variance exact under large offsets.  Z is
     centred _BLOCK_ROWS rows at a time, plus the next row for the
-    h-neighbours, so no full-size copy is made.
+    h-neighbours, so no full-size copy is made.  An area map that shrinks by
+    2 or more has no tridiagonal A^T A, so AREA is a ContractError.
     """
+    if mode.kernel == "area":
+        raise ContractError("upsample_moments needs an upsampling kernel, "
+                            "not area")
     _check_nchw(x)
-    h, w, oh, ow = _upsample_hw(x.shape[2:], out_hw)
+    h, w, oh, ow = _map_hw(x.shape[2:], out_hw, mode.kernel)
     if x.size == 0:
         raise ShapeError(f"moments of an empty tensor of shape {x.shape}")
     n, c = x.shape[:2]
@@ -481,7 +498,7 @@ def _conv_input_grad(x_shape, p: ConvParams, g: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# batch normalization / activation / pooling
+# batch normalization / activation
 # ---------------------------------------------------------------------------
 
 def batch_stats(x: np.ndarray):
@@ -517,29 +534,3 @@ def batchnorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
 
 def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0)
-
-
-@lru_cache(maxsize=64)
-def _pool_matrix(n_in: int, n_out: int) -> np.ndarray:
-    """Dense, read-only (n_out, n_in) matrix of adaptive average pooling
-    along one axis: row i averages [floor(i*n_in/n_out),
-    ceil((i+1)*n_in/n_out)).  Pooling is y = P_h X P_w^T and its adjoint
-    P_h^T G P_w."""
-    m = np.zeros((n_out, n_in))
-    for i in range(n_out):
-        lo, hi = (i * n_in) // n_out, -(-((i + 1) * n_in) // n_out)
-        m[i, lo:hi] = 1.0 / (hi - lo)
-    m.flags.writeable = False
-    return m
-
-
-def avgpool_to(x: np.ndarray, out_size) -> np.ndarray:
-    """Adaptive average pooling as P_h X P_w^T (see _pool_matrix)."""
-    _check_nchw(x)
-    h, w = x.shape[2], x.shape[3]
-    oh, ow = int(out_size[0]), int(out_size[1])
-    if oh > h or ow > w:
-        raise ShapeError(f"pool output {(oh, ow)} exceeds input {(h, w)}")
-    if (oh, ow) == (h, w):
-        return x
-    return _pool_matrix(h, oh) @ x @ _pool_matrix(w, ow).T

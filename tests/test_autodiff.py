@@ -472,16 +472,20 @@ def test_upsample_transpose_identity():
 
 
 @pytest.mark.parametrize("kernel,align", [("bilinear", False), ("bilinear", True),
-                                          ("nearest", False)])
+                                          ("nearest", False), ("area", False)])
 def test_upsample_node_gradient_is_the_ops_adjoint(kernel, align):
     """The upsample node's input gradient is == to ops.upsample_adjoint of
-    its output gradient, the routine the head audit projects with."""
+    its output gradient, the routine the head audit projects with; so is
+    the avgpool node's, under AREA."""
     mode = UpsampleMode(kernel, align)
+    area = mode == ops.AREA
+    in_hw, out_hw = ((20, 21), (5, 7)) if area else ((5, 7), (20, 21))
     rng = Rng(113)
-    x = ad.Var(randn((2, 3, 5, 7), 0.0, 1.0, rng.split("x")), requires_grad=True)
-    g = randn((2, 3, 20, 21), 0.0, 1.0, rng.split("g"))
-    ad.backward(ad.dot_const(ad.upsample_to(x, (20, 21), mode), g))
-    assert np.array_equal(x.grad, ops.upsample_adjoint(g, (5, 7), mode))
+    x = ad.Var(randn((2, 3) + in_hw, 0.0, 1.0, rng.split("x")), requires_grad=True)
+    g = randn((2, 3) + out_hw, 0.0, 1.0, rng.split("g"))
+    y = ad.avgpool_to(x, out_hw) if area else ad.upsample_to(x, out_hw, mode)
+    ad.backward(ad.dot_const(y, g))
+    assert np.array_equal(x.grad, ops.upsample_adjoint(g, in_hw, mode))
 
 
 def test_no_tape_forwards_leave_inputs_and_match_the_tape():

@@ -338,6 +338,20 @@ def test_size_the_encoder_cannot_halve_exits_1_before_any_data(
     assert err.count("error:") == 1 and "not divisible by" in err
 
 
+def test_batch_larger_than_the_dataset_exits_1_before_any_data(
+        tmp_path, monkeypatch, capsys):
+    """A train batch larger than the dataset is an error before the dataset
+    is generated, not a batch that silently shrinks to the dataset."""
+    from scaleq import experiments
+    monkeypatch.setattr(experiments, "gen_synthetic_dataset",
+                        lambda *args, **kwargs: pytest.fail("data was generated"))
+    path = tmp_path / "batch.ini"
+    path.write_text("[train]\nbatch_size = 6\ndataset_size = 4\n")
+    assert main(["train", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "exceeds dataset_size" in err
+
+
 def test_prop1_command(tmp_path, quick_ini, capsys):
     out = tmp_path / "out"
     assert main(["prop1", "--config", quick_ini, "--out", str(out),

@@ -7,7 +7,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from scaleq import ops
-from scaleq.errors import InvalidRatioError, ShapeError
+from scaleq.errors import ContractError, InvalidRatioError, ShapeError
 from scaleq.ops import ConvParams, UpsampleMode
 from scaleq.tensor import Rng, moments, randn
 
@@ -85,16 +85,29 @@ def test_upsample_rejects_small_ratio():
                 fn(x, out_hw)
 
 
-@pytest.mark.parametrize("align", [False, True])
-def test_upsample_adjoint_is_the_transpose(align):
-    """<up(X), G> == <X, up^T(G)> to 1e-12 on a non-square size and ratio."""
-    mode = UpsampleMode("bilinear", align)
+def test_upsample_moments_rejects_area():
+    """A^T A of an area map is not tridiagonal, so the five-product formula
+    would return a wrong variance."""
+    with pytest.raises(ContractError, match="area"):
+        ops.upsample_moments(np.zeros((1, 1, 8, 8)), (4, 4), ops.AREA)
+
+
+@pytest.mark.parametrize("mode", [UpsampleMode("bilinear", False),
+                                  UpsampleMode("bilinear", True), ops.AREA],
+                         ids=["False", "True", "area"])
+def test_upsample_adjoint_is_the_transpose(mode):
+    """<A(X), G> == <X, A^T(G)> to 1e-12 on a non-square size and ratio:
+    the upsampling (5, 7) -> (20, 21), and under AREA the pooling
+    (20, 21) -> (5, 7)."""
+    area = mode == ops.AREA
+    in_hw, out_hw = ((20, 21), (5, 7)) if area else ((5, 7), (20, 21))
     rng = Rng(31)
-    x = randn((2, 3, 5, 7), 0.0, 1.0, rng.split("x"))
-    g = randn((2, 3, 20, 21), 0.0, 1.0, rng.split("g"))
-    gx = ops.upsample_adjoint(g, (5, 7), mode)
+    x = randn((2, 3) + in_hw, 0.0, 1.0, rng.split("x"))
+    g = randn((2, 3) + out_hw, 0.0, 1.0, rng.split("g"))
+    gx = ops.upsample_adjoint(g, in_hw, mode)
     assert gx.shape == x.shape
-    lhs = float(np.sum(ops.upsample_to(x, (20, 21), mode) * g))
+    y = ops.avgpool_to(x, out_hw) if area else ops.upsample_to(x, out_hw, mode)
+    lhs = float(np.sum(y * g))
     assert abs(lhs - float(np.sum(x * gx))) < 1e-12
 
 
@@ -163,7 +176,7 @@ def test_upsample_moments_large_offset():
 def centred_copy_upsample_moments(x, out_hw, mode=UpsampleMode()):
     """The full-size centred-copy formula upsample_moments() used before it
     centred in row blocks, verbatim."""
-    h, w, oh, ow = ops._upsample_hw(x.shape[2:], out_hw)
+    h, w, oh, ow = ops._map_hw(x.shape[2:], out_hw, mode.kernel)
     n, c = x.shape[:2]
     sh, dh, eh = ops._axis_bands(h, oh, mode.kernel, mode.align_corners)
     sw, dw, ew = ops._axis_bands(w, ow, mode.kernel, mode.align_corners)
@@ -518,7 +531,7 @@ def test_avgpool_uneven_bins():
                     y[:, :, i, j], x[:, :, r0:r1, c0:c1].mean(axis=(2, 3)),
                     rtol=1e-12, atol=1e-15)
         for n_in, n_out in ((h, oh), (w, ow)):
-            m = ops._pool_matrix(n_in, n_out)    # cached and read-only
+            m = ops._axis_matrix(n_in, n_out, "area", False)    # cached, read-only
             np.testing.assert_allclose(m.sum(axis=1), 1.0, rtol=0, atol=1e-15)
             with pytest.raises(ValueError):
                 m[0, 0] = 0.5
