@@ -7,9 +7,10 @@ closure has run, `backward` releases the closure, with every array it saved
 (a conv operand, batchnorm's xhat, a ReLU mask), the node's gradient and
 its parents, so a spent node pins no activation behind it.  Only leaves
 keep their gradients, and a second backward through a spent graph is a
-ContractError.  A conv node reads one Var or a list of channel blocks,
-which it fills into its operand at their channel offsets, and splits dX
-back across them; no concatenation is made.  `unit_block` records a
+ContractError.  A conv node reads one Var or a list of channel blocks
+through one `ops.ConvPlan`, which fills its operand from the blocks at
+their channel offsets and returns dX as a view per block; no
+concatenation is made.  `unit_block` records a
 [Conv - BatchNorm - ReLU] unit as ordinary conv, batchnorm and relu nodes,
 and releases the conv and the batchnorm output once relu has read it,
 since no closure reads either; the unit's input, every block of a list,
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import ops
 from .equalizer import channel_spans, scale_equalize as _scale_equalize
-from .errors import ContractError, ShapeError
+from .errors import ContractError, InvalidRatioError, ShapeError
 from .tensor import Moments, moments
 
 
@@ -218,7 +219,7 @@ def upsample_to(x: Var, out_hw, mode: ops.UpsampleMode = ops.UpsampleMode()) -> 
 def upsample(x: Var, r, mode: ops.UpsampleMode = ops.UpsampleMode()) -> Var:
     x = as_var(x)
     if r < 1:
-        return upsample_to(x, (0, 0), mode)    # raises InvalidRatioError
+        raise InvalidRatioError(f"downsampling is not supported: ratio {r} < 1")
     if r == 1:
         return x
     h, w = x.data.shape[2], x.data.shape[3]
@@ -239,39 +240,33 @@ def _channel_blocks(x) -> list[Var]:
 def conv2d(x, weight: Var, bias: Var | None = None, *, stride: int = 1,
            dilation: int = 1, groups: int = 1, pad_value=0.0) -> Var:
     """Convolution node over x, one Var or a list of channel blocks that the
-    conv reads as their concatenation without making it.  The operand the
-    forward multiplies (the flat padded frame, or the im2col columns filled
-    from x without a padded frame, see ops._conv_operand) is built once,
-    and the weight gradient takes it.  The node keeps it only while the
-    weight requires a gradient, and the backward drops it once used.  dX
-    is split across the blocks at their channel offsets, a copy each, as
-    concat_channels' backward splits its gradient.  The closure records
-    x's shape, not x's data."""
+    conv reads as their concatenation without making it.  One ops.ConvPlan
+    builds the operand the forward multiplies (the flat padded frame, or
+    the im2col columns filled from x without a padded frame), and its
+    weight_grad takes it.  The node keeps it only while the weight requires
+    a gradient, and the backward drops it once used.  input_grads returns
+    dX as a view per block, and each block of a list copies its own, as
+    concat_channels' backward does.  The plan records x's shape, not x's
+    data."""
     xs, weight = _channel_blocks(x), as_var(weight)
     data = xs[0].data if len(xs) == 1 else [b.data for b in xs]
     p = ops.ConvParams(weight.data, None if bias is None else bias.data,
                        stride, dilation, groups, pad_value)
     parents = (*xs, weight) if bias is None else (*xs, weight, bias)
-    x_shape = ops._conv_input(data)[1]
-    operand = ops._conv_operand(data, p)
-    out = ops.conv2d(data, p, operand)
+    plan = ops.ConvPlan(data, p)
+    out = ops.conv2d(data, p, plan)
     if not weight.requires_grad:
-        operand = None
+        plan.operand = None
 
     def bwd(g):
-        nonlocal operand
         if bias is not None:
             _accum(bias, g.sum(axis=(0, 2, 3)))
         if weight.requires_grad:
-            _accum(weight, ops._conv_weight_grad(operand, p, g))
-            operand = None      # freed before dX allocates its grid
+            _accum(weight, plan.weight_grad(g))
+            plan.operand = None     # freed before dX allocates its grid
         if any(b.requires_grad for b in xs):
-            dx = ops._conv_input_grad(x_shape, p, g)
-            if len(xs) == 1:
-                _accum(xs[0], dx)
-            else:
-                for (c0, c1), b in ops._block_spans(xs):
-                    _accum(b, dx[:, c0:c1], shared=True)
+            for b, gx in zip(xs, plan.input_grads(g)):
+                _accum(b, gx, shared=len(xs) > 1)
     return _node(out, parents, bwd, "conv2d")
 
 

@@ -16,9 +16,10 @@ frame (kn2row-aa, Anderson et al., 2017).  Every other conv multiplies the
 weight with an im2col column matrix (Chellapilla et al., 2006), filled
 from the unpadded input one kernel tap at a time, with the pad value where
 a tap reads the border; no padded frame is made for it, and an atrous tap
-that reads only padding is one fill.  `_conv_operand` builds that frame or
-column matrix, and the weight gradient takes the forward's operand rather
-than building it again.  A conv's input is one array or a list of channel
+that reads only padding is one fill.  `ConvPlan` checks a conv's input
+once and builds that frame or column matrix once; its `weight_grad` takes
+the forward's operand rather than building it again, and its
+`input_grads` gives dX.  A conv's input is one array or a list of channel
 blocks that share N, H and W, read as their concatenation along C: the
 frame or the column matrix is filled from each block at its channel
 offset, so a conv fed by a concatenation never makes it (as in
@@ -43,14 +44,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import ContractError, InvalidRatioError, ShapeError
-from .tensor import Moments, _check_nchw
+from .tensor import Moments
 
 BN_EPS = 1e-5
 _BLOCK_ROWS = 4           # rows of every map centred at a time by upsample_moments
+
+
+def _check_nchw(x: np.ndarray) -> np.ndarray:
+    if x.ndim != 4:
+        raise ShapeError(f"expected a 4-D NCHW tensor, got shape {x.shape}")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +125,8 @@ def _axis_bands(n_in: int, n_out: int, kernel: str, align_corners: bool):
 
 def _map_hw(in_hw, out_hw, kernel: str):
     """(h, w, oh, ow) of the resampling map from in_hw to out_hw: area may
-    only shrink and the upsampling kernels may only grow."""
+    only shrink, the upsampling kernels may only grow, and no size is below
+    1."""
     h, w = int(in_hw[0]), int(in_hw[1])
     oh, ow = int(out_hw[0]), int(out_hw[1])
     if kernel == "area":
@@ -126,6 +135,8 @@ def _map_hw(in_hw, out_hw, kernel: str):
     elif oh < h or ow < w:
         raise InvalidRatioError(f"downsampling is not supported: output size "
                                 f"{(oh, ow)} below input {(h, w)}")
+    if min(h, w, oh, ow) < 1:
+        raise ShapeError(f"resampling {(h, w)} to {(oh, ow)} has a size below 1")
     return h, w, oh, ow
 
 
@@ -261,31 +272,22 @@ def _conv_input(x):
     return blocks, (n, sum(b.shape[1] for b in blocks), h, w)
 
 
-def _block_spans(blocks) -> list:
-    """((start, stop), block) for each channel block of a conv input, the
-    span of channels it fills."""
-    spans, c0 = [], 0
-    for b in blocks:
-        spans.append(((c0, c0 + b.shape[1]), b))
-        c0 += b.shape[1]
-    return spans
-
-
-def _flat_frame(x, pad: int, pad_value, kw: int, dilation: int) -> np.ndarray:
+def _flat_frame(blocks, plan: ConvPlan) -> np.ndarray:
     """The padded input as one (N, C, Hp*Wp + (kw-1)*dilation) buffer, rows
     flattened, borders and tail filled with pad_value (a scalar or one value
-    per channel).  A list input fills it one channel block at a time.  At
+    per channel), and each channel block copied in at its span.  At
     stride 1, kernel tap (u, v) of a conv reads the contiguous slice at
     offset (u*Wp + v)*dilation, of length Ho*Wp; the tail lets the last
     tap's slice run Wp - Wo columns past the frame."""
-    blocks, (n, c, h, w) = _conv_input(x)
-    hp, wp = h + 2 * pad, w + 2 * pad
+    (n, c, h, w), p, pad, wp = plan.x_shape, plan.p, plan.pad, plan.wp
+    hp = h + 2 * pad
     dtype = np.result_type(*blocks)
-    frame = np.empty((n, c, hp * wp + (kw - 1) * dilation), dtype=dtype)
-    pv = np.asarray(pad_value, dtype=dtype)
+    frame = np.empty((n, c, hp * wp + (p.weight.shape[3] - 1) * p.dilation),
+                     dtype=dtype)
+    pv = np.asarray(p.pad_value, dtype=dtype)
     frame[:] = pv.reshape(1, c, 1) if pv.ndim == 1 else pv
     grid = frame[:, :, :hp * wp].reshape(n, c, hp, wp)[:, :, pad:pad + h, pad:pad + w]
-    for (c0, c1), b in _block_spans(blocks):
+    for (c0, c1), b in zip(plan.spans, blocks):
         grid[:, c0:c1] = b
     return frame
 
@@ -333,38 +335,37 @@ def _tap_span(n_in: int, n_out: int, offset: int, stride: int):
     return lo, hi, lo * stride + offset
 
 
-def _im2col(x, pad: int, pad_value, groups: int, kh: int, kw: int,
-            ho: int, wo: int, stride: int, dilation: int) -> np.ndarray:
-    """(N, G, Cin/G*kh*kw, Ho*Wo) column matrix of x padded by pad with
-    pad_value (a scalar or one value per channel): column (i, j) holds the
-    receptive field of output pixel (i, j), ordered as the weight's
-    (Cin/G, kh, kw) axes.  It is filled from x one kernel tap at a time, and
-    from a list input one channel block at a time, so no padded frame is
-    made: a tap's rows copy the strided window of x it reads and hold
-    pad_value wherever it reads the border, and a tap that reads only the
-    border is one fill.  A 1x1 kernel at stride 1 over one array is a
-    reshape."""
-    blocks, (n, c, h, w) = _conv_input(x)
-    if kh == kw == 1 and stride == 1:
+def _im2col(blocks, plan: ConvPlan) -> np.ndarray:
+    """(N, G, Cin/G*kh*kw, Ho*Wo) column matrix of the input padded by pad
+    with pad_value (a scalar or one value per channel): column (i, j) holds
+    the receptive field of output pixel (i, j), ordered as the weight's
+    (Cin/G, kh, kw) axes.  It is filled one kernel tap at a time, and one
+    channel block at a time, so no padded frame is made: a tap's rows copy
+    the strided window of the input it reads and hold pad_value wherever it
+    reads the border, and a tap that reads only the border is one fill.  A
+    1x1 kernel at stride 1 over one array is a reshape."""
+    (n, c, h, w), p, pad, ho, wo = plan.x_shape, plan.p, plan.pad, plan.ho, plan.wo
+    kh, kw = p.weight.shape[2:]
+    s, d = p.stride, p.dilation
+    if kh == kw == 1 and s == 1:
         x = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
-        return x.reshape(n, groups, c // groups, ho * wo)
+        return x.reshape(n, p.groups, c // p.groups, ho * wo)
     dtype = np.result_type(*blocks)
     cols = np.empty((n, c, kh, kw, ho, wo), dtype=dtype)
-    pv = np.asarray(pad_value, dtype=dtype)
+    pv = np.asarray(p.pad_value, dtype=dtype)
     pv = pv.reshape(1, c, 1, 1) if pv.ndim == 1 else pv
-    spans_h = [_tap_span(h, ho, u * dilation - pad, stride) for u in range(kh)]
-    spans_w = [_tap_span(w, wo, v * dilation - pad, stride) for v in range(kw)]
-    spans_c = _block_spans(blocks)
+    spans_h = [_tap_span(h, ho, u * d - pad, s) for u in range(kh)]
+    spans_w = [_tap_span(w, wo, v * d - pad, s) for v in range(kw)]
     for u, (i0, i1, r) in enumerate(spans_h):
         for v, (j0, j1, q) in enumerate(spans_w):
             tap = cols[:, :, u, v]
             if (i0, i1, j0, j1) != (0, ho, 0, wo):
                 tap[...] = pv
             if i0 < i1 and j0 < j1:
-                for (c0, c1), b in spans_c:
-                    tap[:, c0:c1, i0:i1, j0:j1] = b[:, :, r:r + (i1 - i0) * stride:stride,
-                                                    q:q + (j1 - j0) * stride:stride]
-    return cols.reshape(n, groups, -1, ho * wo)
+                for (c0, c1), b in zip(plan.spans, blocks):
+                    tap[:, c0:c1, i0:i1, j0:j1] = b[:, :, r:r + (i1 - i0) * s:s,
+                                                    q:q + (j1 - j0) * s:s]
+    return cols.reshape(n, p.groups, -1, ho * wo)
 
 
 def _conv_taps(frame: np.ndarray, weight: np.ndarray, ho: int, wo: int,
@@ -402,99 +403,93 @@ def _conv_taps_weight_grad(frame: np.ndarray, g: np.ndarray, kh: int, kw: int,
     return dw
 
 
-def _conv_plan(x, p: ConvParams):
-    """(pad, Ho, Wo, taps) of conv2d(x, p), with taps whether _use_taps
-    holds; rejects an input, weight and group count that do not fit."""
-    x_shape = _conv_input(x)[1]
-    c, w = x_shape[1], x_shape[3]
-    cout, cin_g = p.weight.shape[:2]
-    if c != cin_g * p.groups:
-        raise ShapeError(
-            f"input channels {c} incompatible with weight {p.weight.shape} "
-            f"and groups {p.groups}")
-    if cout % p.groups != 0:
-        raise ShapeError("out channels must be divisible by groups")
-    pad, ho, wo = _conv_geometry(x_shape, p.weight.shape, p.stride, p.dilation)
-    return pad, ho, wo, _use_taps(p.weight.shape, p.stride, p.groups,
-                                  w + 2 * pad, wo)
+class ConvPlan:
+    """conv2d(x, p) planned from the shapes of x and p, with the operand it
+    multiplies the weight with: the flat padded frame where _use_taps holds
+    (taps), the im2col column matrix otherwise, either filled from a list
+    input's blocks at their channel spans.  The plan keeps x's shape and
+    spans, not x's arrays (a 1x1 stride-1 operand of one array is a view of
+    x).  weight_grad reads the operand, so a caller that needs no more dW
+    may drop it by setting operand to None; input_grads does not read it."""
+
+    def __init__(self, x, p: ConvParams):
+        blocks, self.x_shape = _conv_input(x)
+        c, w = self.x_shape[1], self.x_shape[3]
+        cout, cin_g = p.weight.shape[:2]
+        if c != cin_g * p.groups:
+            raise ShapeError(
+                f"input channels {c} incompatible with weight {p.weight.shape} "
+                f"and groups {p.groups}")
+        if cout % p.groups != 0:
+            raise ShapeError("out channels must be divisible by groups")
+        self.p = p
+        self.pad, self.ho, self.wo = _conv_geometry(self.x_shape, p.weight.shape,
+                                                    p.stride, p.dilation)
+        self.wp = w + 2 * self.pad
+        self.taps = _use_taps(p.weight.shape, p.stride, p.groups, self.wp, self.wo)
+        ends = list(accumulate(b.shape[1] for b in blocks))
+        self.spans = list(zip([0] + ends[:-1], ends))
+        self.operand = (_flat_frame if self.taps else _im2col)(blocks, self)
+
+    def weight_grad(self, g: np.ndarray) -> np.ndarray:
+        """dW for the output gradient g from the operand: per tap on the
+        flat frame, or one batched matmul with the column matrix, summed
+        over the batch."""
+        p = self.p
+        cout, _, kh, kw = p.weight.shape
+        if self.taps:
+            return _conv_taps_weight_grad(self.operand, g, kh, kw, self.wp, p.dilation)
+        gr = g.reshape(g.shape[0], p.groups, cout // p.groups, self.ho * self.wo)
+        return (gr @ self.operand.swapaxes(2, 3)).sum(axis=0).reshape(p.weight.shape)
+
+    def input_grads(self, g: np.ndarray) -> list:
+        """dX for the output gradient g, as one view of it per channel
+        block; pad_value is a constant and drops out.  At stride 1, dX is
+        conv2d of g with the kernel transposed within each group and flipped
+        in space, at the same padding.  At a larger stride each kernel tap
+        adds W^T g, per group, onto its strided window of a zeroed padded
+        grid, which is then cropped."""
+        (n, c, h, w), p, pad, ho, wo = self.x_shape, self.p, self.pad, self.ho, self.wo
+        cout, cin_g, kh, kw = p.weight.shape
+        groups, d, s = p.groups, p.dilation, p.stride
+        wg = p.weight.reshape(groups, cout // groups, cin_g, kh, kw)
+        if s == 1:
+            wf = wg.swapaxes(1, 2)[..., ::-1, ::-1].reshape(c, -1, kh, kw)
+            dx = conv2d(g, ConvParams(wf, dilation=d, groups=groups))
+        else:
+            # per tap a (G, Cin/G, Cout/G) block of W^T
+            wt = np.ascontiguousarray(wg.transpose(3, 4, 0, 2, 1))
+            gr = g.reshape(n, groups, cout // groups, ho * wo)
+            hp = h + 2 * pad
+            grid = np.zeros((n, groups, cin_g, hp, self.wp), dtype=np.result_type(wt, g))
+            tap = np.empty((n, groups, cin_g, ho * wo), dtype=grid.dtype)
+            for u in range(kh):
+                for v in range(kw):
+                    np.matmul(wt[u, v], gr, out=tap)
+                    grid[..., u * d:u * d + ho * s:s, v * d:v * d + wo * s:s] += \
+                        tap.reshape(n, groups, cin_g, ho, wo)
+            dx = grid.reshape(n, c, hp, self.wp)[:, :, pad:pad + h, pad:pad + w]
+        return [dx[:, c0:c1] for c0, c1 in self.spans]
 
 
-def _conv_operand(x, p: ConvParams) -> np.ndarray:
-    """The lowered input that conv2d(x, p) multiplies with the weight, and
-    that its weight gradient reads: the flat padded frame where _use_taps
-    holds, the im2col column matrix otherwise.  Either is filled from a
-    list input's blocks in place of their concatenation."""
-    pad, ho, wo, taps = _conv_plan(x, p)
-    kh, kw = p.weight.shape[2:]
-    if taps:
-        return _flat_frame(x, pad, p.pad_value, kw, p.dilation)
-    return _im2col(x, pad, p.pad_value, p.groups, kh, kw, ho, wo, p.stride,
-                   p.dilation)
-
-
-def conv2d(x, p: ConvParams, operand: np.ndarray | None = None) -> np.ndarray:
+def conv2d(x, p: ConvParams, plan: ConvPlan | None = None) -> np.ndarray:
     """Cross-correlation with dilation and groups of x, one NCHW array or a
     list of channel blocks read as their concatenation along C.  Where
     _use_taps holds it is one matmul per kernel tap on the flat frame;
     otherwise one batched matmul of the (1, G, Cout/G, K) weight view with
-    the im2col column matrix.  operand is _conv_operand(x, p) when the
-    caller has built it already; otherwise it is built here."""
-    pad, ho, wo, taps = _conv_plan(x, p)
-    if operand is None:
-        operand = _conv_operand(x, p)
+    the im2col column matrix.  plan is ConvPlan(x, p) when the caller has
+    built it already; otherwise it is built here."""
+    plan = plan or ConvPlan(x, p)
+    operand, ho, wo = plan.operand, plan.ho, plan.wo
     n, cout = operand.shape[0], p.weight.shape[0]
-    if taps:            # at stride 1 a frame row is Wo + 2*pad wide
-        y = _conv_taps(operand, p.weight, ho, wo, wo + 2 * pad, p.dilation)
+    if plan.taps:
+        y = _conv_taps(operand, p.weight, ho, wo, plan.wp, p.dilation)
     else:
         y = p.weight.reshape(1, p.groups, cout // p.groups, -1) @ operand
     y = y.reshape(n, cout, ho, wo).astype(operand.dtype, copy=False)
     if p.bias is not None:
         y += np.asarray(p.bias, dtype=y.dtype).reshape(1, cout, 1, 1)
     return y
-
-
-def _conv_weight_grad(operand: np.ndarray, p: ConvParams,
-                      g: np.ndarray) -> np.ndarray:
-    """Weight gradient of conv2d for the output gradient g, from the
-    operand the forward multiplied (_conv_operand): per tap on a 3-D flat
-    frame, whose rows are Wo + 2*pad wide because the taps run at stride 1,
-    or from a 4-D im2col column matrix."""
-    n, cout, ho, wo = g.shape
-    kh, kw = p.weight.shape[2:]
-    if operand.ndim == 3:
-        wp = wo + 2 * same_padding(kh, p.dilation)
-        return _conv_taps_weight_grad(operand, g, kh, kw, wp, p.dilation)
-    gr = g.reshape(n, p.groups, cout // p.groups, ho * wo)
-    return (gr @ operand.swapaxes(2, 3)).sum(axis=0).reshape(p.weight.shape)
-
-
-def _conv_input_grad(x_shape, p: ConvParams, g: np.ndarray) -> np.ndarray:
-    """dX of conv2d for an input of shape x_shape and the output gradient
-    g; pad_value is a constant and drops out.  At stride 1, dX is conv2d of
-    g with the kernel transposed within each group and flipped in space, at
-    the same padding.  At a larger stride each kernel tap adds W^T g, per
-    group, onto its strided window of a zeroed padded grid, which is then
-    cropped."""
-    n, c, h, w = x_shape
-    cout, cin_g, kh, kw = p.weight.shape
-    groups, d, s = p.groups, p.dilation, p.stride
-    pad, ho, wo = _conv_geometry(x_shape, p.weight.shape, s, d)
-    wg = p.weight.reshape(groups, cout // groups, cin_g, kh, kw)
-    if s == 1:
-        wf = wg.swapaxes(1, 2)[..., ::-1, ::-1].reshape(c, -1, kh, kw)
-        return conv2d(g, ConvParams(wf, dilation=d, groups=groups))
-    # per tap a (G, Cin/G, Cout/G) block of W^T
-    wt = np.ascontiguousarray(wg.transpose(3, 4, 0, 2, 1))
-    gr = g.reshape(n, groups, cout // groups, ho * wo)
-    hp, wp = h + 2 * pad, w + 2 * pad
-    grid = np.zeros((n, groups, cin_g, hp, wp), dtype=np.result_type(wt, g))
-    tap = np.empty((n, groups, cin_g, ho * wo), dtype=grid.dtype)
-    for u in range(kh):
-        for v in range(kw):
-            np.matmul(wt[u, v], gr, out=tap)
-            grid[..., u * d:u * d + ho * s:s, v * d:v * d + wo * s:s] += \
-                tap.reshape(n, groups, cin_g, ho, wo)
-    return grid.reshape(n, c, hp, wp)[:, :, pad:pad + h, pad:pad + w]
 
 
 # ---------------------------------------------------------------------------

@@ -25,12 +25,6 @@ from .errors import ShapeError
 _LEAF = 1 << 14           # elements centred at a time by moments (128 KiB)
 
 
-def _check_nchw(x: np.ndarray) -> np.ndarray:
-    if x.ndim != 4:
-        raise ShapeError(f"expected a 4-D NCHW tensor, got shape {x.shape}")
-    return x
-
-
 @dataclass(frozen=True)
 class Rng:
     """Counter-based random stream: same (seed, stream) gives bit-identical

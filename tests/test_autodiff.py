@@ -556,8 +556,8 @@ def test_conv_over_channel_blocks_matches_the_concatenation(case):
                             tuple(1.0 + i for i in range(len(widths))), 8)
         weight, _, pad_value = calibrate_weights(weight, stats, widths)
     u = randn((2, 16) + hw, 0.0, 1.0, rng.split("u"))
-    plan = ops._conv_plan(blocks, ops.ConvParams(weight, pad_value=pad_value))
-    assert plan[3] == (case != "im2col-ppm")
+    plan = ops.ConvPlan(blocks, ops.ConvParams(weight, pad_value=pad_value))
+    assert plan.taps == (case != "im2col-ppm")
 
     def run(fuse):
         xs = [ad.Var(b, requires_grad=True) for b in blocks]

@@ -480,7 +480,8 @@ def test_toy_train_step_runs_both_conv_kernels(monkeypatch):
     channel-expanding dX).  The PPM and fusion convs read their branch
     lists.  The weight gradient builds no operand: it takes the one the
     forward built.  ops.conv2d runs once per forward conv and once per
-    stride-1 dX conv."""
+    stride-1 dX conv, and each conv is planned once: ops._conv_input runs
+    once per ops.conv2d call."""
     from scaleq import ops
     calls = {}
     in_weight_grad = []
@@ -494,9 +495,9 @@ def test_toy_train_step_runs_both_conv_kernels(monkeypatch):
         return counted
 
     for name in ("_conv_taps", "_conv_taps_weight_grad", "_im2col", "_flat_frame",
-                 "conv2d"):
+                 "_conv_input", "conv2d"):
         monkeypatch.setattr(ops, name, counting(name, getattr(ops, name)))
-    real_weight_grad = ops._conv_weight_grad
+    real_weight_grad = ops.ConvPlan.weight_grad
 
     def weight_grad(*args):
         in_weight_grad.append(True)
@@ -504,7 +505,7 @@ def test_toy_train_step_runs_both_conv_kernels(monkeypatch):
             return real_weight_grad(*args)
         finally:
             in_weight_grad.pop()
-    monkeypatch.setattr(ops, "_conv_weight_grad", counting("dW", weight_grad))
+    monkeypatch.setattr(ops.ConvPlan, "weight_grad", counting("dW", weight_grad))
     conv_nodes = []
     real_conv_node = ad.conv2d
 
@@ -522,6 +523,7 @@ def test_toy_train_step_runs_both_conv_kernels(monkeypatch):
     assert sorted(k for _, k, _ in conv_nodes if k > 1) == [3, 4]
     stride1_dx = sum(s == 1 and x_grad for s, _, x_grad in conv_nodes)
     assert calls["conv2d"] == len(conv_nodes) + stride1_dx
+    assert calls["_conv_input"] == calls["conv2d"]
 
 
 def _pixel_metrics_by_class(logits, labels, n_classes):
@@ -875,6 +877,29 @@ def test_src_names_are_reached_outside_tests():
                 and not any(stmt.name in r for j, r in enumerate(reached) if j != i)):
             unreached.append(f"{path.name}:{stmt.name}")
     assert not unreached
+
+
+def test_src_reads_no_private_of_another_module():
+    """No src/scaleq module reads a private name of another: no attribute
+    read such as ops._x or ad._x through a module alias, and no
+    `from .module import _x`.  bench/ reads the package from outside and is
+    not held to this."""
+    root = Path(__file__).resolve().parents[1]
+    owners = {"ops": "ops", "ad": "autodiff", "autodiff": "autodiff",
+              "tensor": "tensor", "equalizer": "equalizer", "decoders": "decoders",
+              "ex": "experiments", "experiments": "experiments"}
+    reads = []
+    for path in sorted(root.glob("src/scaleq/*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                owner, names = owners.get(node.value.id), [node.attr]
+            elif isinstance(node, ast.ImportFrom) and node.level:
+                owner, names = node.module, [a.name for a in node.names]
+            else:
+                continue
+            reads += [f"{path.name}: {owner}.{name}" for name in names
+                      if owner not in (None, path.stem) and name.startswith("_")]
+    assert not reads
 
 
 def test_bench_workloads_api_resolves():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+from scaleq import autodiff as ad
 from scaleq import ops
 from scaleq.errors import ContractError, InvalidRatioError, ShapeError
 from scaleq.ops import ConvParams, UpsampleMode
@@ -78,11 +79,19 @@ def test_upsample_identity():
 
 
 def test_upsample_rejects_small_ratio():
+    """A smaller output size is InvalidRatioError, and so is autodiff's
+    ratio below 1 under every kernel, AREA included.  An empty input that
+    grows to an empty output is ShapeError."""
     x = np.zeros((1, 1, 4, 4))
     for out_hw in ((2, 8), (4, 3)):
         for fn in (ops.upsample_to, ops.upsample_moments):
             with pytest.raises(InvalidRatioError, match="downsampling"):
                 fn(x, out_hw)
+    for mode in (UpsampleMode(), ops.AREA):
+        with pytest.raises(InvalidRatioError, match="downsampling"):
+            ad.upsample(ad.Var(x), 0.5, mode)
+    with pytest.raises(ShapeError, match="below 1"):
+        ops.upsample_to(np.ones((1, 1, 0, 4)), (0, 8))
 
 
 def test_upsample_moments_rejects_area():
@@ -378,9 +387,9 @@ def test_conv_operand_matches_padded_frame_windows(k, hw):
             (1, 2, 3), range(1, max(hw) + 2), (1, 2, c), pads):
         w = np.zeros((2 * c, c // groups, k, k))
         p = ConvParams(w, None, stride, dilation, groups, pv)
-        assert not ops._conv_plan(x, p)[3]
-        np.testing.assert_array_equal(ops._conv_operand(x, p),
-                                      column_matrix_reference(x, p))
+        plan = ops.ConvPlan(x, p)
+        assert not plan.taps
+        np.testing.assert_array_equal(plan.operand, column_matrix_reference(x, p))
 
 
 @pytest.mark.parametrize("groups", [1, 3], ids=["dense", "depthwise"])
@@ -399,8 +408,8 @@ def test_conv_dead_taps_match_reference(groups):
         p = ConvParams(wt, dilation=d, groups=groups)
         np.testing.assert_allclose(ops.conv2d(x, p), conv2d_reference(x, p),
                                    atol=1e-12)
-        dw = ops._conv_weight_grad(ops._conv_operand(x, p), p, g)
-        dx = ops._conv_input_grad(x.shape, p, g)
+        plan = ops.ConvPlan(x, p)
+        dw, (dx,) = plan.weight_grad(g), plan.input_grads(g)
         dw_ref, dx_ref = np.empty_like(wt), np.empty_like(x)
         for i in np.ndindex(wt.shape):
             e = np.zeros_like(wt)
@@ -538,5 +547,7 @@ def test_avgpool_uneven_bins():
 
 
 def test_avgpool_rejects_upsizing():
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match="exceeds"):
         ops.avgpool_to(np.zeros((1, 1, 2, 2)), (3, 3))
+    with pytest.raises(ShapeError, match="below 1"):
+        ops.avgpool_to(np.ones((1, 1, 4, 4)), (0, 2))
